@@ -14,7 +14,7 @@ Sweep-style output uses one fixed CSV schema, `n,m,ratio,e_in,e_out,eta,bell`
 (bell left empty when not computed), floats printed with 17 significant
 digits, metadata as `#` comment lines above the header, and a single
 newline as the separator. Identical configurations always produce identical
-bytes, whatever the thread count.
+bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, closedform, protocol_oracle, verify
 from .errors import QetError
@@ -79,28 +78,17 @@ def rows_to_json(rows, meta: list[str]) -> str:
         for r in rows])
 
 
-def _compute_rows(points, h: float, threads: int):
-    """Evaluate grid points, optionally on a pool; emission order is the
-    grid order either way, which is what keeps the bytes stable."""
-    if threads <= 1:
-        return [analysis.sweep_row(p, h) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: analysis.sweep_row(p, h), points))
-
-
-def render_sweep(n_values, m_values, ratios, threads: int = 1,
-                 with_bell: bool = False, h: float = 1.0,
-                 fmt: str = "csv") -> str:
+def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
+                 h: float = 1.0, fmt: str = "csv") -> str:
     points = analysis.sweep_grid(n_values, m_values, ratios, with_bell)
-    rows = _compute_rows(points, h, threads)
+    rows = [analysis.sweep_row(p, h) for p in points]
     meta = ["dataset: sweep", f"h: {_fmt(h)}", f"points: {len(points)}"]
     return rows_to_csv(rows, meta) if fmt == "csv" else rows_to_json(rows, meta)
 
 
-def render_figure(name: str, threads: int = 1, h: float = 1.0,
-                  fmt: str = "csv") -> str:
+def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
     points = analysis.figure_grid(name)
-    rows = _compute_rows(points, h, threads)
+    rows = [analysis.sweep_row(p, h) for p in points]
     meta = [f"dataset: {name}", f"h: {_fmt(h)}",
             "ratio grids: log-spaced, 50 points per decade",
             f"points: {len(points)}"]
@@ -154,8 +142,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--h", type=float, default=1.0,
                    help="field coupling; energies scale linearly with it")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size for sweep points")
     p.add_argument("--oracle-cap", type=int, default=None,
                    help="largest N the brute-force engine will accept "
                         "(default: QET_ORACLE_CAP env or 12)")
@@ -282,15 +268,14 @@ def _cmd_efficiency(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    text = render_sweep(args.n, args.m, args.ratio, threads=args.threads,
-                        with_bell=args.bell, h=args.h, fmt=args.format)
+    text = render_sweep(args.n, args.m, args.ratio, with_bell=args.bell,
+                        h=args.h, fmt=args.format)
     _emit(text, args.out)
     return 0
 
 
 def _cmd_figure(args) -> int:
-    text = render_figure(args.name, threads=args.threads, h=args.h,
-                         fmt=args.format)
+    text = render_figure(args.name, h=args.h, fmt=args.format)
     _emit(text, args.out)
     return 0
 

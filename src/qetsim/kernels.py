@@ -1,37 +1,24 @@
-"""Index-space kernels for statevector manipulation.
+"""Index-space kernels for statevector manipulation, in numpy.
 
 Every hot loop of the brute-force protocol engine lands here: signed-permutation
 application of Pauli strings, X-basis projectors, and the handful of expectation
-values the spin Hamiltonian needs. Amplitude arrays are flat ``complex128`` of
-length ``2**n``; qubit structure enters only through bit masks, so the kernels
-are agnostic of any qubit-ordering convention.
+values the spin Hamiltonian needs. Amplitudes are ``complex128`` arrays whose
+last axis has length ``2**n``; qubit structure enters only through bit masks
+on that axis, so the kernels are agnostic of any qubit-ordering convention.
 
-Two interchangeable backends are provided:
-
-* ``numba`` (default when importable): ``@njit``-compiled element loops.
-* ``numpy``: vectorised gather/scatter fallback.
-
-Set ``QET_NO_NUMBA=1`` in the environment to force the numpy path. The active
-backend is reported in ``BACKEND``, and both implementations stay importable
-through ``IMPLEMENTATIONS`` so tests and benchmarks can compare them.
+Each kernel acts along the last axis and broadcasts over any leading ones.
+The same function therefore serves a single statevector of shape ``(2**n,)``
+and a batch of them, such as the ``(2**(N-m), 2**m)`` branch matrix of the
+protocol engine; reductions return a scalar for one vector and one value per
+row for a batch.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "QET_NO_NUMBA"
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in ("", "0", "false", "no")
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
+#: The one kernel implementation; recorded by tools that log the environment.
+BACKEND = "numpy"
 
 if hasattr(np, "bitwise_count"):
 
@@ -50,168 +37,53 @@ else:  # SWAR popcount for numpy < 2.0
         return ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
 
 
-def _apply_pauli_signs_np(amps: np.ndarray, flip_mask: int, phase_mask: int) -> np.ndarray:
-    """out[j] = (-1)**popcount((j ^ flip) & phase) * amps[j ^ flip]."""
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    src = idx ^ flip_mask
+def _indices(amps: np.ndarray) -> np.ndarray:
+    return np.arange(amps.shape[-1], dtype=np.int64)
+
+
+def apply_pauli_signs(amps: np.ndarray, flip_mask: int, phase_mask: int) -> np.ndarray:
+    """out[..., j] = (-1)**popcount((j ^ flip) & phase) * amps[..., j ^ flip]."""
+    src = _indices(amps) ^ flip_mask
     signs = 1.0 - 2.0 * (popcount(src & phase_mask) & 1)
-    return signs * amps[src]
+    return signs * amps[..., src]
 
 
-def _project_x_np(amps: np.ndarray, qubit_mask: int, sign: int) -> np.ndarray:
-    """Apply (1 + sign * X_qubit) / 2."""
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    return 0.5 * (amps + sign * amps[idx ^ qubit_mask])
+def project_x(amps: np.ndarray, qubit_mask: int, sign) -> np.ndarray:
+    """Apply (1 + sign * X_qubit) / 2.
+
+    ``sign`` is +1 or -1, or an array of them along the last axis, in which
+    case index j is projected onto the outcome ``sign[j]``.
+    """
+    return 0.5 * (amps + sign * amps[..., _indices(amps) ^ qubit_mask])
 
 
-def _norm_sq_np(amps: np.ndarray) -> float:
-    return float(np.real(np.vdot(amps, amps)))
+def _weights(amps: np.ndarray) -> np.ndarray:
+    return np.real(amps) ** 2 + np.imag(amps) ** 2
 
 
-def _z_expectations_np(amps: np.ndarray, n_bits: int) -> np.ndarray:
-    """Per-bit <Z> (bit value 0 counts as eigenvalue +1). Index b = bit b."""
-    w = np.real(amps) ** 2 + np.imag(amps) ** 2
-    total = w.sum()
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    out = np.empty(n_bits, dtype=np.float64)
+def norm_sq(amps: np.ndarray):
+    """<psi|psi>."""
+    return _weights(amps).sum(axis=-1)
+
+
+def z_expectations(amps: np.ndarray, n_bits: int) -> np.ndarray:
+    """Per-bit <Z> (bit value 0 counts as eigenvalue +1); entry b is bit b."""
+    w = _weights(amps)
+    lead = w.shape[:-1]
+    total = w.sum(axis=-1)
+    out = np.empty(lead + (n_bits,), dtype=np.float64)
     for b in range(n_bits):
-        ones = w[(idx >> b) & 1 == 1].sum()
-        out[b] = total - 2.0 * ones
+        # Index j = (high, bit b, low): a view, no per-element mask.
+        ones = w.reshape(lead + (-1, 2, 1 << b))[..., 1, :].sum(axis=(-2, -1))
+        out[..., b] = total - 2.0 * ones
     return out
 
 
-def _diag_z_total_np(amps: np.ndarray, n_bits: int) -> float:
+def diag_z_total(amps: np.ndarray, n_bits: int):
     """Sum over bits of <Z_b>, computed in one pass via popcounts."""
-    w = np.real(amps) ** 2 + np.imag(amps) ** 2
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    return float(np.sum(w * (n_bits - 2 * popcount(idx))))
+    return _weights(amps) @ (n_bits - 2 * popcount(_indices(amps))).astype(np.float64)
 
 
-def _complement_overlap_np(amps: np.ndarray) -> complex:
+def complement_overlap(amps: np.ndarray):
     """<psi| FlipAll |psi> = sum_j conj(a[j]) a[all_ones ^ j]."""
-    return complex(np.vdot(amps, amps[::-1]))
-
-
-_NUMPY_IMPL = {
-    "apply_pauli_signs": _apply_pauli_signs_np,
-    "project_x": _project_x_np,
-    "norm_sq": _norm_sq_np,
-    "z_expectations": _z_expectations_np,
-    "diag_z_total": _diag_z_total_np,
-    "complement_overlap": _complement_overlap_np,
-}
-
-IMPLEMENTATIONS: dict[str, dict] = {"numpy": _NUMPY_IMPL}
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - sandbox always ships numba
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    _njit = numba.njit(cache=True)
-
-    @_njit
-    def _parity_nb(v):
-        # Parity of the set bits of v (v >= 0).
-        p = 0
-        while v:
-            v &= v - 1
-            p ^= 1
-        return p
-
-    @_njit
-    def _popcount_nb(v):
-        c = 0
-        while v:
-            v &= v - 1
-            c += 1
-        return c
-
-    @_njit
-    def _apply_pauli_signs_nb(amps, flip_mask, phase_mask):
-        n = amps.shape[0]
-        out = np.empty(n, dtype=np.complex128)
-        for j in range(n):
-            src = j ^ flip_mask
-            if _parity_nb(src & phase_mask):
-                out[j] = -amps[src]
-            else:
-                out[j] = amps[src]
-        return out
-
-    @_njit
-    def _project_x_nb(amps, qubit_mask, sign):
-        n = amps.shape[0]
-        out = np.empty(n, dtype=np.complex128)
-        s = float(sign)
-        for j in range(n):
-            out[j] = 0.5 * (amps[j] + s * amps[j ^ qubit_mask])
-        return out
-
-    @_njit
-    def _norm_sq_nb(amps):
-        acc = 0.0
-        for j in range(amps.shape[0]):
-            a = amps[j]
-            acc += a.real * a.real + a.imag * a.imag
-        return acc
-
-    @_njit
-    def _z_expectations_nb(amps, n_bits):
-        out = np.zeros(n_bits, dtype=np.float64)
-        for j in range(amps.shape[0]):
-            a = amps[j]
-            w = a.real * a.real + a.imag * a.imag
-            for b in range(n_bits):
-                if (j >> b) & 1:
-                    out[b] -= w
-                else:
-                    out[b] += w
-        return out
-
-    @_njit
-    def _diag_z_total_nb(amps, n_bits):
-        acc = 0.0
-        for j in range(amps.shape[0]):
-            a = amps[j]
-            w = a.real * a.real + a.imag * a.imag
-            acc += w * (n_bits - 2 * _popcount_nb(j))
-        return acc
-
-    @_njit
-    def _complement_overlap_nb(amps):
-        n = amps.shape[0]
-        acc = 0.0 + 0.0j
-        for j in range(n):
-            acc += np.conj(amps[j]) * amps[n - 1 - j]
-        return acc
-
-    IMPLEMENTATIONS["numba"] = {
-        "apply_pauli_signs": _apply_pauli_signs_nb,
-        "project_x": _project_x_nb,
-        "norm_sq": _norm_sq_nb,
-        "z_expectations": _z_expectations_nb,
-        "diag_z_total": _diag_z_total_nb,
-        "complement_overlap": _complement_overlap_nb,
-    }
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-BACKEND = "numba" if (_HAVE_NUMBA and not _numba_disabled()) else "numpy"
-
-_active = IMPLEMENTATIONS[BACKEND]
-apply_pauli_signs = _active["apply_pauli_signs"]
-project_x = _active["project_x"]
-norm_sq = _active["norm_sq"]
-z_expectations = _active["z_expectations"]
-diag_z_total = _active["diag_z_total"]
-complement_overlap = _active["complement_overlap"]
+    return np.einsum("...j,...j->...", amps.conj(), amps[..., ::-1])

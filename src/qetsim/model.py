@@ -42,8 +42,8 @@ class ModelParams:
 
     ``k == 0`` is admitted as the decoupled limit point (the ground state is
     then the all-ones product state and nothing is extractable); strictly
-    negative couplings and ``h <= 0`` are rejected. Use ``validate_params``
-    for the strict contract that also rejects ``k == 0``.
+    negative couplings, ``h <= 0`` and non-finite values are rejected. Use
+    ``validate_params`` for the strict contract that also rejects ``k == 0``.
     """
 
     n_qubits: int
@@ -53,10 +53,10 @@ class ModelParams:
     def __post_init__(self):
         if self.n_qubits < 2:
             raise TooFewQubits(f"need at least 2 qubits, got {self.n_qubits}")
-        if not (self.h > 0):
-            raise NonPositiveCoupling(f"h must be > 0, got {self.h}")
-        if not (self.k >= 0):
-            raise NonPositiveCoupling(f"k must be >= 0, got {self.k}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise NonPositiveCoupling(f"h must be finite and > 0, got {self.h}")
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise NonPositiveCoupling(f"k must be finite and >= 0, got {self.k}")
 
     @property
     def c(self) -> float:

@@ -1,16 +1,28 @@
 """Brute-force execution of the full teleportation protocol.
 
 Every closed-form energy in this package has an independent check here:
-start from the exact ground state, enumerate all 2^(N-m) X-basis measurement
-outcomes on the input qubits, account the injected energy branch by branch,
+start from the exact ground state, split it into all 2^(N-m) X-basis
+measurement outcomes on the input qubits, account the injected energy,
 apply the outcome-conditioned rotation, and read the extracted energy off
 the rotated ensemble. Nothing in this module uses the closed forms; the two
 paths meet only in the tests.
 
-The ensemble average state is never materialized as a density matrix. All
-traces are probability-weighted sums over branch statevectors, accumulated
-in a fixed branch order with pairwise summation so results are bit-stable
-regardless of how branches were scheduled.
+An X measurement leaves the measured qubits in the product state |alpha>,
+so outcome alpha is fully described by the unnormalised m-qubit output
+state <alpha|psi>. All outcomes are held as the rows of one
+(2^(N-m), 2^m) branch matrix ``Branches.states``:
+
+* the ground state is laid out as (outputs, inputs) and every input qubit is
+  split into both X outcomes by one ``kernels.project_x`` pass along the
+  input axis, after which column alpha holds <alpha|psi> up to a known factor;
+* a row's squared norm is its outcome probability, so ensemble traces are
+  plain sums of per-row expectations, and a zero-probability row weighs
+  nothing without special-casing;
+* the conditioned rotation is one signed permutation of the columns, scaled
+  per row by the outcome's sign product.
+
+The ensemble average state is never materialized as a density matrix, and
+no Python loop runs over branches.
 """
 
 from __future__ import annotations
@@ -22,25 +34,15 @@ import numpy as np
 
 from . import kernels
 from .closedform import ThetaChoice
-from .errors import InvalidPartition, OracleCapExceeded
+from .errors import InvalidPartition, InvalidRange, OracleCapExceeded
 from .model import (
     DEFAULT_ORACLE_CAP,
     ModelParams,
     Partition,
+    interaction_constant,
     local_constant,
-    qubit_mask,
 )
-from .simkernel import (
-    PauliString,
-    StateVector,
-    apply_pauli_string,
-    interaction_energy,
-    site_z_expectations,
-    total_energy,
-)
-
-#: Branch probabilities below this are treated as degenerate (state kept raw).
-_ZERO_PROB = 1e-28
+from .simkernel import PauliString, StateVector
 
 THETA_LO = 0.0
 THETA_HI = math.pi / 2.0
@@ -48,20 +50,26 @@ GOLDEN_TOL = 1e-9
 
 
 @dataclass
-class OutcomeBranch:
-    """One measurement outcome: its sign pattern, weight, and collapsed state.
+class Branches:
+    """Every X-basis outcome on the input qubits, one row each.
 
-    ``alpha[i]`` is the X-measurement result (+1 or -1) of the i-th input
-    qubit in ascending qubit order. ``post_state`` is normalized unless
-    ``zero_probability`` is set, in which case it is the raw projected
-    (near-null) vector and the branch weighs nothing.
+    Row r of ``states`` is the unnormalised output state <alpha|psi> of
+    outcome r, over the output qubits in ascending order (the first is the
+    most significant bit). ``probability[r]`` is its squared norm.
+    ``alpha[r, i]`` is the X-measurement result (+1 or -1) of the i-th input
+    qubit in ascending qubit order; row order is lexicographic in these signs
+    with +1 first, so bit i of r (counting from the most significant of the
+    N-m bits) set means input qubit i measured -1.
     """
 
-    alpha: tuple[int, ...]
-    probability: float
-    post_state: StateVector
-    alpha_product: int
-    zero_probability: bool = False
+    states: np.ndarray
+    probability: np.ndarray
+    alpha: np.ndarray
+
+    @property
+    def alpha_product(self) -> np.ndarray:
+        """Product of each row's outcome signs, +1 or -1."""
+        return self.alpha.prod(axis=1)
 
 
 @dataclass
@@ -74,7 +82,7 @@ class ProtocolReport:
     e_out: float
     e_out_via_trace: float
     eta: float
-    branches: list[OutcomeBranch]
+    branches: Branches
 
 
 def _require(params: ModelParams, part: Partition, oracle_cap: int):
@@ -87,81 +95,92 @@ def _require(params: ModelParams, part: Partition, oracle_cap: int):
 
 
 def measure_branches(params: ModelParams, part: Partition,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[OutcomeBranch]:
-    """All 2^(N-m) X-basis outcomes on the input qubits, from the ground state.
-
-    Branch order is lexicographic in the outcome signs with +1 sorting first,
-    so branch index bit i set means input qubit i measured -1.
-    """
+                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> Branches:
+    """All 2^(N-m) X-basis outcomes on the input qubits, from the ground state."""
     _require(params, part, oracle_cap)
-    ground = StateVector.ground_state(params)
-    inputs = part.input_qubits
-    n_in = len(inputs)
-    masks = [qubit_mask(params.n_qubits, [q]) for q in inputs]
-    branches = []
-    for code in range(1 << n_in):
-        alpha = tuple(1 - 2 * ((code >> (n_in - 1 - i)) & 1) for i in range(n_in))
-        amps = ground.amplitudes
-        for mask, a in zip(masks, alpha):
-            amps = kernels.project_x(amps, mask, a)
-        prob = kernels.norm_sq(amps)
-        product = -1 if (code.bit_count() & 1) else 1
-        if prob < _ZERO_PROB:
-            branches.append(OutcomeBranch(alpha, 0.0, StateVector(params.n_qubits, amps),
-                                          product, zero_probability=True))
-            continue
-        state = StateVector(params.n_qubits, amps / math.sqrt(prob))
-        branches.append(OutcomeBranch(alpha, prob, state, product))
-    return branches
+    n_in, m = part.n_inputs, part.m_outputs
+    # Axis q-1 of the (2,)*N view is qubit q; reorder to (outputs, inputs).
+    axes = [q - 1 for q in part.output_qubits_sorted + part.input_qubits]
+    amps = StateVector.ground_state(params).amplitudes
+    mat = amps.reshape((2,) * params.n_qubits).transpose(axes).reshape(1 << m, 1 << n_in)
+
+    codes = np.arange(1 << n_in)
+    alpha = 1 - 2 * ((codes[:, None] >> np.arange(n_in - 1, -1, -1)) & 1)
+    for i in range(n_in):
+        bit = 1 << (n_in - 1 - i)
+        # Input index x keeps the outcome its own bit names: 0 -> +1, 1 -> -1.
+        mat = kernels.project_x(mat, bit, alpha[:, i])
+    # Column x now holds prod(alpha) * 2^(-n_in/2) * <alpha|psi>: each input
+    # qubit contributed <x_i|alpha_i> = alpha_i^(x_i) / sqrt(2).
+    scale = alpha.prod(axis=1) * math.sqrt(1 << n_in)
+    states = np.ascontiguousarray((mat * scale).T)
+    return Branches(states, kernels.norm_sq(states), alpha)
 
 
-def injected_energy(branches: list[OutcomeBranch], params: ModelParams,
+def injected_energy(branches: Branches, params: ModelParams,
                     part: Partition) -> tuple[float, np.ndarray]:
     """Measurement cost per input qubit and in total.
 
     Entry i of the returned array is the probability-weighted post-measurement
     energy h<Z_j> + N h^2 / c of the i-th input qubit; the scalar is their sum.
+    Each measured qubit is left in an X eigenstate, where <Z> is exactly zero,
+    so every entry is the constant times the total probability.
     """
-    inputs = part.input_qubits
-    cols = [q - 1 for q in inputs]
-    rows = np.zeros((len(branches), len(inputs)))
-    for b_idx, branch in enumerate(branches):
-        if branch.zero_probability:
-            continue
-        z = site_z_expectations(branch.post_state)[cols]
-        rows[b_idx] = branch.probability * (params.h * z + local_constant(params))
-    per_qubit = rows.sum(axis=0)
+    weight = float(np.sum(branches.probability))
+    per_qubit = np.full(part.n_inputs, local_constant(params) * weight)
     return float(per_qubit.sum()), per_qubit
 
 
 def _rotation_string(part: Partition, y_qubit: int | None) -> PauliString:
+    """Y on ``y_qubit``, X on the other outputs, over the output register."""
     outputs = part.output_qubits_sorted
     if y_qubit is None:
         y_qubit = outputs[0]
     elif y_qubit not in part.output_qubits:
         raise InvalidPartition(f"qubit {y_qubit} is not an output qubit")
-    sites = {q: "X" for q in outputs}
-    sites[y_qubit] = "Y"
-    return PauliString.from_sites(part.n_qubits, sites)
+    return PauliString.from_sites(
+        len(outputs), {i + 1: "Y" if q == y_qubit else "X" for i, q in enumerate(outputs)})
 
 
-def apply_conditional_unitary(branch: OutcomeBranch, part: Partition, theta: float,
-                              y_qubit: int | None = None) -> StateVector:
-    """Rotate one branch by cos(theta) - i*alpha*sin(theta) * Y_y X X ... X.
+def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
+                              y_qubit: int | None = None) -> np.ndarray:
+    """Rotate every row by cos(theta) - i*alpha*sin(theta) * Y_y X X ... X.
 
     The Y factor sits on the lowest-indexed output qubit unless ``y_qubit``
     overrides it; the extracted energy does not depend on the choice.
+    -i * (Y X ... X) is the real signed permutation S of the columns, so row
+    r becomes cos(theta) * psi_r + prod(alpha_r) * sin(theta) * S psi_r.
     """
-    flipped = apply_pauli_string(branch.post_state, _rotation_string(part, y_qubit))
-    amps = (math.cos(theta) * branch.post_state.amplitudes
-            - 1j * branch.alpha_product * math.sin(theta) * flipped.amplitudes)
-    return StateVector(branch.post_state.n_qubits, amps)
+    p = _rotation_string(part, y_qubit)
+    flipped = kernels.apply_pauli_signs(branches.states, p.flip_mask, p.phase_mask)
+    return (math.cos(theta) * branches.states
+            + (math.sin(theta) * branches.alpha_product)[:, None] * flipped)
 
 
-def _weighted_sum(values: np.ndarray, probs: np.ndarray) -> float:
-    # Pairwise summation over the fixed branch order keeps this bit-stable
-    # no matter how the per-branch values were produced.
-    return float(np.sum(values * probs))
+def output_term_energies(states: np.ndarray, alpha_product: np.ndarray,
+                         params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row energies of the output-site terms and of the interaction term.
+
+    ``states`` holds unnormalised output rows (measured or rotated), so each
+    value already carries its row's probability and ensemble values are sums
+    over rows. Returns a (rows, m) array of h<Z_j> + N h^2 / c, columns in
+    ascending output-qubit order, and a (rows,) array of 2k<X...X> + 4k^2/c.
+    The measured register of row r is |alpha_r>, on which X...X reads
+    prod(alpha_r).
+    """
+    m = states.shape[-1].bit_length() - 1
+    weight = kernels.norm_sq(states)
+    z = kernels.z_expectations(states, m)[:, ::-1]
+    sites = params.h * z + local_constant(params) * weight[:, None]
+    flip = alpha_product * kernels.complement_overlap(states).real
+    interaction = 2.0 * params.k * flip + interaction_constant(params) * weight
+    return sites, interaction
+
+
+def _drained(rotated: np.ndarray, branches: Branches, params: ModelParams) -> np.ndarray:
+    """Per-row energy drained from the output terms plus the interaction."""
+    sites, interaction = output_term_energies(rotated, branches.alpha_product, params)
+    return -(sites.sum(axis=1) + interaction)
 
 
 def extracted_energy(params: ModelParams, part: Partition, theta: float,
@@ -178,27 +197,19 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     branches = measure_branches(params, part, oracle_cap)
     e_in, per_qubit = injected_energy(branches, params, part)
 
-    out_cols = [q - 1 for q in part.output_qubits_sorted]
-    probs = np.array([b.probability for b in branches])
-    drained = np.zeros(len(branches))
-    totals = np.zeros(len(branches))
-    for b_idx, branch in enumerate(branches):
-        if branch.zero_probability:
-            continue
-        rotated = apply_conditional_unitary(branch, part, theta, y_qubit)
-        z_out = site_z_expectations(rotated)[out_cols]
-        site_part = float(np.sum(params.h * z_out + local_constant(params)))
-        drained[b_idx] = -(site_part + interaction_energy(rotated, params))
-        totals[b_idx] = total_energy(rotated, params)
-
-    e_out = _weighted_sum(drained, probs)
-    trace_h = _weighted_sum(totals, probs)
+    rotated = apply_conditional_unitary(branches, part, theta, y_qubit)
+    e_out = float(np.sum(_drained(rotated, branches, params)))
+    # Total <H> per row: the measured qubits sit in X eigenstates and add
+    # nothing to the Z sum, and FlipAll reads prod(alpha) on them.
+    flip = branches.alpha_product * kernels.complement_overlap(rotated).real
+    totals = (params.h * kernels.diag_z_total(rotated, part.m_outputs)
+              + 2.0 * params.k * flip + params.c * kernels.norm_sq(rotated))
     return ProtocolReport(
         e_in=e_in,
         per_qubit_e_in=per_qubit,
         theta_used=theta,
         e_out=e_out,
-        e_out_via_trace=e_in - trace_h,
+        e_out_via_trace=e_in - float(np.sum(totals)),
         eta=e_out / e_in,
         branches=branches,
     )
@@ -208,38 +219,19 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
 # Angle sweeps and numeric optimization
 # ---------------------------------------------------------------------------
 
-def _branch_quadratics(branches: list[OutcomeBranch], params: ModelParams,
-                       part: Partition, y_qubit: int | None):
-    """Per-branch coefficients of the drained energy as a function of theta.
+def _quadratic(branches: Branches, params: ModelParams, part: Partition,
+               y_qubit: int | None) -> tuple[float, float, float]:
+    """Coefficients (A, B, C) of the ensemble drained energy
+    A cos^2 t + B sin^2 t + 2C cos t sin t.
 
-    The rotated state is cos(t)|psi> + alpha*sin(t)*S|psi> for a fixed signed
-    permutation S, so every expectation is quadratic in (cos t, sin t). Three
-    numbers per branch then give the exact drained energy at any angle.
+    Every rotated row is cos(t) psi + alpha sin(t) S psi, so every expectation
+    is quadratic in (cos t, sin t); the drained energy at t = 0, pi/2 and
+    pi/4 fixes the three numbers.
     """
-    out_cols = [q - 1 for q in part.output_qubits_sorted]
-    p_string = _rotation_string(part, y_qubit)
-
-    def drained(state: StateVector) -> float:
-        z_out = site_z_expectations(state)[out_cols]
-        site_part = float(np.sum(params.h * z_out + local_constant(params)))
-        return -(site_part + interaction_energy(state, params))
-
-    coeffs = []
-    for branch in branches:
-        if branch.zero_probability:
-            coeffs.append((0.0, 0.0, 0.0))
-            continue
-        psi = branch.post_state
-        # -i * (Y X ... X) is the real signed permutation S of the rotation.
-        phi = StateVector(psi.n_qubits,
-                          -1j * apply_pauli_string(psi, p_string).amplitudes)
-        d_pp = drained(psi)
-        d_ff = drained(phi)
-        mid = StateVector(psi.n_qubits, (psi.amplitudes + phi.amplitudes) / math.sqrt(2.0))
-        # polarization: <psi|O|phi> + <phi|O|psi> = 2<mid|O|mid> - <psi|O|psi> - <phi|O|phi>
-        d_pf = (2.0 * drained(mid) - d_pp - d_ff) / 2.0
-        coeffs.append((d_pp, d_ff, branch.alpha_product * d_pf))
-    return np.array(coeffs)
+    a, b, mid = (float(np.sum(_drained(
+        apply_conditional_unitary(branches, part, t, y_qubit), branches, params)))
+        for t in (0.0, math.pi / 2.0, math.pi / 4.0))
+    return a, b, mid - 0.5 * (a + b)
 
 
 def output_energy_curve(params: ModelParams, part: Partition, thetas,
@@ -247,19 +239,15 @@ def output_energy_curve(params: ModelParams, part: Partition, thetas,
                         oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """Drained energy at every angle in ``thetas``, branches enumerated once.
 
-    Matches ``extracted_energy`` exactly (same branch states, same operator
-    expectations), but costs O(branches) once plus O(1) per angle.
+    Matches ``extracted_energy`` to rounding (same branch states, same
+    operator expectations), but costs three rotations once plus O(1) per angle.
     """
     _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
-    probs = np.array([b.probability for b in branches])
-    quad = _branch_quadratics(branches, params, part, y_qubit)
-    d_pp = quad[:, 0] @ probs
-    d_ff = quad[:, 1] @ probs
-    d_pf = quad[:, 2] @ probs
+    a, b, c = _quadratic(branches, params, part, y_qubit)
     t = np.asarray(thetas, dtype=float)
     ct, st = np.cos(t), np.sin(t)
-    return d_pp * ct * ct + d_ff * st * st + 2.0 * d_pf * ct * st
+    return a * ct * ct + b * st * st + 2.0 * c * ct * st
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
@@ -290,18 +278,16 @@ def optimize_theta_numeric(params: ModelParams, part: Partition,
     """Find the best rotation angle by direct search over protocol runs.
 
     Golden-section maximization of the drained energy on [0, pi/2] to 1e-9
-    in the angle. The branch enumeration happens once; each probe angle is a
-    fresh evaluation of the rotated ensemble.
+    in the angle. The branch enumeration happens once; each probe angle
+    evaluates the exact ensemble drained energy from its three coefficients.
     """
     _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
-    probs = np.array([b.probability for b in branches])
-    quad = _branch_quadratics(branches, params, part, None)
+    a, b, c = _quadratic(branches, params, part, None)
 
     def e_out(theta: float) -> float:
         ct, st = math.cos(theta), math.sin(theta)
-        vals = quad[:, 0] * ct * ct + quad[:, 1] * st * st + 2.0 * quad[:, 2] * ct * st
-        return _weighted_sum(vals, probs)
+        return a * ct * ct + b * st * st + 2.0 * c * ct * st
 
     theta = _golden_section_max(e_out, THETA_LO, THETA_HI, GOLDEN_TOL)
     return ThetaChoice(theta=theta, cos_2theta=math.cos(2.0 * theta),
@@ -341,25 +327,22 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     Exists to show what a shot-based experiment would see; the exact
     enumeration above is what everything else in the package relies on.
     """
+    if n_shots < 1:
+        raise InvalidRange(f"need at least one shot, got {n_shots}")
     _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
-    probs = np.array([b.probability for b in branches])
-    probs = probs / probs.sum()
-    _, per_qubit = injected_energy(branches, params, part)
-    e_in_of = np.array([
-        0.0 if b.zero_probability else
-        float(np.sum(params.h * site_z_expectations(b.post_state)[
-            [q - 1 for q in part.input_qubits]] + local_constant(params)))
-        for b in branches])
-    quad = _branch_quadratics(branches, params, part, None)
-    ct, st = math.cos(theta), math.sin(theta)
-    e_out_of = quad[:, 0] * ct * ct + quad[:, 1] * st * st + 2.0 * quad[:, 2] * ct * st
+    probs = branches.probability / np.sum(branches.probability)
+    # Per-outcome energies of the normalized branch states; a drawn outcome
+    # has nonzero probability, so dividing by it is safe. Every outcome leaves
+    # the measured qubits in X eigenstates, so each shot injects the same.
+    drained = _drained(apply_conditional_unitary(branches, part, theta),
+                       branches, params)
 
     rng = np.random.default_rng(np.uint64(seed))
-    draws = rng.choice(len(branches), size=n_shots, p=probs)
+    draws = rng.choice(len(probs), size=n_shots, p=probs)
     return SampleEstimate(
-        e_in=float(np.mean(e_in_of[draws])),
-        e_out=float(np.mean(e_out_of[draws])),
+        e_in=part.n_inputs * local_constant(params),
+        e_out=float(np.mean(drained[draws] / branches.probability[draws])),
         n_shots=n_shots,
         seed=seed,
     )

@@ -228,7 +228,7 @@ def expectation(state: StateVector, op) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Structured expectations (used per-branch by the protocol engine)
+# Structured expectations of one statevector
 # ---------------------------------------------------------------------------
 
 def site_z_expectations(state: StateVector) -> np.ndarray:

@@ -70,6 +70,22 @@ def test_efficiency_rejects_bad_partition(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("shots", ["0", "-2"])
+def test_efficiency_rejects_fewer_than_one_shot(capsys, shots):
+    code, out, err = run_cli(capsys, "efficiency", "--n", "3", "--m", "1",
+                             "--ratio", "1", "--shots", shots)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "shot" in err
+
+
+@pytest.mark.parametrize("flag", ["--ratio", "--h"])
+def test_efficiency_rejects_infinite_couplings(capsys, flag):
+    argv = {"--n": "3", "--m": "1", "--ratio": "1", flag: "inf"}
+    code, out, err = run_cli(capsys, "efficiency", *(x for kv in argv.items() for x in kv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_sweep_grid_rows(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n", "3:5", "--m", "1:3", "--ratio", "1.0")
     assert code == 0
@@ -112,9 +128,8 @@ def test_int_list_parsing():
 
 def test_figure_output_is_deterministic(tmp_path, capsys):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    for path, threads in zip(paths, ("1", "1", "4")):
-        code, _, _ = run_cli(capsys, "figure", "fig7", "--threads", threads,
-                             "--out", str(path))
+    for path in paths:
+        code, _, _ = run_cli(capsys, "figure", "fig7", "--out", str(path))
         assert code == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]

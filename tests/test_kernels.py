@@ -1,17 +1,14 @@
-"""Kernel-level checks: both backends against dense linear algebra and each other."""
+"""Kernel-level checks: against dense linear algebra, and batches against rows."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from qetsim import kernels
 
-BACKENDS = sorted(kernels.IMPLEMENTATIONS)
+#: Test ids name the kernel backend that ``kernels.BACKEND`` reports.
+BACKENDS = [kernels.BACKEND]
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,24 +37,22 @@ def test_popcount_matches_int_bit_count():
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5])
 def test_apply_pauli_signs_matches_dense_matrix(backend, n_qubits):
-    impl = kernels.IMPLEMENTATIONS[backend]
     rng = np.random.default_rng(7 * n_qubits)
     amps = random_state(n_qubits, rng)
     full = (1 << n_qubits) - 1
     for flip_mask, phase_mask in [(0, 0), (full, 0), (0, full), (full, full), (1, 2), (5 & full, 3 & full)]:
         mat = dense_signed_permutation(n_qubits, flip_mask, phase_mask)
-        out = impl["apply_pauli_signs"](amps, flip_mask, phase_mask)
+        out = kernels.apply_pauli_signs(amps, flip_mask, phase_mask)
         assert np.allclose(out, mat @ amps, atol=0, rtol=0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pauli_signs_involution(backend):
     # Z-type (flip 0) and X-type (phase 0) strings square to the identity exactly.
-    impl = kernels.IMPLEMENTATIONS[backend]
     amps = random_state(6, np.random.default_rng(3))
     for flip, phase in [(0, 0b101101), (0b110011, 0), (0b111111, 0b111111)]:
-        once = impl["apply_pauli_signs"](amps, flip, phase)
-        twice = impl["apply_pauli_signs"](once, flip, phase)
+        once = kernels.apply_pauli_signs(amps, flip, phase)
+        twice = kernels.apply_pauli_signs(once, flip, phase)
         if flip & phase:
             # Y-carrying strings square to the identity only up to the i**2
             # bookkeeping handled a layer up, so here: (-1)**(number of Y sites).
@@ -67,113 +62,76 @@ def test_pauli_signs_involution(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_project_x_resolves_identity_and_is_idempotent(backend):
-    impl = kernels.IMPLEMENTATIONS[backend]
     amps = random_state(5, np.random.default_rng(11))
     mask = 0b00100
-    plus = impl["project_x"](amps, mask, 1)
-    minus = impl["project_x"](amps, mask, -1)
+    plus = kernels.project_x(amps, mask, 1)
+    minus = kernels.project_x(amps, mask, -1)
     # (a+b)/2 and (a-b)/2 round independently, so completeness holds to an ulp.
     assert np.allclose(plus + minus, amps, rtol=0, atol=1e-15)
-    assert np.array_equal(impl["project_x"](plus, mask, 1), plus)
+    assert np.array_equal(kernels.project_x(plus, mask, 1), plus)
     # Opposite-sign projection of an eigenbranch annihilates it outright.
-    assert not np.any(impl["project_x"](plus, mask, -1))
+    assert not np.any(kernels.project_x(plus, mask, -1))
     # Branch weights resolve the norm.
-    total = impl["norm_sq"](plus) + impl["norm_sq"](minus)
-    assert total == pytest.approx(impl["norm_sq"](amps), abs=1e-13)
+    total = kernels.norm_sq(plus) + kernels.norm_sq(minus)
+    assert total == pytest.approx(kernels.norm_sq(amps), abs=1e-13)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_z_expectations_on_basis_states(backend):
-    impl = kernels.IMPLEMENTATIONS[backend]
     n = 4
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0b0110] = 1.0
-    got = impl["z_expectations"](amps, n)
+    got = kernels.z_expectations(amps, n)
     assert np.array_equal(got, [1.0, -1.0, -1.0, 1.0])  # entry b is bit b
-    assert impl["diag_z_total"](amps, n) == 0.0
+    assert kernels.diag_z_total(amps, n) == 0.0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_z_expectations_match_dense_diagonal(backend):
-    impl = kernels.IMPLEMENTATIONS[backend]
     n = 6
     amps = random_state(n, np.random.default_rng(17))
     w = np.abs(amps) ** 2
     idx = np.arange(1 << n)
     expected = np.array([np.sum(w * (1.0 - 2.0 * ((idx >> b) & 1))) for b in range(n)])
-    assert np.allclose(impl["z_expectations"](amps, n), expected, atol=1e-13)
-    assert impl["diag_z_total"](amps, n) == pytest.approx(expected.sum(), abs=1e-12)
+    assert np.allclose(kernels.z_expectations(amps, n), expected, atol=1e-13)
+    assert kernels.diag_z_total(amps, n) == pytest.approx(expected.sum(), abs=1e-12)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_complement_overlap(backend):
-    impl = kernels.IMPLEMENTATIONS[backend]
     n = 3
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = 0.6
     amps[-1] = -0.8j
-    got = complex(impl["complement_overlap"](amps))
+    got = complex(kernels.complement_overlap(amps))
     assert got == pytest.approx(0.6 * (-0.8j) + 0.8j * 0.0 + np.conj(-0.8j) * 0.6)
     basis = np.zeros(1 << n, dtype=np.complex128)
     basis[0] = 1.0
-    assert complex(impl["complement_overlap"](basis)) == 0.0
+    assert complex(kernels.complement_overlap(basis)) == 0.0
 
 
-@pytest.mark.skipif("numba" not in kernels.IMPLEMENTATIONS, reason="numba unavailable")
-@pytest.mark.parametrize("n_qubits", [1, 4, 9])
-def test_backends_agree_on_random_states(n_qubits):
-    np_impl = kernels.IMPLEMENTATIONS["numpy"]
-    nb_impl = kernels.IMPLEMENTATIONS["numba"]
-    rng = np.random.default_rng(100 + n_qubits)
-    amps = random_state(n_qubits, rng)
-    full = (1 << n_qubits) - 1
-    flip = int(rng.integers(0, full + 1))
-    phase = int(rng.integers(0, full + 1))
-
-    # Permutation kernels are elementwise: bit-identical across backends.
-    assert np.array_equal(
-        np_impl["apply_pauli_signs"](amps, flip, phase),
-        nb_impl["apply_pauli_signs"](amps, flip, phase),
-    )
-    bit = 1 << int(rng.integers(0, n_qubits))
-    assert np.array_equal(
-        np_impl["project_x"](amps, bit, -1), nb_impl["project_x"](amps, bit, -1)
-    )
-
-    # Reductions may differ by summation order, not by value.
-    assert np_impl["norm_sq"](amps) == pytest.approx(nb_impl["norm_sq"](amps), abs=1e-13)
-    assert np.allclose(
-        np_impl["z_expectations"](amps, n_qubits),
-        nb_impl["z_expectations"](amps, n_qubits),
-        atol=1e-13,
-    )
-    assert np_impl["diag_z_total"](amps, n_qubits) == pytest.approx(
-        nb_impl["diag_z_total"](amps, n_qubits), abs=1e-13
-    )
-    assert complex(np_impl["complement_overlap"](amps)) == pytest.approx(
-        complex(nb_impl["complement_overlap"](amps)), abs=1e-13
-    )
-
-
-def _backend_in_subprocess(extra_env: dict[str, str]) -> str:
-    env = {**os.environ, **extra_env}
-    out = subprocess.run(
-        [sys.executable, "-c", "import qetsim.kernels as k; print(k.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return out.stdout.strip()
-
-
-@pytest.mark.skipif("numba" not in kernels.IMPLEMENTATIONS, reason="numba unavailable")
-def test_env_flag_selects_numpy_fallback():
-    assert _backend_in_subprocess({"QET_NO_NUMBA": "1"}) == "numpy"
-    assert _backend_in_subprocess({"QET_NO_NUMBA": ""}) == "numba"
-
-
-def test_env_flag_parsing(monkeypatch):
-    for value in ("", "0", "false", "No"):
-        monkeypatch.setenv("QET_NO_NUMBA", value)
-        assert kernels._numba_disabled() is False
-    for value in ("1", "true", "yes", "on"):
-        monkeypatch.setenv("QET_NO_NUMBA", value)
-        assert kernels._numba_disabled() is True
+def test_batch_equals_row_by_row_calls():
+    n = 5
+    rng = np.random.default_rng(23)
+    batch = np.stack([random_state(n, rng) for _ in range(6)])
+    sign_row = np.where(np.arange(1 << n) & 0b01000, -1.0, 1.0)
+    permutations = {
+        "apply_pauli_signs": lambda a: kernels.apply_pauli_signs(a, 0b10110, 0b00111),
+        "project_x": lambda a: kernels.project_x(a, 0b00100, -1),
+        "project_x per-index sign": lambda a: kernels.project_x(a, 0b01000, sign_row),
+    }
+    reductions = {
+        "norm_sq": kernels.norm_sq,
+        "z_expectations": lambda a: kernels.z_expectations(a, n),
+        "diag_z_total": lambda a: kernels.diag_z_total(a, n),
+        "complement_overlap": kernels.complement_overlap,
+    }
+    for name, fn in permutations.items():
+        # Elementwise kernels: a row of the batch is bit-identical to the row alone.
+        assert np.array_equal(fn(batch), np.stack([fn(row) for row in batch])), name
+    for name, fn in reductions.items():
+        # Reductions may sum in another order along a batched axis.
+        got = fn(batch)
+        rows = np.stack([fn(row) for row in batch])
+        assert got.shape == rows.shape, name
+        assert np.allclose(got, rows, rtol=0, atol=1e-15), name

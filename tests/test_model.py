@@ -36,6 +36,9 @@ def test_params_validation():
         ModelParams(3, 1.0, -0.1)
     with pytest.raises(NonPositiveCoupling):
         ModelParams(3, math.nan, 1.0)
+    for h, k in ((math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(NonPositiveCoupling):
+            ModelParams(3, h, k)
     # k = 0 is the admitted decoupled limit on the dataclass itself ...
     assert ModelParams(3, 1.0, 0.0).k == 0.0
     # ... but the strict entry point refuses it.

@@ -10,7 +10,7 @@ import pytest
 
 from qetsim import closedform as cf
 from qetsim import protocol_oracle as po
-from qetsim.errors import InvalidPartition, OracleCapExceeded
+from qetsim.errors import InvalidPartition, InvalidRange, OracleCapExceeded
 from qetsim.model import ModelParams, Partition, local_constant
 from qetsim.simkernel import StateVector
 
@@ -22,24 +22,32 @@ def _case(n, m, h=1.0, k=1.0):
 def test_branch_enumeration_order_and_weights():
     p, part = _case(3, 1)
     branches = po.measure_branches(p, part)
-    assert len(branches) == 4
-    assert [b.alpha for b in branches] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    assert [b.alpha_product for b in branches] == [1, -1, -1, 1]
+    assert branches.states.shape == (4, 2)
+    assert branches.alpha.tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+    assert branches.alpha_product.tolist() == [1, -1, -1, 1]
     # X-measurement outcomes on this ground state are uniform.
-    assert np.allclose([b.probability for b in branches], 0.25, atol=1e-15)
-    for b in branches:
-        assert not b.zero_probability
-        assert b.post_state.norm_sq() == pytest.approx(1.0, abs=1e-14)
-        assert b.alpha_product == np.prod(b.alpha)
+    assert np.allclose(branches.probability, 0.25, atol=1e-15)
+    assert np.array_equal(branches.probability, np.sum(np.abs(branches.states) ** 2, axis=1))
 
     p2, part2 = _case(2, 1)
-    assert np.allclose(
-        [b.probability for b in po.measure_branches(p2, part2)], 0.5, atol=1e-15
-    )
+    assert np.allclose(po.measure_branches(p2, part2).probability, 0.5, atol=1e-15)
     p4, part4 = _case(4, 2)
-    assert sum(b.probability for b in po.measure_branches(p4, part4)) == pytest.approx(
-        1.0, abs=1e-13
-    )
+    assert np.sum(po.measure_branches(p4, part4).probability) == pytest.approx(
+        1.0, abs=1e-13)
+
+
+def test_branch_rows_are_output_states_of_the_projected_ground_state():
+    # Row alpha is <alpha|psi>: the full projected state (kernels-free, built
+    # from explicit |+>, |-> vectors) factors as |alpha> (x) row, for a
+    # non-contiguous output set too.
+    p = ModelParams(4, 1.0, 0.7)
+    part = Partition(4, frozenset({1, 3}))
+    branches = po.measure_branches(p, part)
+    psi = StateVector.ground_state(p).amplitudes.reshape(2, 2, 2, 2)
+    kets = {1: np.array([1.0, 1.0]) / math.sqrt(2.0), -1: np.array([1.0, -1.0]) / math.sqrt(2.0)}
+    for row, (a2, a4) in zip(branches.states, branches.alpha.tolist()):
+        expected = np.einsum("abcd,b,d->ac", psi, kets[a2], kets[a4]).reshape(4)
+        assert np.allclose(row, expected, rtol=0, atol=1e-15)
 
 
 def test_measured_qubits_end_in_x_eigenstates():
@@ -69,12 +77,12 @@ def test_injected_energy_totals():
 def test_injected_energy_skips_degenerate_branches():
     p, part = _case(3, 1)
     branches = po.measure_branches(p, part)
-    dead = po.OutcomeBranch(
-        alpha=(1, 1), probability=0.0,
-        post_state=StateVector(3, np.zeros(8, dtype=complex)),
-        alpha_product=1, zero_probability=True,
+    dead = po.Branches(
+        states=np.vstack([branches.states, np.zeros((1, 2), dtype=complex)]),
+        probability=np.append(branches.probability, 0.0),
+        alpha=np.vstack([branches.alpha, [[1, 1]]]),
     )
-    total_with, _ = po.injected_energy(branches + [dead], p, part)
+    total_with, _ = po.injected_energy(dead, p, part)
     total_without, _ = po.injected_energy(branches, p, part)
     assert total_with == total_without
 
@@ -83,16 +91,16 @@ def test_conditional_unitary_preserves_norm():
     p, part = _case(4, 2, k=0.7)
     branches = po.measure_branches(p, part)
     for theta in (0.0, 0.3, math.pi / 4.0, 1.4):
-        for b in branches:
-            rotated = po.apply_conditional_unitary(b, part, theta)
-            assert rotated.norm_sq() == pytest.approx(1.0, abs=1e-14)
+        rotated = po.apply_conditional_unitary(branches, part, theta)
+        assert np.allclose(np.sum(np.abs(rotated) ** 2, axis=1), branches.probability,
+                           rtol=0, atol=1e-15)
 
 
 def test_conditional_unitary_at_zero_angle_is_identity():
     p, part = _case(3, 2)
-    for b in po.measure_branches(p, part):
-        rotated = po.apply_conditional_unitary(b, part, 0.0)
-        assert np.array_equal(rotated.amplitudes, b.post_state.amplitudes)
+    branches = po.measure_branches(p, part)
+    rotated = po.apply_conditional_unitary(branches, part, 0.0)
+    assert np.array_equal(rotated, branches.states)
 
 
 def test_extracted_energy_at_zero_angle_vanishes():
@@ -218,3 +226,10 @@ def test_sampling_is_deterministic_and_unbiased_here():
     for est in (a, c):
         assert est.e_in == pytest.approx(exact.e_in, abs=1e-12)
         assert est.e_out == pytest.approx(exact.e_out, abs=1e-12)
+
+
+@pytest.mark.parametrize("shots", [0, -2])
+def test_sampling_needs_at_least_one_shot(shots):
+    p, part = _case(3, 1)
+    with pytest.raises(InvalidRange):
+        po.sample_protocol(p, part, 0.3, n_shots=shots)
