@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     InvalidPartition,
     InvalidRange,
+    NoConvergence,
     NonHermitian,
     NonPositiveCoupling,
     NonPositiveRatio,
@@ -63,6 +64,7 @@ __all__ = [
     "OracleCapExceeded",
     "DimensionMismatch",
     "NonHermitian",
+    "NoConvergence",
     "InvalidPartition",
     "BellUndefinedForN2",
     "AngleOutOfRange",

@@ -29,6 +29,10 @@ class NonHermitian(QetError):
     """An operator that must be Hermitian is not."""
 
 
+class NoConvergence(QetError):
+    """An iterative eigensolver stopped before it converged."""
+
+
 class InvalidPartition(QetError):
     """Output-qubit set is not a valid bi-partition of 1..N."""
 

@@ -329,6 +329,8 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     """
     if n_shots < 1:
         raise InvalidRange(f"need at least one shot, got {n_shots}")
+    if not 0 <= seed < 1 << 64:
+        raise InvalidRange(f"seed must lie in [0, 2**64), got {seed}")
     _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
     probs = branches.probability / np.sum(branches.probability)

@@ -2,14 +2,21 @@
 
 This is the substrate of the brute-force engine: statevectors as flat
 complex arrays, Pauli strings applied as signed permutations (no matrix is
-ever materialized for them), dense Hamiltonian assembly for small N, and two
+ever materialized for them), dense Hamiltonian assembly for small N, and three
 independent ground-state solvers:
 
-* ``dense``: full-matrix Hermitian eigensolve, capped at N = 12;
+* ``lanczos``: ARPACK's implicitly restarted Lanczos (``eigsh``) on a
+  matrix-free operator, diag(h * sum_j Z_j) plus 2k X_1 ... X_N applied as
+  a reversal of the basis index; O(2**N) memory, capped by ``oracle_cap``;
+* ``dense``: full-matrix Hermitian eigensolve, capped at N = 12, kept as a
+  small-N reference;
 * ``block``: the interaction couples each basis state only to its bitwise
   complement, so the Hamiltonian splits into 2x2 blocks labelled by the
   magnetization sector; enumerating the sectors gives the exact spectrum
   floor for N up to 30.
+
+scipy is imported only inside the ``dense`` and ``lanczos`` solvers, so
+importing the package does not pay for it.
 
 Qubit convention (shared with ``model``): qubit 1 is the most significant
 bit; bit value 0 is the Z eigenvalue +1 state.
@@ -18,13 +25,12 @@ bit; bit value 0 is the Z eigenvalue +1 state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
-from .errors import DimensionMismatch, NonHermitian, OracleCapExceeded
+from .errors import DimensionMismatch, NoConvergence, NonHermitian, OracleCapExceeded
 from .model import (
     DEFAULT_ORACLE_CAP,
     ModelParams,
@@ -268,6 +274,8 @@ def total_energy(state: StateVector, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _dense_ground_state(params: ModelParams, oracle_cap: int):
+    import scipy.linalg
+
     _check_cap(params.n_qubits, oracle_cap)
     ham = build_hamiltonian(params, oracle_cap=oracle_cap)
     # The Hamiltonian is real; hand LAPACK the real symmetric view when it is.
@@ -275,6 +283,32 @@ def _dense_ground_state(params: ModelParams, oracle_cap: int):
     w, v = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
     vec = np.asarray(v[:, 0], dtype=np.complex128)
     return float(w[0]), StateVector(params.n_qubits, vec)
+
+
+#: Seed of the Lanczos start vector; a fixed start makes every solve repeatable.
+LANCZOS_SEED = 20240101
+
+
+def _lanczos_ground_state(params: ModelParams, oracle_cap: int):
+    _check_cap(params.n_qubits, oracle_cap)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    n, dim = params.n_qubits, 1 << params.n_qubits
+    # c stays out of the operator: with it, the ground energy is exactly 0 at
+    # k = 0, and ARPACK's relative stopping test then misses |1...1>.
+    zfield = params.h * (n - 2 * kernels.popcount(np.arange(dim, dtype=np.int64)))
+    flip = 2.0 * params.k
+    op = LinearOperator((dim, dim), dtype=np.float64,
+                        matvec=lambda v: zfield * v.ravel() + flip * v.ravel()[::-1])
+    start = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    try:
+        w, v = eigsh(op, k=1, which="SA", tol=0, v0=start)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"Lanczos did not converge at N={n}: {exc}") from None
+    vec = np.asarray(v[:, 0], dtype=np.complex128)
+    if vec[-1].real > 0:  # sign convention: amplitude on the all-ones state <= 0
+        vec = -vec
+    return float(w[0]) + params.c, StateVector(n, vec)
 
 
 def _block_ground_state(params: ModelParams, with_state: bool):
@@ -315,14 +349,18 @@ def exact_ground_state(params: ModelParams, method: str = "dense", *,
                        oracle_cap: int = DEFAULT_ORACLE_CAP):
     """Lowest eigenpair of the Hamiltonian.
 
-    ``dense`` diagonalizes the full matrix (N capped by ``oracle_cap``);
-    ``block`` enumerates the 2x2 complement-pair sectors and is exact for
-    N <= 30, returning a materialized statevector only for N <= 26.
+    ``lanczos`` runs matrix-free Lanczos and ``dense`` diagonalizes the full
+    matrix, both with N capped by ``oracle_cap`` before anything is
+    allocated; ``block`` enumerates the 2x2 complement-pair sectors and is
+    exact for N <= 30, returning a materialized statevector only for
+    N <= 26. ``lanczos`` and ``block`` return the state with its amplitude
+    on |11...1> <= 0; ``dense`` leaves the sign to LAPACK.
     Returns ``(energy, StateVector | None)``.
     """
-    if method == "dense":
-        energy, state = _dense_ground_state(params, oracle_cap)
+    solvers = {"lanczos": _lanczos_ground_state, "dense": _dense_ground_state}
+    if method in solvers:
+        energy, state = solvers[method](params, oracle_cap)
         return (energy, state) if with_state else (energy, None)
     if method == "block":
         return _block_ground_state(params, with_state)
-    raise ValueError(f"unknown method {method!r}; use 'dense' or 'block'")
+    raise ValueError(f"unknown method {method!r}; use 'lanczos', 'dense' or 'block'")

@@ -57,22 +57,35 @@ def check_oracle_agreement(n_max: int = 10, oracle_cap: int = 12) -> CheckResult
     return _finish("oracle-vs-closed-form", passed, detail, t0)
 
 
+#: Largest N at which the ground-state check repeats the solve with dense eigh.
+DENSE_CROSSCHECK_MAX = 8
+
+
 def check_ground_state(n_max: int = 12) -> CheckResult:
-    """Dense eigensolve: zero minimum eigenvalue, full overlap with the
-    two-amplitude analytic state."""
+    """Lanczos eigensolve: zero minimum eigenvalue, full overlap with the
+    two-amplitude analytic state; for N <= 8, dense eigh gives the same
+    energy and the same vector."""
     t0 = time.perf_counter()
-    worst_energy = worst_defect = 0.0
+    worst_energy = worst_defect = cross_energy = cross_defect = 0.0
     for n in range(2, n_max + 1):
         for ratio in GRID_RATIOS:
             params = ModelParams(n, 1.0, ratio)
-            energy, state = simkernel.exact_ground_state(params, "dense",
+            energy, state = simkernel.exact_ground_state(params, "lanczos",
                                                          oracle_cap=n_max)
             overlap = abs(state.overlap(simkernel.StateVector.ground_state(params)))
             worst_energy = max(worst_energy, abs(energy))
             worst_defect = max(worst_defect, 1.0 - overlap)
-    passed = worst_energy <= 1e-10 and worst_defect <= 1e-10
-    detail = (f"N<=" f"{n_max}: worst |E0| {worst_energy:.2e}, "
-              f"worst overlap defect {worst_defect:.2e}")
+            if n <= DENSE_CROSSCHECK_MAX:
+                e_dense, v_dense = simkernel.exact_ground_state(params, "dense",
+                                                                oracle_cap=n_max)
+                cross_energy = max(cross_energy, abs(e_dense - energy))
+                cross_defect = max(cross_defect, 1.0 - abs(v_dense.overlap(state)))
+    passed = all(worst <= 1e-10 for worst in
+                 (worst_energy, worst_defect, cross_energy, cross_defect))
+    detail = (f"N<={n_max}: worst |E0| {worst_energy:.2e}, "
+              f"worst overlap defect {worst_defect:.2e}; "
+              f"dense N<={min(n_max, DENSE_CROSSCHECK_MAX)}: "
+              f"worst |dE| {cross_energy:.2e}, overlap defect {cross_defect:.2e}")
     return _finish("ground-state", passed, detail, t0)
 
 

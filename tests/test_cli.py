@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,26 @@ def test_efficiency_rejects_fewer_than_one_shot(capsys, shots):
                              "--ratio", "1", "--shots", shots)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "shot" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_efficiency_rejects_out_of_range_seed(capsys, seed):
+    code, out, err = run_cli(capsys, "efficiency", "--n", "4", "--m", "1",
+                             "--ratio", "1", "--shots", "8", "--seed", seed)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, qetsim, qetsim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("flag", ["--ratio", "--h"])

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from qetsim.errors import DimensionMismatch, NonHermitian, OracleCapExceeded
+from qetsim.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NonHermitian,
+    OracleCapExceeded,
+    QetError,
+)
 from qetsim.model import ModelParams, ground_state_amplitudes
 from qetsim import simkernel as sk
 
@@ -175,6 +181,12 @@ def test_dense_and_block_solvers_agree(n):
     analytic = sk.StateVector.ground_state(p)
     assert abs(v_dense.overlap(analytic)) >= 1.0 - 1e-10
     assert abs(v_block.overlap(analytic)) >= 1.0 - 1e-12
+    e_lanczos, v_lanczos = sk.exact_ground_state(p, "lanczos")
+    assert abs(e_lanczos - e_dense) <= 1e-10
+    assert abs(e_lanczos - e_block) <= 1e-12
+    assert abs(v_lanczos.overlap(v_dense)) >= 1.0 - 1e-10
+    assert abs(v_lanczos.overlap(v_block)) >= 1.0 - 1e-12
+    assert v_lanczos.norm_sq() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dense_solver_confirms_frozen_amplitudes():
@@ -218,3 +230,54 @@ def test_decoupled_limit_ground_state_is_all_ones():
     e, v = sk.exact_ground_state(p, "dense")
     assert abs(e) <= 1e-12
     assert abs(v.amplitudes[-1]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_lanczos_decoupled_limit_is_minus_all_ones(n):
+    # At k = 0 the ground energy of H is exactly 0; the solver must still
+    # find |1...1> rather than stop on the next level up at 2h.
+    e, v = sk.exact_ground_state(ModelParams(n, 1.0, 0.0), "lanczos")
+    assert abs(e) <= 1e-12
+    assert v.amplitudes[-1].real == pytest.approx(-1.0, abs=1e-12)
+    assert np.max(np.abs(v.amplitudes[:-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 0.1, 1.0, 10.0, 1e3])
+def test_lanczos_sign_convention(ratio):
+    p = ModelParams(6, 1.0, ratio)
+    _, v = sk.exact_ground_state(p, "lanczos")
+    g = ground_state_amplitudes(p)
+    assert v.amplitudes[-1].real < 0.0
+    assert v.amplitudes[-1].real == pytest.approx(g.a_all_one, abs=1e-12)
+    assert v.amplitudes[0].real == pytest.approx(g.a_all_zero, abs=1e-12)
+
+
+def test_lanczos_is_repeatable():
+    p = ModelParams(9, 1.0, 2.5)
+    e1, v1 = sk.exact_ground_state(p, "lanczos")
+    e2, v2 = sk.exact_ground_state(p, "lanczos")
+    assert e1 == e2
+    assert np.array_equal(v1.amplitudes, v2.amplitudes)
+
+
+def test_lanczos_honours_cap_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(sk.np, "arange", no_allocation)
+    with pytest.raises(OracleCapExceeded):
+        sk.exact_ground_state(ModelParams(13, 1.0, 1.0), "lanczos")
+    with pytest.raises(OracleCapExceeded):
+        sk.exact_ground_state(ModelParams(40, 1.0, 1.0), "lanczos", oracle_cap=30)
+
+
+def test_lanczos_non_convergence_is_typed(monkeypatch):
+    import scipy.sparse.linalg as ssl
+
+    def stalled(*args, **kwargs):
+        raise ssl.ArpackNoConvergence("ARPACK stalled", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(ssl, "eigsh", stalled)
+    with pytest.raises(NoConvergence) as info:
+        sk.exact_ground_state(ModelParams(5, 1.0, 1.0), "lanczos")
+    assert isinstance(info.value, QetError)
