@@ -40,6 +40,20 @@ class BellReport:
     saturation_value: float
 
 
+def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
+    """b = sqrt(2^(N-2) (2k/c)^2 + (Nh/c)^2) over arrays of integer N >= 3."""
+    with np.errstate(all="ignore"):
+        sx = 2.0 * k / c
+        cz = n * h / c
+        b = np.sqrt(np.ldexp(1.0, n - 2) * sx * sx + cz * cz)
+    bad = ~np.isfinite(b)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidRange(f"bell is not finite at N={n[i]}, k/h={k[i] / h:g}, "
+                           f"h={h:g}: float64 over- or underflows there")
+    return b
+
+
 def bell_value_ground_state(params: ModelParams) -> BellReport:
     """Bell-inequality value of the ground state; needs at least 3 qubits.
 
@@ -49,10 +63,8 @@ def bell_value_ground_state(params: ModelParams) -> BellReport:
     n = params.n_qubits
     if n < 3:
         raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n}")
-    c = params.c
-    sx = 2.0 * params.k / c
-    cz = n * params.h / c
-    b = math.sqrt(2.0 ** (n - 2) * sx * sx + cz * cz)
+    b = float(_bell_values(np.array([n]), np.array([params.k]), params.h,
+                           np.array([params.c]))[0])
     return BellReport(b_value=b, violates=b > 1.0,
                       saturation_value=2.0 ** ((n - 2) / 2.0))
 
@@ -96,34 +108,19 @@ def n_opt(x: float) -> NOptReport:
     Rounding picks whichever of floor/ceil gives the larger efficiency.
     """
     _check_ratio(x)
-    c_aux = 2.0 ** (4.0 / 3.0) * (x * x + 4.0 * x ** 4) ** (1.0 / 3.0)
+    try:
+        c_aux = 2.0 ** (4.0 / 3.0) * (x * x + 4.0 * x ** 4) ** (1.0 / 3.0)
+    except OverflowError:
+        raise InvalidRange(f"x={x:g} is too large: x**4 overflows float64") from None
     root = math.sqrt(1.0 + c_aux)
     n_real = 0.5 + 0.5 * root + 0.5 * math.sqrt(
         2.0 - c_aux + (2.0 + 16.0 * x * x) / root)
     lo = max(2, math.floor(n_real))
-    candidates = sorted({lo, lo + 1})
-    etas = [_eta_single_output(np.array([n], dtype=float), x)[0] for n in candidates]
+    candidates = [lo, lo + 1]
+    etas = closedform.energies(np.array(candidates, dtype=float), 1, x).eta
     best = int(np.argmax(etas))
     return NOptReport(x=x, n_opt_real=n_real, n_opt_int=candidates[best],
                       eta_at_opt=float(etas[best]), c_aux=c_aux)
-
-
-def _eta_single_output(n: np.ndarray, x: float) -> np.ndarray:
-    """Vectorized single-output efficiency over an array of qubit counts.
-
-    Same algebra as the scalar closed form (in units of h, k = x); kept
-    separate so a hundred-thousand-point scan stays a handful of array ops.
-    """
-    a = n + 4.0 * x * x
-    b = 2.0 * (n - 1.0) * x
-    c = np.hypot(n, 2.0 * x)
-    r = b / a
-    root = np.sqrt(1.0 + r * r)
-    gain = np.where(r < closedform.STABLE_R_THRESHOLD,
-                    r * r / (root + 1.0), root - 1.0)
-    e_out = a * gain / c
-    e_in = (n - 1.0) * n / c
-    return e_out / e_in
 
 
 def n_opt_scan(x: float, n_max: int = 100_000) -> tuple[int, float]:
@@ -136,7 +133,7 @@ def n_opt_scan(x: float, n_max: int = 100_000) -> tuple[int, float]:
     if n_max < 2:
         raise InvalidRange(f"scan needs n_max >= 2, got {n_max}")
     n = np.arange(2, n_max + 1, dtype=float)
-    etas = _eta_single_output(n, x)
+    etas = closedform.energies(n, 1, x).eta
     i = int(np.argmax(etas))
     return int(n[i]), float(etas[i])
 
@@ -158,35 +155,78 @@ class SweepRow:
     bell: float | None = None
 
 
-#: One grid point: (n, m, ratio, with_bell). Row evaluation is pure, so a
-#: worker pool may compute points in any order as long as emission follows
-#: the grid order.
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """Grid points as columns, in emission order: by N, then m, then ratio.
+
+    ``n`` and ``m`` are int64, ``ratio`` is k/h. With ``with_bell`` the
+    Bell value is computed wherever N >= 3.
+    """
+
+    n: np.ndarray
+    m: np.ndarray
+    ratio: np.ndarray
+    with_bell: bool = False
+
+    def __len__(self) -> int:
+        return self.n.size
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Closed-form columns over a grid; ``bell`` is nan where not computed."""
+
+    n: np.ndarray
+    m: np.ndarray
+    ratio: np.ndarray
+    e_in: np.ndarray
+    e_out: np.ndarray
+    eta: np.ndarray
+    bell: np.ndarray
+
+    def columns(self) -> tuple[list, ...]:
+        """The columns as Python lists in ``SweepRow`` field order; a bell
+        value that was not computed is None."""
+        bell = self.bell.tolist()
+        return (self.n.tolist(), self.m.tolist(), self.ratio.tolist(),
+                self.e_in.tolist(), self.e_out.tolist(), self.eta.tolist(),
+                [None if math.isnan(b) else b for b in bell])
+
+    def rows(self) -> list[SweepRow]:
+        return [SweepRow(*row) for row in zip(*self.columns())]
+
+
+#: One grid point: (n, m, ratio, with_bell). A point is evaluated alone by
+#: ``sweep_row``; whole grids go through ``evaluate`` as columns.
 GridPoint = tuple[int, int, float, bool]
 
 
 def sweep_row(point: GridPoint, h: float = 1.0) -> SweepRow:
+    """One grid point, evaluated as a one-point grid."""
     n, m, ratio, with_bell = point
-    params = ModelParams(n, h, ratio * h)
-    part = Partition.last(n, m)
-    bell = None
-    if with_bell and n >= 3:
-        bell = bell_value_ground_state(params).b_value
-    return SweepRow(
-        n=n, m=m, ratio=ratio,
-        e_in=closedform.input_energy(params, part),
-        e_out=closedform.max_output_energy(params, part),
-        eta=closedform.efficiency(params, part),
-        bell=bell,
-    )
+    ModelParams(n, h, ratio * h)  # raise on couplings or a split the model rejects
+    Partition.last(n, m)
+    return evaluate(grid([n], [m], [ratio], with_bell), h).rows()[0]
 
 
-def sweep_grid(n_values, m_values, ratios,
-               with_bell: bool = False) -> list[GridPoint]:
+def grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
+    """The (N, m, ratio) cross product in the given order; pairs with m >= N
+    are dropped. No validation: see ``sweep_grid``."""
+    m_values = list(m_values)
+    pairs = np.array([(n, m) for n in n_values for m in m_values if m < n],
+                     dtype=np.int64).reshape(-1, 2)
+    ratios = np.asarray(ratios, dtype=float)
+    return Grid(n=np.repeat(pairs[:, 0], ratios.size),
+                m=np.repeat(pairs[:, 1], ratios.size),
+                ratio=np.tile(ratios, len(pairs)), with_bell=with_bell)
+
+
+def sweep_grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
     """Validate ranges and build the (N, m, ratio) cross product.
 
     Points come out sorted by (N, m, ratio). Combinations with m >= N are
     dropped (they describe no valid bi-partition); values that could never
-    be valid for any N raise instead. Empty ranges give an empty list.
+    be valid for any N raise instead. Empty ranges give an empty grid.
     """
     n_values = sorted(set(int(n) for n in n_values))
     m_values = sorted(set(int(m) for m in m_values))
@@ -200,20 +240,27 @@ def sweep_grid(n_values, m_values, ratios,
     for r in ratios:
         if not (r > 0.0 and math.isfinite(r)):
             raise InvalidRange(f"coupling ratios must be positive, got {r}")
-    return [
-        (n, m, r, with_bell)
-        for n in n_values
-        for m in m_values if m < n
-        for r in ratios
-    ]
+    return grid(n_values, m_values, ratios, with_bell)
+
+
+def evaluate(points: Grid, h: float = 1.0) -> SweepTable:
+    """E_in, E_out(max), eta (and Bell values) at every grid point, at field h."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise InvalidRange(f"h must be finite and > 0, got {h}")
+    k = points.ratio * h
+    e = closedform.energies(points.n, points.m, k, h)
+    bell = np.full(len(points), np.nan)
+    if points.with_bell:
+        has = points.n >= 3
+        bell[has] = _bell_values(points.n[has], k[has], h, e.c[has])
+    return SweepTable(points.n, points.m, points.ratio, e.e_in, e.e_out_max, e.eta,
+                      bell)
 
 
 def efficiency_sweep(n_values, m_values, ratios, h: float = 1.0,
                      with_bell: bool = False) -> list[SweepRow]:
     """Closed-form energies over the cross product of the given ranges."""
-    if h <= 0.0:
-        raise InvalidRange(f"h must be positive, got {h}")
-    return [sweep_row(p, h) for p in sweep_grid(n_values, m_values, ratios, with_bell)]
+    return evaluate(sweep_grid(n_values, m_values, ratios, with_bell), h).rows()
 
 
 def _ratio_log_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
@@ -228,41 +275,36 @@ def _int_log_grid(lo: int, hi_exp: float) -> list[int]:
     return sorted(set(int(v) for v in raw))
 
 
-def _fig_m_profile(n: int) -> list[GridPoint]:
-    ratios = (0.5, 1.0, 10.0, 100.0, 1000.0)
-    return [(n, m, r, False) for m in range(1, n) for r in ratios]
+def _fig_m_profile(n: int) -> Grid:
+    return grid([n], range(1, n), (0.5, 1.0, 10.0, 100.0, 1000.0))
 
 
-def _fig2a() -> list[GridPoint]:
+def _fig2a() -> Grid:
     return _fig_m_profile(10)
 
 
-def _fig2b() -> list[GridPoint]:
+def _fig2b() -> Grid:
     return _fig_m_profile(100)
 
 
-def _fig3a() -> list[GridPoint]:
-    ratios = _ratio_log_grid(-1.0, 4.0)
-    return [(n, 1, float(r), False) for n in (10, 100, 1000) for r in ratios]
+def _fig3a() -> Grid:
+    return grid((10, 100, 1000), [1], _ratio_log_grid(-1.0, 4.0))
 
 
-def _fig3b() -> list[GridPoint]:
-    counts = _int_log_grid(2, 4.0)
-    return [(n, 1, r, False) for n in counts for r in (10.0, 100.0, 1000.0)]
+def _fig3b() -> Grid:
+    return grid(_int_log_grid(2, 4.0), [1], (10.0, 100.0, 1000.0))
 
 
-def _fig4a() -> list[GridPoint]:
-    ratios = [0.0] + [float(r) for r in _ratio_log_grid(-2.0, 4.0)]
-    return [(n, 1, r, True) for n in (3, 8, 10) for r in ratios]
+def _fig4a() -> Grid:
+    return grid((3, 8, 10), [1], [0.0, *_ratio_log_grid(-2.0, 4.0)], with_bell=True)
 
 
-def _fig4b() -> list[GridPoint]:
-    return [(n, 1, r, True) for n in range(3, 31) for r in (1.0, 10.0, 100.0)]
+def _fig4b() -> Grid:
+    return grid(range(3, 31), [1], (1.0, 10.0, 100.0), with_bell=True)
 
 
-def _fig7() -> list[GridPoint]:
-    ratios = _ratio_log_grid(-2.0, 4.0)
-    return [(3, m, float(r), False) for m in (1, 2) for r in ratios]
+def _fig7() -> Grid:
+    return grid([3], (1, 2), _ratio_log_grid(-2.0, 4.0))
 
 
 #: Figure name -> grid builder. Grids are pinned (log-spaced ratios at 50
@@ -279,7 +321,7 @@ FIGURE_BUILDERS = {
 }
 
 
-def figure_grid(name: str) -> list[GridPoint]:
+def figure_grid(name: str) -> Grid:
     try:
         builder = FIGURE_BUILDERS[name]
     except KeyError:
@@ -290,7 +332,7 @@ def figure_grid(name: str) -> list[GridPoint]:
 
 def figure_dataset(name: str, h: float = 1.0) -> list[SweepRow]:
     """Rows of one fixed figure-style dataset (see ``FIGURE_BUILDERS``)."""
-    return [sweep_row(p, h) for p in figure_grid(name)]
+    return evaluate(figure_grid(name), h).rows()
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +354,7 @@ class FixtureResult:
 
 
 def _gain(r: float) -> float:
-    return closedform._sqrt1pr2m1(r)
+    return float(closedform._sqrt1pr2m1(r))
 
 
 # Each entry: id, N, m, quantity ("e_in" | "e_out" | "eta"), formula(h, k),

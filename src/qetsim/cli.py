@@ -30,6 +30,8 @@ from .errors import QetError
 from .model import DEFAULT_ORACLE_CAP, ModelParams, Partition
 
 SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"
+#: One data row of SWEEP_HEADER; the last field is the bell cell as text.
+SWEEP_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%s"
 
 #: Config-file keys that map to valueless flags; written as key=true/false.
 _BOOLEAN_KEYS = frozenset({"bell", "scan"})
@@ -66,33 +68,38 @@ def _json_doc(meta: list[str], rows: list[dict]) -> str:
     return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
 
-def rows_to_csv(rows, meta: list[str]) -> str:
-    data = [[r.n, r.m, r.ratio, r.e_in, r.e_out, r.eta, r.bell] for r in rows]
-    return _table(SWEEP_HEADER, data, meta)
+def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
+    *values, bell = table.columns()
+    cells = ["" if b is None else "%.17g" % b for b in bell]
+    lines = [f"# {m}" for m in meta]
+    lines.append(SWEEP_HEADER)
+    lines.extend(map(SWEEP_ROW.__mod__, zip(*values, cells)))
+    return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows, meta: list[str]) -> str:
-    return _json_doc(meta, [
-        {"n": r.n, "m": r.m, "ratio": r.ratio, "e_in": r.e_in,
-         "e_out": r.e_out, "eta": r.eta, "bell": r.bell}
-        for r in rows])
+def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
+    keys = SWEEP_HEADER.split(",")
+    return _json_doc(meta, [dict(zip(keys, row)) for row in zip(*table.columns())])
+
+
+def _render(points: analysis.Grid, h: float, fmt: str, meta: list[str]) -> str:
+    table = analysis.evaluate(points, h)
+    return rows_to_csv(table, meta) if fmt == "csv" else rows_to_json(table, meta)
 
 
 def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
                  h: float = 1.0, fmt: str = "csv") -> str:
     points = analysis.sweep_grid(n_values, m_values, ratios, with_bell)
-    rows = [analysis.sweep_row(p, h) for p in points]
     meta = ["dataset: sweep", f"h: {_fmt(h)}", f"points: {len(points)}"]
-    return rows_to_csv(rows, meta) if fmt == "csv" else rows_to_json(rows, meta)
+    return _render(points, h, fmt, meta)
 
 
 def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
     points = analysis.figure_grid(name)
-    rows = [analysis.sweep_row(p, h) for p in points]
     meta = [f"dataset: {name}", f"h: {_fmt(h)}",
             "ratio grids: log-spaced, 50 points per decade",
             f"points: {len(points)}"]
-    return rows_to_csv(rows, meta) if fmt == "csv" else rows_to_json(rows, meta)
+    return _render(points, h, fmt, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +249,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_efficiency(args) -> int:
     params = ModelParams(args.n, args.h, args.ratio * args.h)
     part = Partition.last(args.n, args.m)
-    rep = closedform.report(params, part)
-    meta = [f"theta_opt: {_fmt(rep.theta_opt.theta)}",
-            f"cos_2theta: {_fmt(rep.theta_opt.cos_2theta)}",
-            f"sin_2theta: {_fmt(rep.theta_opt.sin_2theta)}"]
+    table = analysis.evaluate(analysis.grid([args.n], [args.m], [args.ratio]), args.h)
+    theta = closedform.optimal_theta(params, part)
+    meta = [f"theta_opt: {_fmt(theta.theta)}",
+            f"cos_2theta: {_fmt(theta.cos_2theta)}",
+            f"sin_2theta: {_fmt(theta.sin_2theta)}"]
     extra = {}
     if args.shots is not None:
         est = protocol_oracle.sample_protocol(
-            params, part, rep.theta_opt.theta, n_shots=args.shots,
+            params, part, theta.theta, n_shots=args.shots,
             seed=args.seed, oracle_cap=args.oracle_cap)
         extra = {"sampled_e_in": est.e_in, "sampled_e_out": est.e_out,
                  "shots": est.n_shots, "seed": est.seed}
         meta.extend(f"{key}: {_fmt(val)}" for key, val in extra.items())
-    row = analysis.SweepRow(args.n, args.m, args.ratio,
-                            rep.e_in, rep.e_out_max, rep.eta, None)
     if args.format == "csv":
-        text = rows_to_csv([row], meta)
+        text = rows_to_csv(table, meta)
     else:
+        row = table.rows()[0]
         doc = {"n": args.n, "m": args.m, "ratio": args.ratio, "h": args.h,
-               "e_in": rep.e_in, "e_out": rep.e_out_max, "eta": rep.eta,
-               "theta_opt": rep.theta_opt.theta, **extra}
+               "e_in": row.e_in, "e_out": row.e_out, "eta": row.eta,
+               "theta_opt": theta.theta, **extra}
         text = _json_doc([], [doc])
     _emit(text, args.out)
     return 0
@@ -341,11 +348,19 @@ def _cmd_fixtures(args) -> int:
 def _cmd_verify(args) -> int:
     cap = args.oracle_cap
     results = verify.run_all(n_max=args.n_max, oracle_cap=cap)
+    n_fail = sum(1 for r in results if not r.passed)
+    if args.format == "json":
+        import json
+        _emit(json.dumps({
+            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                        "seconds": r.seconds} for r in results],
+            "passed": len(results) - n_fail, "total": len(results)}, indent=2) + "\n",
+            args.out)
+        return 0 if n_fail == 0 else 1
     lines = []
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
         lines.append(f"[{tag}] {r.name}: {r.detail} ({r.seconds:.2f} s)")
-    n_fail = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if n_fail == 0 else 1

@@ -15,13 +15,26 @@ and the energy scale c = sqrt(N^2 h^2 + 4 k^2):
 
 The sqrt(A^2+B^2) - A difference is evaluated cancellation-free when B << A,
 which keeps the strong-coupling tail (k/h up to 1e8 and beyond) smooth.
+
+One array path evaluates E_in, E_out(max) and eta: ``energies`` takes numpy
+arrays of (N, m, k) at a field h. The one-point functions (``input_energy``,
+``max_output_energy``, ``efficiency``, ``report``) call it with one point, so
+a sweep row and a scalar call agree bit for bit. Every hypot, c and the
+large-r branch of sqrt(1 + r^2) - 1 alike, is ``math.hypot`` applied
+elementwise: ``np.hypot`` (the C library's) differs from it in the last bit
+on some inputs, and emitted datasets are pinned byte for byte. A point whose
+E_in, E_out(max) or eta is not a finite float raises ``InvalidRange``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
+import numpy as np
+
+from .errors import InvalidRange
 from .model import ModelParams, Partition
 
 #: Below this B/A the difference form sqrt(1+r^2)-1 cancels digits; use the
@@ -61,19 +74,84 @@ class ClosedFormReport:
     eta: float
 
 
+@dataclass(frozen=True, eq=False)
+class Energies:
+    """E_in, E_out(max) and eta at each point, with the energy scale c."""
+
+    c: np.ndarray
+    e_in: np.ndarray
+    e_out_max: np.ndarray
+    eta: np.ndarray
+
+
+def _ab(n, m, h, k):
+    """(A, B); plain arithmetic, so it takes scalars and arrays alike."""
+    return n * m * h * h + 4.0 * k * k, 2.0 * (n - m) * h * k
+
+
 def _coefficients(params: ModelParams, part: Partition) -> tuple[float, float]:
     """(A, B) for the given partition; depends only on N and m."""
-    n = params.n_qubits
-    m = part.m_outputs
-    a = n * m * params.h * params.h + 4.0 * params.k * params.k
-    b = 2.0 * (n - m) * params.h * params.k
-    return a, b
+    return _ab(params.n_qubits, part.m_outputs, params.h, params.k)
+
+
+def _sqrt1pr2m1(r):
+    """sqrt(1 + r^2) - 1 to a few ulp for any r >= 0, elementwise.
+
+    Small r: r^2 / (sqrt(1+r^2) + 1), algebraically identical but free of the
+    cancellation that costs ~ log10(2/r^2) digits in the difference form.
+    Large r: hypot keeps the square from overflowing and the -1 is benign.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.empty_like(r)
+    small = r < STABLE_R_THRESHOLD
+    rs = r[small]
+    out[small] = rs * rs / (np.sqrt(1.0 + rs * rs) + 1.0)
+    big = ~small
+    rb = r[big]
+    out[big] = np.fromiter(map(math.hypot, repeat(1.0), rb.tolist()), float,
+                           count=rb.size) - 1.0
+    return out[()]
+
+
+def _require_finite(n, m, k, h, **quantities):
+    for name, values in quantities.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise InvalidRange(
+                f"{name} is not finite at N={n[i]:.0f}, m={m[i]:.0f}, "
+                f"k/h={k[i] / h:g}, h={h:g}: float64 over- or underflows there")
+
+
+def energies(n, m, k, h: float = 1.0) -> Energies:
+    """E_in, E_out(max) and eta over arrays of (N, m, k) at field h.
+
+    ``n``, ``m`` and ``k`` are scalars or 1-d arrays, broadcast against each
+    other; every returned array is 1-d. Each point goes through the same
+    operations, in the same order, as a one-point call, so results do not
+    depend on what else is in the arrays.
+    """
+    n, m, k = np.broadcast_arrays(*np.atleast_1d(np.asarray(n, dtype=float),
+                                                 np.asarray(m, dtype=float),
+                                                 np.asarray(k, dtype=float)))
+    with np.errstate(all="ignore"):
+        c = np.fromiter(map(math.hypot, (n * h).tolist(), (2.0 * k).tolist()),
+                        float, count=n.size)
+        a, b = _ab(n, m, h, k)
+        e_in = (n - m) * n * h * h / c
+        e_out = np.where(b == 0.0, 0.0, a / c * _sqrt1pr2m1(b / a))
+        eta = np.where(k == 0.0, 0.0, e_out / e_in)
+    _require_finite(n, m, k, h, e_in=e_in, e_out=e_out, eta=eta)
+    return Energies(c=c, e_in=e_in, e_out_max=e_out, eta=eta)
+
+
+def _at(params: ModelParams, part: Partition) -> Energies:
+    return energies(params.n_qubits, part.m_outputs, params.k, params.h)
 
 
 def input_energy(params: ModelParams, part: Partition) -> float:
     """Total measurement energy deposited on the N - m input qubits."""
-    n = params.n_qubits
-    return (n - part.m_outputs) * n * params.h * params.h / params.c
+    return float(_at(params, part).e_in[0])
 
 
 def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -> float:
@@ -94,31 +172,14 @@ def optimal_theta(params: ModelParams, part: Partition) -> ThetaChoice:
     return ThetaChoice.from_components(a, b)
 
 
-def _sqrt1pr2m1(r: float) -> float:
-    """sqrt(1 + r^2) - 1 to a few ulp for any r >= 0.
-
-    Small r: r^2 / (sqrt(1+r^2) + 1), algebraically identical but free of the
-    cancellation that costs ~ log10(2/r^2) digits in the difference form.
-    Large r: hypot keeps the square from overflowing and the -1 is benign.
-    """
-    if r < STABLE_R_THRESHOLD:
-        return r * r / (math.sqrt(1.0 + r * r) + 1.0)
-    return math.hypot(1.0, r) - 1.0
-
-
 def max_output_energy(params: ModelParams, part: Partition) -> float:
     """Extracted energy at the optimal angle: (A / c) * (sqrt(1 + (B/A)^2) - 1)."""
-    a, b = _coefficients(params, part)
-    if b == 0.0:
-        return 0.0
-    return (a / params.c) * _sqrt1pr2m1(b / a)
+    return float(_at(params, part).e_out_max[0])
 
 
 def efficiency(params: ModelParams, part: Partition) -> float:
     """Energy transfer efficiency eta = E_out(max) / E_in; 0 in the k = 0 limit."""
-    if params.k == 0.0:
-        return 0.0
-    return max_output_energy(params, part) / input_energy(params, part)
+    return float(_at(params, part).eta[0])
 
 
 def single_output_efficiency(params: ModelParams) -> float:
@@ -134,11 +195,10 @@ def asymptotic_efficiency(params: ModelParams, part: Partition) -> float:
 
 def report(params: ModelParams, part: Partition) -> ClosedFormReport:
     """Bundle E_in, E_out(max), theta_opt and eta for one parameter point."""
-    e_in = input_energy(params, part)
-    e_out = max_output_energy(params, part)
+    e = _at(params, part)
     return ClosedFormReport(
-        e_in=e_in,
-        e_out_max=e_out,
+        e_in=float(e.e_in[0]),
+        e_out_max=float(e.e_out_max[0]),
         theta_opt=optimal_theta(params, part),
-        eta=0.0 if params.k == 0.0 else e_out / e_in,
+        eta=float(e.eta[0]),
     )

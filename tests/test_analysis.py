@@ -113,15 +113,17 @@ def test_n_opt_agrees_with_exhaustive_scan():
 
 
 def test_scan_efficiency_matches_scalar_closed_form():
+    counts = (2, 5, 10, 44, 1000)
     for x in (10.0, 100.0):
-        for n in (2, 5, 10, 44, 1000):
-            vec = an._eta_single_output(np.array([float(n)]), x)[0]
-            scalar = cf.single_output_efficiency(ModelParams(n, 1.0, x))
-            assert vec == pytest.approx(scalar, rel=1e-13)
+        vec = cf.energies(np.array(counts, dtype=float), 1, x).eta
+        for count, eta in zip(counts, vec.tolist()):
+            assert eta == cf.single_output_efficiency(ModelParams(count, 1.0, x))
+        scan_n, scan_eta = an.n_opt_scan(x, n_max=1000)
+        assert scan_eta == cf.single_output_efficiency(ModelParams(scan_n, 1.0, x))
 
 
 def test_single_output_efficiency_is_unimodal_in_n():
-    etas = an._eta_single_output(np.arange(2, 201, dtype=float), 10.0)
+    etas = cf.energies(np.arange(2, 201, dtype=float), 1, 10.0).eta
     d = np.diff(etas)
     peak = int(np.argmax(etas))
     assert np.all(d[:peak] > 0)
@@ -142,16 +144,23 @@ def test_n_opt_input_validation():
 # Sweeps
 # ---------------------------------------------------------------------------
 
+def _points(grid):
+    return list(zip(grid.n.tolist(), grid.m.tolist(), grid.ratio.tolist()))
+
+
 def test_sweep_grid_combinatorics():
     grid = an.sweep_grid([3, 4, 5], [1, 2, 3], [1.0])
     assert len(grid) == 8  # (3,3) is dropped: every qubit would be an output
-    assert grid == sorted(grid)
-    assert grid[0] == (3, 1, 1.0, False)
-    assert (3, 3, 1.0, False) not in grid
+    assert _points(grid) == sorted(_points(grid))
+    assert _points(grid)[0] == (3, 1, 1.0)
+    assert (3, 3, 1.0) not in _points(grid)
+    assert not grid.with_bell
     # Duplicates collapse, input order is irrelevant.
-    assert an.sweep_grid([4, 3, 3], [1], [2.0, 0.5]) == an.sweep_grid([3, 4], [1], [0.5, 2.0])
-    assert an.sweep_grid([], [1], [1.0]) == []
-    assert an.sweep_grid([2], [5], [1.0]) == []  # no valid split, but 5 could fit larger N
+    assert _points(an.sweep_grid([4, 3, 3], [1], [2.0, 0.5])) == _points(
+        an.sweep_grid([3, 4], [1], [0.5, 2.0])) == [
+        (3, 1, 0.5), (3, 1, 2.0), (4, 1, 0.5), (4, 1, 2.0)]
+    assert len(an.sweep_grid([], [1], [1.0])) == 0
+    assert len(an.sweep_grid([2], [5], [1.0])) == 0  # no valid split, but 5 could fit larger N
 
 
 def test_sweep_grid_validation():
@@ -287,3 +296,12 @@ def test_variant_fixtures_disagree_and_say_by_how_much():
         assert r.max_deviation > 1e-2
         assert "follow neither" in r.note
         assert "brute force" in r.note
+
+
+def test_out_of_float_range_inputs_raise():
+    with pytest.raises(InvalidRange, match="x\\*\\*4 overflows"):
+        an.n_opt(1e300)
+    with pytest.raises(InvalidRange, match="is not finite"):
+        an.n_opt_scan(1e200, n_max=100)
+    with pytest.raises(InvalidRange, match="bell is not finite at N=1100"):
+        an.bell_value_ground_state(ModelParams(1100, 1.0, 1.0))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qetsim import analysis, cli
+from qetsim import analysis, cli, verify
 from qetsim.model import ModelParams
 
 
@@ -306,3 +306,39 @@ def test_float_formatting_is_full_precision():
     assert cli._fmt(12) == "12"
     assert cli._fmt("note text") == "note text"
     assert float(cli._fmt(math.pi)) == math.pi
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("efficiency", "--n", "3", "--m", "1", "--ratio", "1e200"), "e_out is not finite"),
+    (("efficiency", "--n", "3", "--m", "1", "--ratio", "1e300"), "e_out is not finite"),
+    (("sweep", "--n", "3:5", "--m", "1", "--ratio", "1,1e300"), "e_out is not finite"),
+    (("efficiency", "--n", "3", "--m", "1", "--ratio", "1", "--h", "1e-300"),
+     "eta is not finite"),
+    (("nopt", "--x", "1e300"), "x=1e+300"),
+    (("nopt", "--x", "1e200", "--scan"), "x=1e+200"),
+])
+def test_closed_forms_out_of_float_range_exit_2(capsys, argv, named):
+    # Before: nan cells with exit 0, or a ZeroDivisionError/OverflowError
+    # traceback. An uncaught exception would escape cli.main here.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
+
+
+def test_verify_json_and_text_render_the_same_results(monkeypatch, capsys):
+    results = [verify.CheckResult("first", True, "worst 1.00e-15", 0.5),
+               verify.CheckResult("second", False, "off by 2.00e-03", 1.25)]
+    monkeypatch.setattr(verify, "run_all", lambda **kwargs: results)
+    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "checks": [{"name": "first", "passed": True, "detail": "worst 1.00e-15",
+                    "seconds": 0.5},
+                   {"name": "second", "passed": False, "detail": "off by 2.00e-03",
+                    "seconds": 1.25}],
+        "passed": 1, "total": 2}
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert out == ("[PASS] first: worst 1.00e-15 (0.50 s)\n"
+                   "[FAIL] second: off by 2.00e-03 (1.25 s)\n"
+                   "1/2 checks passed\n")

@@ -15,6 +15,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from qetsim import closedform as cf
+from qetsim.errors import InvalidRange
 from qetsim.model import ModelParams, Partition
 
 
@@ -218,3 +219,48 @@ def test_asymptotic_efficiency_values():
     p, part = _case(10, 1, k=1e8)
     assert cf.efficiency(p, part) == pytest.approx(0.45, abs=1e-15)
     assert cf.efficiency(p, part) <= 0.45
+
+
+def test_points_beyond_float_range_raise_and_name_the_quantity():
+    part = Partition.last(3, 1)
+    with pytest.raises(InvalidRange, match="e_out is not finite"):
+        cf.efficiency(ModelParams(3, 1.0, 1e200), part)
+    with pytest.raises(InvalidRange, match="eta is not finite"):
+        cf.report(ModelParams(3, 1e-300, 1e-300), part)
+    with pytest.raises(InvalidRange, match=r"N=3, m=1, k/h=1e\+300"):
+        cf.energies([3.0, 3.0], 1, [1.0, 1e300])
+    # k = 0 is the decoupled limit, not an overflow: eta is exactly 0.
+    assert cf.energies([3.0, 8.0], 1, 0.0).eta.tolist() == [0.0, 0.0]
+
+
+def _float_reference(n, m, h, k):
+    """The closed forms in Python floats, one point at a time."""
+    c = math.hypot(n * h, 2.0 * k)
+    a = n * m * h * h + 4.0 * k * k
+    b = 2.0 * (n - m) * h * k
+    e_in = (n - m) * n * h * h / c
+    e_out = 0.0
+    if b != 0.0:
+        r = b / a
+        gain = (r * r / (math.sqrt(1.0 + r * r) + 1.0) if r < 1.0
+                else math.hypot(1.0, r) - 1.0)
+        e_out = (a / c) * gain
+    return c, e_in, e_out, 0.0 if k == 0.0 else e_out / e_in
+
+
+def test_array_path_equals_float_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    n = rng.integers(2, 300, 2000)
+    m = np.minimum(rng.integers(1, 300, 2000), n - 1)
+    ratio = 10.0 ** rng.uniform(-3.0, 6.0, 2000)
+    ratio[:20] = 0.0
+    for h in (1.0, 0.37, 2.5, 1e-3):
+        k = ratio * h
+        e = cf.energies(n, m, k, h)
+        got = list(zip(e.c.tolist(), e.e_in.tolist(), e.e_out_max.tolist(), e.eta.tolist()))
+        want = [_float_reference(*point, h, kk)
+                for point, kk in zip(zip(n.tolist(), m.tolist()), k.tolist())]
+        assert got == want
+    p, part = ModelParams(7, 0.37, 2.0 * 0.37), Partition.last(7, 3)
+    rep = cf.report(p, part)
+    assert (rep.e_in, rep.e_out_max, rep.eta) == _float_reference(7, 3, 0.37, 2.0 * 0.37)[1:]
