@@ -54,6 +54,36 @@ def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.nd
     return b
 
 
+def bell_values(n, k, h: float = 1.0) -> np.ndarray:
+    """Bell values of the ground state over paired arrays of N and k, at field h.
+
+    Every point goes through the same operations as a one-point call, so the
+    values do not depend on what else is in the arrays. Points are checked
+    in array order and the first one that fails raises: N < 2, h or k out of
+    range as ``ModelParams`` raises, N = 2 as ``BellUndefinedForN2``, and a
+    value that is not a finite float as ``InvalidRange``.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    k = np.asarray(k, dtype=float)
+    bad = (n < 3) | ~(np.isfinite(k) & (k >= 0.0))
+    stop = int(np.argmax(bad)) if bad.any() else n.size
+    if not (h > 0.0 and math.isfinite(h)):
+        stop = 0
+    n_ok, k_ok = n[:stop], k[:stop]
+    with np.errstate(all="ignore"):
+        c = np.fromiter(map(math.hypot, (n_ok * h).tolist(), (2.0 * k_ok).tolist()),
+                        float, count=stop)
+    b = _bell_values(n_ok, k_ok, h, c)
+    if stop < n.size:
+        ModelParams(int(n[stop]), h, float(k[stop]))  # N < 2, h and k raise here
+        raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n[stop]}")
+    return b
+
+
+def _bell_saturation(n: int) -> float:
+    return 2.0 ** ((n - 2) / 2.0)
+
+
 def bell_value_ground_state(params: ModelParams) -> BellReport:
     """Bell-inequality value of the ground state; needs at least 3 qubits.
 
@@ -61,12 +91,22 @@ def bell_value_ground_state(params: ModelParams) -> BellReport:
     product-state boundary) and saturates at 2^((N-2)/2) as k/h grows.
     """
     n = params.n_qubits
-    if n < 3:
-        raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n}")
-    b = float(_bell_values(np.array([n]), np.array([params.k]), params.h,
-                           np.array([params.c]))[0])
+    b = float(bell_values([n], [params.k], params.h)[0])
     return BellReport(b_value=b, violates=b > 1.0,
-                      saturation_value=2.0 ** ((n - 2) / 2.0))
+                      saturation_value=_bell_saturation(n))
+
+
+def bell_table(n_values, ratios, h: float = 1.0) -> list[tuple]:
+    """Rows (N, k/h, b, b > 1, saturation) over the cross product of the
+    sorted, deduplicated N and k/h values, in one array evaluation."""
+    n_values = sorted(set(n_values))
+    ratios = sorted(set(ratios))
+    n = np.repeat(np.array(n_values, dtype=np.int64), len(ratios))
+    ratio = np.tile(np.array(ratios, dtype=float), len(n_values))
+    b = bell_values(n, ratio * h, h)
+    saturation = np.repeat([_bell_saturation(v) for v in n_values], len(ratios))
+    return list(zip(n.tolist(), ratio.tolist(), b.tolist(), (b > 1.0).tolist(),
+                    saturation.tolist()))
 
 
 def bell_value_ghz_angle(n: int, alpha: float) -> float:
@@ -413,19 +453,15 @@ _FIXTURE_H_GRID = (0.5, 0.75, 1.0, 1.5, 2.0)
 _FIXTURE_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def _general_value(quantity: str, params: ModelParams, part: Partition) -> float:
-    if quantity == "e_in":
-        return closedform.input_energy(params, part)
-    if quantity == "e_out":
-        return closedform.max_output_energy(params, part)
-    return closedform.efficiency(params, part)
+def _general_values(quantity: str, e: closedform.Energies) -> np.ndarray:
+    return {"e_in": e.e_in, "e_out": e.e_out_max, "eta": e.eta}[quantity]
 
 
 def _variant_note(quantity: str) -> str:
     """Quantify how far the inconsistent variant sits from both references."""
     params = ModelParams(4, 1.0, 1.0)
     part = Partition.last(4, 2)
-    general = _general_value(quantity, params, part)
+    general = float(_general_values(quantity, closedform.energies(4, 2, 1.0))[0])
     theta = closedform.optimal_theta(params, part).theta
     report = protocol_oracle.extracted_energy(params, part, theta)
     brute = report.e_out if quantity == "e_out" else report.e_out / report.e_in
@@ -443,12 +479,12 @@ def specialization_fixture_check() -> list[FixtureResult]:
     """
     results = []
     for fid, n, m, quantity, formula, is_variant in _FIXTURES:
-        part = Partition.last(n, m)
         dev = 0.0
         for h in _FIXTURE_H_GRID:
-            for k in _FIXTURE_K_GRID:
-                params = ModelParams(n, h, k)
-                dev = max(dev, abs(formula(h, k) - _general_value(quantity, params, part)))
+            general = _general_values(quantity,
+                                      closedform.energies(n, m, _FIXTURE_K_GRID, h))
+            dev = max(dev, *(abs(formula(h, k) - g)
+                             for k, g in zip(_FIXTURE_K_GRID, general.tolist())))
         agrees = dev <= FIXTURE_TOL
         note = ""
         if is_variant:

@@ -287,22 +287,20 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_bell(args) -> int:
-    rows = []
-    for n in sorted(set(args.n)):
-        for ratio in sorted(set(args.ratio)):
-            rep = analysis.bell_value_ground_state(ModelParams(n, args.h,
-                                                               ratio * args.h))
-            rows.append([n, ratio, rep.b_value, rep.violates,
-                         rep.saturation_value])
-    meta = ["dataset: bell"]
+def _emit_table(args, header: str, rows, meta: list[str]):
+    """Rows of Python values as CSV under ``header``, or as JSON objects
+    keyed by the header's fields."""
     if args.format == "csv":
-        text = _table("n,ratio,b_value,violates,saturation", rows, meta)
+        text = _table(header, rows, meta)
     else:
-        text = _json_doc(meta, [
-            {"n": r[0], "ratio": r[1], "b_value": r[2], "violates": r[3],
-             "saturation": r[4]} for r in rows])
+        keys = header.split(",")
+        text = _json_doc(meta, [dict(zip(keys, r)) for r in rows])
     _emit(text, args.out)
+
+
+def _cmd_bell(args) -> int:
+    rows = analysis.bell_table(args.n, args.ratio, args.h)
+    _emit_table(args, "n,ratio,b_value,violates,saturation", rows, ["dataset: bell"])
     return 0
 
 
@@ -315,16 +313,9 @@ def _cmd_nopt(args) -> int:
         rep = analysis.n_opt(x)
         row = [rep.x, rep.n_opt_real, rep.n_opt_int, rep.eta_at_opt, rep.c_aux]
         if args.scan:
-            scan_n, scan_eta = analysis.n_opt_scan(x, n_max=args.n_max)
-            row.extend([scan_n, scan_eta])
+            row.extend(analysis.n_opt_scan(x, n_max=args.n_max))
         rows.append(row)
-    meta = ["dataset: nopt"]
-    if args.format == "csv":
-        text = _table(header, rows, meta)
-    else:
-        keys = header.split(",")
-        text = _json_doc(meta, [dict(zip(keys, r)) for r in rows])
-    _emit(text, args.out)
+    _emit_table(args, header, rows, ["dataset: nopt"])
     return 0
 
 
@@ -334,13 +325,7 @@ def _cmd_fixtures(args) -> int:
     rows = [[r.fixture_id, r.n_qubits, r.m_outputs, r.max_deviation,
              r.tolerance, r.expected_mismatch, r.agrees,
              r.note.replace(",", ";")] for r in results]
-    meta = ["dataset: fixtures"]
-    if args.format == "csv":
-        text = _table(header, rows, meta)
-    else:
-        keys = header.split(",")
-        text = _json_doc(meta, [dict(zip(keys, r)) for r in rows])
-    _emit(text, args.out)
+    _emit_table(args, header, rows, ["dataset: fixtures"])
     behaved = all(r.agrees != r.expected_mismatch for r in results)
     return 0 if behaved else 1
 

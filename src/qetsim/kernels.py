@@ -20,21 +20,10 @@ import numpy as np
 #: The one kernel implementation; recorded by tools that log the environment.
 BACKEND = "numpy"
 
-if hasattr(np, "bitwise_count"):
 
-    def popcount(idx):
-        """Per-element popcount of a nonnegative integer array."""
-        return np.bitwise_count(idx).astype(np.int64)
-
-else:  # SWAR popcount for numpy < 2.0
-
-    def popcount(idx):
-        """Per-element popcount of a nonnegative integer array."""
-        v = idx.astype(np.uint64)
-        v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
-        v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+def popcount(idx):
+    """Per-element popcount of a nonnegative integer array."""
+    return np.bitwise_count(idx).astype(np.int64)
 
 
 def _indices(amps: np.ndarray) -> np.ndarray:

@@ -1,15 +1,16 @@
-"""Dense and structured linear algebra for N-qubit statevectors.
+"""Statevectors, Pauli strings and ground-state solvers for N qubits.
 
 This is the substrate of the brute-force engine: statevectors as flat
 complex arrays, Pauli strings applied as signed permutations (no matrix is
-ever materialized for them), dense Hamiltonian assembly for small N, and three
-independent ground-state solvers:
+ever materialized for them), the expectation values of the model's terms
+computed from index arithmetic, and three independent ground-state solvers:
 
 * ``lanczos``: ARPACK's implicitly restarted Lanczos (``eigsh``) on a
   matrix-free operator, diag(h * sum_j Z_j) plus 2k X_1 ... X_N applied as
   a reversal of the basis index; O(2**N) memory, capped by ``oracle_cap``;
-* ``dense``: full-matrix Hermitian eigensolve, capped at N = 12, kept as a
-  small-N reference;
+* ``dense``: eigensolve of the full real symmetric Hamiltonian
+  (``build_hamiltonian``, the one 2**N x 2**N matrix here), capped at
+  N = 12, kept as a small-N reference;
 * ``block``: the interaction couples each basis state only to its bitwise
   complement, so the Hamiltonian splits into 2x2 blocks labelled by the
   magnetization sector; enumerating the sectors gives the exact spectrum
@@ -24,7 +25,6 @@ bit; bit value 0 is the Z eigenvalue +1 state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,6 @@ from .model import (
     ground_state_amplitudes,
     interaction_constant,
     local_constant,
-    qubit_bit,
     qubit_mask,
 )
 
@@ -46,7 +45,6 @@ BLOCK_CAP = 30
 #: Largest N for which the block solver will materialize a 2**N amplitude array.
 BLOCK_STATE_CAP = 26
 
-_HERMITIAN_ATOL = 1e-12
 _IMAG_ATOL = 1e-10
 
 
@@ -82,17 +80,10 @@ class StateVector:
     def norm_sq(self) -> float:
         return kernels.norm_sq(self.amplitudes)
 
-    def normalized(self) -> "StateVector":
-        n = math.sqrt(self.norm_sq())
-        return StateVector(self.n_qubits, self.amplitudes / n)
-
     def overlap(self, other: "StateVector") -> complex:
         if other.n_qubits != self.n_qubits:
             raise DimensionMismatch("qubit counts differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
 
 
 _LETTERS = frozenset("IXYZ")
@@ -153,7 +144,7 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Dense operators
+# Dense Hamiltonian, the input of the dense solver
 # ---------------------------------------------------------------------------
 
 def _check_cap(n_qubits: int, cap: int):
@@ -162,34 +153,9 @@ def _check_cap(n_qubits: int, cap: int):
             f"N={n_qubits} exceeds the dense-operator cap of {cap} qubits")
 
 
-def _z_values(n_qubits: int, qubit: int) -> np.ndarray:
-    """Diagonal of Z on one qubit over all 2**n basis indices."""
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    return 1.0 - 2.0 * ((idx >> qubit_bit(n_qubits, qubit)) & 1)
-
-
-def qubit_term(params: ModelParams, qubit: int,
-               oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    """Dense matrix of the single-qubit term h Z_j + N h^2 / c."""
-    _check_cap(params.n_qubits, oracle_cap)
-    diag = params.h * _z_values(params.n_qubits, qubit) + local_constant(params)
-    return np.diag(diag).astype(np.complex128)
-
-
-def interaction_term(params: ModelParams,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    """Dense matrix of 2k X_1 ... X_N + 4 k^2 / c (anti-diagonal plus constant)."""
-    _check_cap(params.n_qubits, oracle_cap)
-    dim = 1 << params.n_qubits
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    np.fill_diagonal(mat[:, ::-1], 2.0 * params.k)
-    mat[np.diag_indices(dim)] += interaction_constant(params)
-    return mat
-
-
 def build_hamiltonian(params: ModelParams,
                       oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    """Assemble the full Hamiltonian: diagonal field part plus anti-diagonal flip.
+    """The full real Hamiltonian: diagonal field part plus anti-diagonal flip.
 
     The additive constants of the individual terms sum to exactly c, so
     H = diag(h * sum_j Z_j + c) + 2k * FlipAll.
@@ -198,39 +164,10 @@ def build_hamiltonian(params: ModelParams,
     n = params.n_qubits
     idx = np.arange(1 << n, dtype=np.int64)
     zsum = n - 2 * kernels.popcount(idx)
-    mat = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    mat = np.zeros((1 << n, 1 << n))
     np.fill_diagonal(mat[:, ::-1], 2.0 * params.k)
     mat[np.diag_indices(1 << n)] += params.h * zsum + params.c
     return mat
-
-
-def _check_hermitian(op: np.ndarray):
-    scale = max(1.0, float(np.max(np.abs(op)))) if op.size else 1.0
-    dev = float(np.max(np.abs(op - op.conj().T)))
-    if dev > _HERMITIAN_ATOL * scale:
-        raise NonHermitian(f"operator deviates from Hermitian by {dev:g}")
-
-
-def expectation(state: StateVector, op) -> float:
-    """Real expectation value <psi|O|psi>.
-
-    ``op`` may be a dense square array, a ``PauliString``, or a sequence of
-    ``PauliString`` (summed). The imaginary part must vanish to 1e-10.
-    """
-    if isinstance(op, np.ndarray):
-        dim = 1 << state.n_qubits
-        if op.shape != (dim, dim):
-            raise DimensionMismatch(f"operator shape {op.shape}, state dim {dim}")
-        _check_hermitian(op)
-        val = complex(np.vdot(state.amplitudes, op @ state.amplitudes))
-    else:
-        terms = [op] if isinstance(op, PauliString) else list(op)
-        val = 0.0 + 0.0j
-        for p in terms:
-            val += state.overlap(apply_pauli_string(state, p))
-    if abs(val.imag) > _IMAG_ATOL:
-        raise NonHermitian(f"expectation has imaginary part {val.imag:g}")
-    return val.real
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +213,8 @@ def total_energy(state: StateVector, params: ModelParams) -> float:
 def _dense_ground_state(params: ModelParams, oracle_cap: int):
     import scipy.linalg
 
-    _check_cap(params.n_qubits, oracle_cap)
     ham = build_hamiltonian(params, oracle_cap=oracle_cap)
-    # The Hamiltonian is real; hand LAPACK the real symmetric view when it is.
-    mat = ham.real if not np.any(ham.imag) else ham
-    w, v = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
+    w, v = scipy.linalg.eigh(ham, subset_by_index=[0, 0])
     vec = np.asarray(v[:, 0], dtype=np.complex128)
     return float(w[0]), StateVector(params.n_qubits, vec)
 

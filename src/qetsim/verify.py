@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, closedform, protocol_oracle, simkernel
-from .model import ModelParams, Partition
+from . import analysis, closedform, kernels, protocol_oracle, simkernel
+from .model import ModelParams, Partition, interaction_constant, qubit_mask
 
 GRID_RATIOS = (0.1, 1.0, 10.0)
 
@@ -173,18 +173,16 @@ def check_bell() -> CheckResult:
     """Bell value: exactly 1 at k=0, nondecreasing in k/h, saturating."""
     t0 = time.perf_counter()
     bad = []
-    ratios = np.logspace(-2.0, 8.0, 501)
-    for n in (3, 8, 10):
-        flat = analysis.bell_value_ground_state(ModelParams(n, 1.0, 0.0))
-        if flat.b_value != 1.0:
-            bad.append(f"N={n}: k=0 value {flat.b_value!r} != 1")
-        values = np.array([
-            analysis.bell_value_ground_state(ModelParams(n, 1.0, float(r))).b_value
-            for r in ratios])
-        if np.min(np.diff(values)) < -1e-12:
-            bad.append(f"N={n}: decreasing step {np.min(np.diff(values)):.2e}")
-        top = analysis.bell_value_ground_state(ModelParams(n, 1.0, 1e8))
-        gap = abs(top.b_value - top.saturation_value)
+    counts = (3, 8, 10)
+    ratios = np.concatenate(([0.0], np.logspace(-2.0, 8.0, 501), [1e8]))
+    values = analysis.bell_values(np.repeat(counts, ratios.size),
+                                  np.tile(ratios, len(counts))).reshape(len(counts), -1)
+    for n, (flat, *sweep, top) in zip(counts, values.tolist()):
+        if flat != 1.0:
+            bad.append(f"N={n}: k=0 value {flat!r} != 1")
+        if np.min(np.diff(sweep)) < -1e-12:
+            bad.append(f"N={n}: decreasing step {np.min(np.diff(sweep)):.2e}")
+        gap = abs(top - 2.0 ** ((n - 2) / 2.0))
         if gap > 1e-6:
             bad.append(f"N={n}: saturation gap {gap:.2e}")
     return _finish("bell-value", not bad,
@@ -193,27 +191,33 @@ def check_bell() -> CheckResult:
                    t0)
 
 
-def _commutator_is_zero(n: int, ratio: float) -> bool:
-    """Projector/interaction commutator, exactly, via permutation structure.
+def _apply_interaction(params: ModelParams, psi: np.ndarray) -> np.ndarray:
+    """V psi = 4k^2/c psi + 2k X_1...X_N psi, the flip as the engine applies it."""
+    full = (1 << params.n_qubits) - 1
+    return (interaction_constant(params) * psi
+            + 2.0 * params.k * kernels.apply_pauli_signs(psi, full, 0))
 
-    P_j(a) = (I + a X_j)/2 and X_j is a permutation matrix, so both products
-    are half the interaction matrix plus half a row (or column) gather of it.
-    Equality must hold to the last bit, with no tolerance.
+
+def _commutator_is_zero(n: int, ratio: float) -> bool:
+    """[P_j(a), V] = 0 for every input projector, exactly, on one probe vector.
+
+    P_j(a) = (1 + a X_j)/2, so [P_j(a), V] = (a/2) [X_j, V]: X_j stands in
+    for both outcomes a = +1 and -1. X_j only moves values, so X_j V psi and
+    V X_j psi come from the same float operations on the same operands; they
+    are bit-identical exactly when the two signed permutations commute. The
+    probe psi = 1..2^N has distinct, exactly representable entries, so a
+    nonzero commutator moves some of them. No tolerance, and no 2^N x 2^N
+    matrix.
     """
     params = ModelParams(n, 1.0, ratio)
-    v = simkernel.interaction_term(params).real
-    dim = 1 << n
-    idx = np.arange(dim)
+    psi = np.arange(1.0, (1 << n) + 1.0)
+    v_psi = _apply_interaction(params, psi)
     for q in range(1, n + 1):
-        mask = 1 << (n - q)
-        perm = idx ^ mask
-        xv = v[perm, :]
-        vx = v[:, perm]
-        for a in (1.0, -1.0):
-            pv = 0.5 * v + (0.5 * a) * xv
-            vp = 0.5 * v + (0.5 * a) * vx
-            if not np.array_equal(pv, vp):
-                return False
+        mask = qubit_mask(n, (q,))
+        x_v_psi = kernels.apply_pauli_signs(v_psi, mask, 0)
+        v_x_psi = _apply_interaction(params, kernels.apply_pauli_signs(psi, mask, 0))
+        if not np.array_equal(x_v_psi, v_x_psi):
+            return False
     return True
 
 

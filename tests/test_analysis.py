@@ -14,6 +14,7 @@ from qetsim.errors import (
     BellUndefinedForN2,
     InvalidRange,
     NonPositiveRatio,
+    QetError,
     UnknownFigure,
 )
 from qetsim.model import ModelParams, Partition
@@ -53,6 +54,44 @@ def test_bell_value_needs_three_qubits():
         an.bell_value_ground_state(ModelParams(2, 1.0, 1.0))
     with pytest.raises(BellUndefinedForN2):
         an.bell_value_ghz_angle(2, 0.2)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.37, 2.5])
+def test_bell_values_equal_the_one_point_path_bit_for_bit(h):
+    rng = np.random.default_rng(11)
+    n = rng.integers(3, 300, size=400)
+    k = h * 10.0 ** rng.uniform(-4.0, 8.0, size=400)
+    k[::50] = 0.0
+    one = [an.bell_value_ground_state(ModelParams(int(a), h, float(b))).b_value
+           for a, b in zip(n, k)]
+    assert an.bell_values(n, k, h).tolist() == one
+    # Plain floats, one point at a time, in the operation order of the formula.
+    for a, b, got in zip(n.tolist(), k.tolist(), one):
+        c = math.hypot(a * h, 2.0 * b)
+        sx, cz = 2.0 * b / c, a * h / c
+        assert got == math.sqrt(math.ldexp(1.0, a - 2) * sx * sx + cz * cz)
+
+
+@pytest.mark.parametrize("n,k,h,error", [
+    ([3, 2, 1], [1.0, -1.0, 1.0], 1.0, "k must be"),  # k < 0 before N = 1
+    ([3, 2, 3], [1.0, 1.0, -1.0], 1.0, "needs N >= 3, got N=2"),
+    ([3, 1], [1.0, 1.0], 1.0, "need at least 2 qubits"),
+    ([3, 3], [1e308, np.inf], 1.0, "bell is not finite at N=3"),
+    ([3, 3], [np.nan, 1e308], 1.0, "k must be"),
+    ([3], [1.0], 0.0, "h must be"),
+])
+def test_bell_values_raise_for_the_first_bad_point(n, k, h, error):
+    with pytest.raises(QetError, match=error):
+        an.bell_values(n, k, h)
+
+
+def test_bell_table_sorts_dedupes_and_types():
+    rows = an.bell_table([4, 3, 4], [1.0, 0.0, 1.0], h=1.5)
+    assert [r[:2] for r in rows] == [(3, 0.0), (3, 1.0), (4, 0.0), (4, 1.0)]
+    assert all(type(v) in (int, float, bool) for r in rows for v in r)
+    assert rows[0][2:] == (1.0, False, math.sqrt(2.0))
+    rep = an.bell_value_ground_state(ModelParams(4, 1.5, 1.5))
+    assert rows[3][2:] == (rep.b_value, rep.violates, rep.saturation_value)
 
 
 def test_bell_ghz_angle_endpoints_and_range():

@@ -1,15 +1,21 @@
-"""Pinned output bytes: the data rows of every figure and of one sweep.
+"""Pinned output bytes: every figure, one sweep, and the bell, nopt and
+fixtures tables.
 
-The digests hash the non-`#` lines of the CSV, joined by newlines. The
-figure digests are those of ``perfbench/workloads.py::FIGURE_SHA256``; the
-sweep digest was taken before the closed forms were evaluated over arrays.
-A change to any value in the last bit, to the float format or to the row
-order changes a digest.
+The figure and sweep digests hash the non-`#` lines of the CSV, joined by
+newlines. The figure digests are those of
+``perfbench/workloads.py::FIGURE_SHA256``; the sweep digest was taken before
+the closed forms were evaluated over arrays. The table digests hash the
+whole output file, `#` lines included, and were taken while ``bell`` still
+evaluated one point at a time and each table command wrote its own CSV and
+JSON. A change to any value in the last bit, to the float format, to a JSON
+type or to the row order changes a digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+from contextlib import redirect_stderr
 
 import pytest
 
@@ -50,3 +56,53 @@ def test_sweep_rows_with_bell_are_pinned(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main([*SWEEP_ARGV, "--out", str(out)]) == 0
     assert _data_digest(out) == (SWEEP_ROWS, SWEEP_SHA256)
+
+
+#: Unsorted, repeated N and ratios (the commands sort and dedupe them), the
+#: k = 0 row where b is exactly 1, and h != 1.
+BELL_ARGV = ("bell", "--n", "10,3:9,4", "--ratio", "100,0,0.01,0.5,1,7.5,1e6",
+             "--h", "1.5")
+NOPT_ARGV = ("nopt", "--x", "1000,0.5,10,3.7,100", "--scan")
+
+TABLE_SHA256 = {
+    (BELL_ARGV, "csv"): "46dc1f9672eeecf9b37021ec0b2c62ebe6fdf695a3b603a2bab0aa65e63ff40a",
+    (BELL_ARGV, "json"): "59b5487c5ce72c91b70070badc2b2404c589b9b8b664f312cd715e0b53dcb6d8",
+    (NOPT_ARGV, "csv"): "cac43914a915af2d527f793a704956cf09755ea5123e257a5171005053b8f108",
+    (NOPT_ARGV, "json"): "b1d5149a1d4de1a5704dbfdbd4a3d6029f4684f89b03f7dd20407bc92dfcf7ae",
+    (("fixtures",), "csv"): "8b4fd6360e55ac3dd30849ecff9f196e33bfc403552f49a4e8b4ad877607b897",
+    (("fixtures",), "json"): "526772683f7bf129512e88afee2e4add98cdb9b94d944a1d716c709fcbd68d28",
+}
+
+
+@pytest.mark.parametrize("argv,fmt", sorted(TABLE_SHA256), ids=lambda v: (
+    v if isinstance(v, str) else v[0]))
+def test_table_bytes_are_pinned(tmp_path, argv, fmt):
+    out = tmp_path / "table.out"
+    assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_SHA256[argv, fmt]
+
+
+#: The first failing point in (N, ratio) order decides the error.
+BELL_ERRORS = (
+    (("--n", "2:5", "--ratio", "1"), "Bell value needs N >= 3, got N=2"),
+    (("--n", "2,3", "--ratio=-1,1"), "k must be finite and >= 0, got -1.0"),
+    (("--n", "3:5", "--ratio=1,-1"), "k must be finite and >= 0, got -1.0"),
+    (("--n", "3", "--ratio", "1", "--h", "0"), "h must be finite and > 0, got 0.0"),
+    (("--n", "1,3", "--ratio", "1"), "need at least 2 qubits, got 1"),
+    (("--n", "1100", "--ratio", "1"),
+     "bell is not finite at N=1100, k/h=1, h=1: float64 over- or underflows there"),
+    (("--n", "3,1100", "--ratio", "1,inf"), "k must be finite and >= 0, got inf"),
+    (("--n", "3", "--ratio", "1e308,inf"),
+     "bell is not finite at N=3, k/h=1e+308, h=1: float64 over- or underflows there"),
+    (("--n", "2", "--ratio", "nan"), "k must be finite and >= 0, got nan"),
+)
+
+
+@pytest.mark.parametrize("args,message", BELL_ERRORS)
+def test_bell_errors_are_pinned(tmp_path, args, message):
+    out = tmp_path / "bell.csv"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert cli.main(["bell", *args, "--out", str(out)]) == 2
+    assert err.getvalue() == f"error: {message}\n"
+    assert not out.exists()

@@ -1,0 +1,51 @@
+"""The property-suite's commutator check: it must see a non-commuting
+interaction, and it must not build a 2^N x 2^N matrix."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from qetsim import kernels, verify
+from qetsim.model import interaction_constant
+
+
+def _with_phase(phase_qubit_bit: int, flip: bool):
+    """V with one Z factor put into it: on top of X...X (a Y, up to a phase)
+    when ``flip`` is set, else on its own."""
+
+    def apply(params, psi):
+        full = (1 << params.n_qubits) - 1 if flip else 0
+        return (interaction_constant(params) * psi
+                + 2.0 * params.k * kernels.apply_pauli_signs(psi, full, 1 << phase_qubit_bit))
+
+    return apply
+
+
+@pytest.mark.parametrize("flip", [True, False])
+@pytest.mark.parametrize("bit", [0, 2])
+def test_commutator_check_sees_a_non_commuting_interaction(monkeypatch, flip, bit):
+    monkeypatch.setattr(verify, "_apply_interaction", _with_phase(bit, flip))
+    for n in (3, 4, 7):
+        for ratio in verify.GRID_RATIOS:
+            assert verify._commutator_is_zero(n, ratio) is False
+
+
+def test_property_suite_fails_on_a_non_commuting_interaction(monkeypatch):
+    monkeypatch.setattr(verify, "_apply_interaction", _with_phase(0, True))
+    result = verify.check_properties()
+    assert not result.passed
+    assert "commutator nonzero at N=2, ratio 0.1" in result.detail
+
+
+def test_commutator_check_holds_for_the_model_and_stays_linear_in_memory():
+    tracemalloc.start()
+    try:
+        assert all(verify._commutator_is_zero(10, ratio) for ratio in verify.GRID_RATIOS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A dense 1024 x 1024 float64 matrix alone is 8 MiB; the check needs a
+    # few vectors of 1024 entries.
+    assert peak < 1 << 20
