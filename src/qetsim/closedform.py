@@ -24,11 +24,17 @@ large-r branch of sqrt(1 + r^2) - 1 alike, is ``math.hypot`` applied
 elementwise: ``np.hypot`` (the C library's) differs from it in the last bit
 on some inputs, and emitted datasets are pinned byte for byte. A point whose
 E_in, E_out(max) or eta is not a finite float raises ``InvalidRange``.
+
+Below h of about 1.5e-154, h^2 is subnormal and the products above lose
+digits. Such a field is evaluated in units of h (h -> 1, k -> k/h), and the
+energies are scaled back by h; eta and theta are scale-free. Every other h
+takes the plain path, so its values keep their bits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -89,6 +95,15 @@ def _ab(n, m, h, k):
     return n * m * h * h + 4.0 * k * k, 2.0 * (n - m) * h * k
 
 
+def _tiny(h: float) -> bool:
+    """True where h^2 is subnormal, so the field is evaluated in units of h."""
+    return h * h < sys.float_info.min
+
+
+def _in_units_of_h(params: ModelParams) -> ModelParams:
+    return ModelParams(params.n_qubits, 1.0, params.k / params.h)
+
+
 def _coefficients(params: ModelParams, part: Partition) -> tuple[float, float]:
     """(A, B) for the given partition; depends only on N and m."""
     return _ab(params.n_qubits, part.m_outputs, params.h, params.k)
@@ -113,14 +128,14 @@ def _sqrt1pr2m1(r):
     return out[()]
 
 
-def _require_finite(n, m, k, h, **quantities):
+def _require_finite(n, m, ratio, h, **quantities):
     for name, values in quantities.items():
         finite = np.isfinite(values)
         if not finite.all():
             i = int(np.argmin(finite))
             raise InvalidRange(
                 f"{name} is not finite at N={n[i]:.0f}, m={m[i]:.0f}, "
-                f"k/h={k[i] / h:g}, h={h:g}: float64 over- or underflows there")
+                f"k/h={ratio[i]:g}, h={h:g}: float64 over- or underflows there")
 
 
 def energies(n, m, k, h: float = 1.0) -> Energies:
@@ -134,14 +149,19 @@ def energies(n, m, k, h: float = 1.0) -> Energies:
     n, m, k = np.broadcast_arrays(*np.atleast_1d(np.asarray(n, dtype=float),
                                                  np.asarray(m, dtype=float),
                                                  np.asarray(k, dtype=float)))
+    field, scale = h, 1.0
+    if _tiny(h):
+        field, scale, k = 1.0, h, k / h
     with np.errstate(all="ignore"):
-        c = np.fromiter(map(math.hypot, (n * h).tolist(), (2.0 * k).tolist()),
+        c = np.fromiter(map(math.hypot, (n * field).tolist(), (2.0 * k).tolist()),
                         float, count=n.size)
-        a, b = _ab(n, m, h, k)
-        e_in = (n - m) * n * h * h / c
+        a, b = _ab(n, m, field, k)
+        e_in = (n - m) * n * field * field / c
         e_out = np.where(b == 0.0, 0.0, a / c * _sqrt1pr2m1(b / a))
         eta = np.where(k == 0.0, 0.0, e_out / e_in)
-    _require_finite(n, m, k, h, e_in=e_in, e_out=e_out, eta=eta)
+        if scale != 1.0:
+            c, e_in, e_out = c * scale, e_in * scale, e_out * scale
+        _require_finite(n, m, k / field, h, e_in=e_in, e_out=e_out, eta=eta)
     return Energies(c=c, e_in=e_in, e_out_max=e_out, eta=eta)
 
 
@@ -161,6 +181,8 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
     optimal angles of the strong-coupling regime where the difference form
     cancels.
     """
+    if _tiny(params.h):
+        return params.h * output_energy_at_theta(_in_units_of_h(params), part, theta)
     a, b = _coefficients(params, part)
     s = math.sin(theta)
     return (b * math.sin(2.0 * theta) - 2.0 * a * s * s) / params.c
@@ -168,6 +190,8 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
 
 def optimal_theta(params: ModelParams, part: Partition) -> ThetaChoice:
     """The angle maximizing the extracted energy: tan 2theta = B / A."""
+    if _tiny(params.h):
+        return optimal_theta(_in_units_of_h(params), part)
     a, b = _coefficients(params, part)
     return ThetaChoice.from_components(a, b)
 

@@ -1,16 +1,17 @@
 """Index-space kernels for statevector manipulation, in numpy.
 
 Every hot loop of the brute-force protocol engine lands here: signed-permutation
-application of Pauli strings, X-basis projectors, and the handful of expectation
-values the spin Hamiltonian needs. Amplitudes are ``complex128`` arrays whose
-last axis has length ``2**n``; qubit structure enters only through bit masks
-on that axis, so the kernels are agnostic of any qubit-ordering convention.
+application of Pauli strings, the X-basis split, and the handful of expectation
+values the spin Hamiltonian needs. Amplitudes are real ``float64`` or
+``complex128`` arrays whose last axis has length ``2**n``; qubit structure
+enters only through bit masks on that axis, so the kernels are agnostic of
+any qubit-ordering convention.
 
 Each kernel acts along the last axis and broadcasts over any leading ones.
 The same function therefore serves a single statevector of shape ``(2**n,)``
-and a batch of them, such as the ``(2**(N-m), 2**m)`` branch matrix of the
-protocol engine; reductions return a scalar for one vector and one value per
-row for a batch.
+and a batch of them, such as the ``(2**m, 2**(N-m))`` transposed view of the
+protocol engine's branch matrix; reductions return a scalar for one vector
+and one value per row for a batch.
 """
 
 from __future__ import annotations
@@ -33,21 +34,29 @@ def _indices(amps: np.ndarray) -> np.ndarray:
 def apply_pauli_signs(amps: np.ndarray, flip_mask: int, phase_mask: int) -> np.ndarray:
     """out[..., j] = (-1)**popcount((j ^ flip) & phase) * amps[..., j ^ flip]."""
     src = _indices(amps) ^ flip_mask
-    signs = 1.0 - 2.0 * (popcount(src & phase_mask) & 1)
-    return signs * amps[..., src]
+    out = np.take(amps, src, axis=-1)
+    out *= 1.0 - 2.0 * (popcount(src & phase_mask) & 1)
+    return out
 
 
-def project_x(amps: np.ndarray, qubit_mask: int, sign) -> np.ndarray:
-    """Apply (1 + sign * X_qubit) / 2.
+def project_x(amps: np.ndarray, qubit_mask: int) -> np.ndarray:
+    """Split one qubit into its X outcomes in place: a Walsh-Hadamard butterfly.
 
-    ``sign`` is +1 or -1, or an array of them along the last axis, in which
-    case index j is projected onto the outcome ``sign[j]``.
+    Each pair (a, b) of amplitudes whose indices differ only in ``qubit_mask``
+    becomes (a + b, a - b), sqrt(2) (<+|psi>, <-|psi>) on that qubit. ``amps``
+    (a strided view will do) is returned; the one temporary is half its size.
     """
-    return 0.5 * (amps + sign * amps[..., _indices(amps) ^ qubit_mask])
+    pairs = amps.reshape(amps.shape[:-1] + (-1, 2, qubit_mask), copy=False)
+    a, b = pairs[..., 0, :], pairs[..., 1, :]
+    diff = a - b
+    a += b
+    b[...] = diff
+    return amps
 
 
 def _weights(amps: np.ndarray) -> np.ndarray:
-    return np.real(amps) ** 2 + np.imag(amps) ** 2
+    # conj() of a real array is the array itself, so real input costs one product.
+    return (amps.conj() * amps).real
 
 
 def norm_sq(amps: np.ndarray):
@@ -59,12 +68,12 @@ def z_expectations(amps: np.ndarray, n_bits: int) -> np.ndarray:
     """Per-bit <Z> (bit value 0 counts as eigenvalue +1); entry b is bit b."""
     w = _weights(amps)
     lead = w.shape[:-1]
-    total = w.sum(axis=-1)
     out = np.empty(lead + (n_bits,), dtype=np.float64)
     for b in range(n_bits):
         # Index j = (high, bit b, low): a view, no per-element mask.
-        ones = w.reshape(lead + (-1, 2, 1 << b))[..., 1, :].sum(axis=(-2, -1))
-        out[..., b] = total - 2.0 * ones
+        out[..., b] = w.reshape(lead + (-1, 2, 1 << b))[..., 1, :].sum(axis=(-2, -1))
+    out *= -2.0
+    out += w.sum(axis=-1)[..., None]
     return out
 
 
@@ -74,5 +83,5 @@ def diag_z_total(amps: np.ndarray, n_bits: int):
 
 
 def complement_overlap(amps: np.ndarray):
-    """<psi| FlipAll |psi> = sum_j conj(a[j]) a[all_ones ^ j]."""
+    """<psi| FlipAll |psi> = sum_j conj(a[j]) a[all_ones ^ j]; real for real amps."""
     return np.einsum("...j,...j->...", amps.conj(), amps[..., ::-1])

@@ -9,17 +9,18 @@ paths meet only in the tests.
 
 An X measurement leaves the measured qubits in the product state |alpha>,
 so outcome alpha is fully described by the unnormalised m-qubit output
-state <alpha|psi>. All outcomes are held as the rows of one
+state <alpha|psi>. All outcomes are held as the rows of one real
 (2^(N-m), 2^m) branch matrix ``Branches.states``:
 
-* the ground state is laid out as (outputs, inputs) and every input qubit is
-  split into both X outcomes by one ``kernels.project_x`` pass along the
-  input axis, after which column alpha holds <alpha|psi> up to a known factor;
+* the ground state is laid out as (inputs, outputs); one in-place
+  ``kernels.project_x`` butterfly per input qubit (a fast Walsh-Hadamard
+  transform) and one scale by 2^(-(N-m)/2) leave row alpha holding
+  <alpha|psi>, sign included;
 * a row's squared norm is its outcome probability, so ensemble traces are
   plain sums of per-row expectations, and a zero-probability row weighs
   nothing without special-casing;
-* the conditioned rotation is one signed permutation of the columns, scaled
-  per row by the outcome's sign product.
+* the conditioned rotation is one real signed permutation of the columns,
+  scaled per row by the parity of the row index: the product of its signs.
 
 The ensemble average state is never materialized as a density matrix, and
 no Python loop runs over branches.
@@ -55,21 +56,14 @@ class Branches:
 
     Row r of ``states`` is the unnormalised output state <alpha|psi> of
     outcome r, over the output qubits in ascending order (the first is the
-    most significant bit). ``probability[r]`` is its squared norm.
-    ``alpha[r, i]`` is the X-measurement result (+1 or -1) of the i-th input
-    qubit in ascending qubit order; row order is lexicographic in these signs
-    with +1 first, so bit i of r (counting from the most significant of the
-    N-m bits) set means input qubit i measured -1.
+    most significant bit). ``probability[r]`` is its squared norm. Bit i of r,
+    from the most significant of its N-m bits, set means the i-th input qubit
+    (ascending) measured -1; ``parity[r] = (-1)**popcount(r)`` is the product.
     """
 
     states: np.ndarray
     probability: np.ndarray
-    alpha: np.ndarray
-
-    @property
-    def alpha_product(self) -> np.ndarray:
-        """Product of each row's outcome signs, +1 or -1."""
-        return self.alpha.prod(axis=1)
+    parity: np.ndarray
 
 
 @dataclass
@@ -85,36 +79,26 @@ class ProtocolReport:
     branches: Branches
 
 
-def _require(params: ModelParams, part: Partition, oracle_cap: int):
+def measure_branches(params: ModelParams, part: Partition,
+                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> Branches:
+    """All 2^(N-m) X-basis outcomes on the input qubits, from the ground state."""
     if part.n_qubits != params.n_qubits:
         raise InvalidPartition(
             f"partition is over {part.n_qubits} qubits, model over {params.n_qubits}")
     if params.n_qubits > oracle_cap:
         raise OracleCapExceeded(
             f"N={params.n_qubits} exceeds the brute-force cap of {oracle_cap}")
-
-
-def measure_branches(params: ModelParams, part: Partition,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> Branches:
-    """All 2^(N-m) X-basis outcomes on the input qubits, from the ground state."""
-    _require(params, part, oracle_cap)
     n_in, m = part.n_inputs, part.m_outputs
-    # Axis q-1 of the (2,)*N view is qubit q; reorder to (outputs, inputs).
-    axes = [q - 1 for q in part.output_qubits_sorted + part.input_qubits]
-    amps = StateVector.ground_state(params).amplitudes
-    mat = amps.reshape((2,) * params.n_qubits).transpose(axes).reshape(1 << m, 1 << n_in)
-
-    codes = np.arange(1 << n_in)
-    alpha = 1 - 2 * ((codes[:, None] >> np.arange(n_in - 1, -1, -1)) & 1)
+    # Axis q-1 of the (2,)*N view is qubit q; reorder to (inputs, outputs).
+    # The butterflies run in place on this call's own copy of the state.
+    axes = [q - 1 for q in part.input_qubits + part.output_qubits_sorted]
+    states = (StateVector.ground_state(params).amplitudes.reshape((2,) * params.n_qubits)
+              .transpose(axes).reshape(1 << n_in, 1 << m))
     for i in range(n_in):
-        bit = 1 << (n_in - 1 - i)
-        # Input index x keeps the outcome its own bit names: 0 -> +1, 1 -> -1.
-        mat = kernels.project_x(mat, bit, alpha[:, i])
-    # Column x now holds prod(alpha) * 2^(-n_in/2) * <alpha|psi>: each input
-    # qubit contributed <x_i|alpha_i> = alpha_i^(x_i) / sqrt(2).
-    scale = alpha.prod(axis=1) * math.sqrt(1 << n_in)
-    states = np.ascontiguousarray((mat * scale).T)
-    return Branches(states, kernels.norm_sq(states), alpha)
+        kernels.project_x(states.T, 1 << i)
+    states *= 2.0 ** (-0.5 * n_in)
+    parity = 1.0 - 2.0 * (kernels.popcount(np.arange(1 << n_in)) & 1)
+    return Branches(states, kernels.norm_sq(states), parity)
 
 
 def injected_energy(branches: Branches, params: ModelParams,
@@ -144,42 +128,49 @@ def _rotation_string(part: Partition, y_qubit: int | None) -> PauliString:
 
 def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
                               y_qubit: int | None = None) -> np.ndarray:
-    """Rotate every row by cos(theta) - i*alpha*sin(theta) * Y_y X X ... X.
+    """Rotate every row by cos(theta) - i*parity*sin(theta) * Y_y X X ... X.
 
     The Y factor sits on the lowest-indexed output qubit unless ``y_qubit``
     overrides it; the extracted energy does not depend on the choice.
     -i * (Y X ... X) is the real signed permutation S of the columns, so row
-    r becomes cos(theta) * psi_r + prod(alpha_r) * sin(theta) * S psi_r.
+    r becomes cos(theta) * psi_r + parity_r * sin(theta) * S psi_r.
     """
+    out = _signed_flip(branches, part, y_qubit)
+    out *= math.sin(theta)
+    out += math.cos(theta) * branches.states
+    return out
+
+
+def _signed_flip(branches: Branches, part: Partition, y_qubit: int | None) -> np.ndarray:
+    """parity_r * S psi_r for every row: the rotated branches at theta = pi/2."""
     p = _rotation_string(part, y_qubit)
-    flipped = kernels.apply_pauli_signs(branches.states, p.flip_mask, p.phase_mask)
-    return (math.cos(theta) * branches.states
-            + (math.sin(theta) * branches.alpha_product)[:, None] * flipped)
+    out = kernels.apply_pauli_signs(branches.states, p.flip_mask, p.phase_mask)
+    out *= branches.parity[:, None]
+    return out
 
 
-def output_term_energies(states: np.ndarray, alpha_product: np.ndarray,
+def output_term_energies(states: np.ndarray, parity: np.ndarray,
                          params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-row energies of the output-site terms and of the interaction term.
 
     ``states`` holds unnormalised output rows (measured or rotated), so each
     value already carries its row's probability and ensemble values are sums
     over rows. Returns a (rows, m) array of h<Z_j> + N h^2 / c, columns in
-    ascending output-qubit order, and a (rows,) array of 2k<X...X> + 4k^2/c.
-    The measured register of row r is |alpha_r>, on which X...X reads
-    prod(alpha_r).
+    ascending output-qubit order, and a (rows,) array of 2k<X...X> + 4k^2/c;
+    on the measured register of row r, X...X reads ``parity[r]``.
     """
     m = states.shape[-1].bit_length() - 1
     weight = kernels.norm_sq(states)
     z = kernels.z_expectations(states, m)[:, ::-1]
     sites = params.h * z + local_constant(params) * weight[:, None]
-    flip = alpha_product * kernels.complement_overlap(states).real
+    flip = parity * kernels.complement_overlap(states)
     interaction = 2.0 * params.k * flip + interaction_constant(params) * weight
     return sites, interaction
 
 
 def _drained(rotated: np.ndarray, branches: Branches, params: ModelParams) -> np.ndarray:
     """Per-row energy drained from the output terms plus the interaction."""
-    sites, interaction = output_term_energies(rotated, branches.alpha_product, params)
+    sites, interaction = output_term_energies(rotated, branches.parity, params)
     return -(sites.sum(axis=1) + interaction)
 
 
@@ -193,15 +184,14 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     independent accounting ``e_out_via_trace`` is the injected energy minus
     the total ensemble energy; the two must agree to near machine precision.
     """
-    _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
     e_in, per_qubit = injected_energy(branches, params, part)
 
     rotated = apply_conditional_unitary(branches, part, theta, y_qubit)
     e_out = float(np.sum(_drained(rotated, branches, params)))
     # Total <H> per row: the measured qubits sit in X eigenstates and add
-    # nothing to the Z sum, and FlipAll reads prod(alpha) on them.
-    flip = branches.alpha_product * kernels.complement_overlap(rotated).real
+    # nothing to the Z sum, and FlipAll reads the row's parity on them.
+    flip = branches.parity * kernels.complement_overlap(rotated)
     totals = (params.h * kernels.diag_z_total(rotated, part.m_outputs)
               + 2.0 * params.k * flip + params.c * kernels.norm_sq(rotated))
     return ProtocolReport(
@@ -224,13 +214,17 @@ def _quadratic(branches: Branches, params: ModelParams, part: Partition,
     """Coefficients (A, B, C) of the ensemble drained energy
     A cos^2 t + B sin^2 t + 2C cos t sin t.
 
-    Every rotated row is cos(t) psi + alpha sin(t) S psi, so every expectation
-    is quadratic in (cos t, sin t); the drained energy at t = 0, pi/2 and
-    pi/4 fixes the three numbers.
+    Every rotated row is cos(t) psi + parity sin(t) S psi, so every
+    expectation is quadratic in (cos t, sin t); the drained energy at t = 0,
+    pi/2 and pi/4 fixes the three numbers. S psi is computed once, and the
+    pi/4 rows are (psi + parity S psi) / sqrt(2), built in its place.
     """
-    a, b, mid = (float(np.sum(_drained(
-        apply_conditional_unitary(branches, part, t, y_qubit), branches, params)))
-        for t in (0.0, math.pi / 2.0, math.pi / 4.0))
+    a = float(np.sum(_drained(branches.states, branches, params)))
+    rows = _signed_flip(branches, part, y_qubit)
+    b = float(np.sum(_drained(rows, branches, params)))
+    rows += branches.states
+    rows *= math.sqrt(0.5)
+    mid = float(np.sum(_drained(rows, branches, params)))
     return a, b, mid - 0.5 * (a + b)
 
 
@@ -240,9 +234,8 @@ def output_energy_curve(params: ModelParams, part: Partition, thetas,
     """Drained energy at every angle in ``thetas``, branches enumerated once.
 
     Matches ``extracted_energy`` to rounding (same branch states, same
-    operator expectations), but costs three rotations once plus O(1) per angle.
+    operator expectations), but costs one signed permutation plus O(1) per angle.
     """
-    _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
     a, b, c = _quadratic(branches, params, part, y_qubit)
     t = np.asarray(thetas, dtype=float)
@@ -281,7 +274,6 @@ def optimize_theta_numeric(params: ModelParams, part: Partition,
     in the angle. The branch enumeration happens once; each probe angle
     evaluates the exact ensemble drained energy from its three coefficients.
     """
-    _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
     a, b, c = _quadratic(branches, params, part, None)
 
@@ -331,7 +323,6 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
         raise InvalidRange(f"need at least one shot, got {n_shots}")
     if not 0 <= seed < 1 << 64:
         raise InvalidRange(f"seed must lie in [0, 2**64), got {seed}")
-    _require(params, part, oracle_cap)
     branches = measure_branches(params, part, oracle_cap)
     probs = branches.probability / np.sum(branches.probability)
     # Per-outcome energies of the normalized branch states; a drawn outcome

@@ -1,9 +1,10 @@
 """Statevectors, Pauli strings and ground-state solvers for N qubits.
 
 This is the substrate of the brute-force engine: statevectors as flat
-complex arrays, Pauli strings applied as signed permutations (no matrix is
-ever materialized for them), the expectation values of the model's terms
-computed from index arithmetic, and three independent ground-state solvers:
+float64 arrays (complex128 once a Y factor makes them complex), Pauli strings
+applied as signed permutations (no matrix is ever materialized for them), the
+expectation values of the model's terms computed from index arithmetic, and
+three independent ground-state solvers:
 
 * ``lanczos``: ARPACK's implicitly restarted Lanczos (``eigsh``) on a
   matrix-free operator, diag(h * sum_j Z_j) plus 2k X_1 ... X_N applied as
@@ -50,13 +51,14 @@ _IMAG_ATOL = 1e-10
 
 @dataclass
 class StateVector:
-    """A 2**n complex amplitude array with the package's qubit convention."""
+    """2**n float64 (real input) or complex128 amplitudes, package qubit order."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.asarray(self.amplitudes)
+        self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise DimensionMismatch(
                 f"expected {1 << self.n_qubits} amplitudes, "
@@ -64,7 +66,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+        amps = np.zeros(1 << n_qubits)
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
@@ -72,7 +74,7 @@ class StateVector:
     def ground_state(cls, params: ModelParams) -> "StateVector":
         """The analytic two-amplitude ground state as a dense vector."""
         g = ground_state_amplitudes(params)
-        amps = np.zeros(1 << params.n_qubits, dtype=np.complex128)
+        amps = np.zeros(1 << params.n_qubits)
         amps[0] = g.a_all_zero
         amps[-1] = g.a_all_one
         return cls(params.n_qubits, amps)
@@ -215,8 +217,7 @@ def _dense_ground_state(params: ModelParams, oracle_cap: int):
 
     ham = build_hamiltonian(params, oracle_cap=oracle_cap)
     w, v = scipy.linalg.eigh(ham, subset_by_index=[0, 0])
-    vec = np.asarray(v[:, 0], dtype=np.complex128)
-    return float(w[0]), StateVector(params.n_qubits, vec)
+    return float(w[0]), StateVector(params.n_qubits, v[:, 0])
 
 
 #: Seed of the Lanczos start vector; a fixed start makes every solve repeatable.
@@ -239,8 +240,8 @@ def _lanczos_ground_state(params: ModelParams, oracle_cap: int):
         w, v = eigsh(op, k=1, which="SA", tol=0, v0=start)
     except ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos did not converge at N={n}: {exc}") from None
-    vec = np.asarray(v[:, 0], dtype=np.complex128)
-    if vec[-1].real > 0:  # sign convention: amplitude on the all-ones state <= 0
+    vec = v[:, 0]
+    if vec[-1] > 0:  # sign convention: amplitude on the all-ones state <= 0
         vec = -vec
     return float(w[0]) + params.c, StateVector(n, vec)
 
@@ -256,8 +257,8 @@ def _block_ground_state(params: ModelParams, with_state: bool):
         block = np.array([[c + s * h, 2.0 * k], [2.0 * k, c - s * h]])
         lo = float(np.linalg.eigvalsh(block)[0])
         if best is None or lo < best[0]:
-            best = (lo, n_ones)
-    energy, n_ones = best
+            best = (lo, n_ones, block)
+    energy, n_ones, block = best
     if not with_state:
         return energy, None
     if n > BLOCK_STATE_CAP:
@@ -265,14 +266,12 @@ def _block_ground_state(params: ModelParams, with_state: bool):
             f"materializing 2**{n} amplitudes is off (cap {BLOCK_STATE_CAP}); "
             "call with with_state=False for the energy alone")
     # The floor sits in the {|00...0>, |11...1>} pair block.
-    s = n - 2 * n_ones
-    block = np.array([[c + s * h, 2.0 * k], [2.0 * k, c - s * h]])
     _, v = np.linalg.eigh(block)
     pair = v[:, 0]
     if pair[1] > 0:  # sign convention: amplitude on the all-ones state <= 0
         pair = -pair
     rep = ((1 << n_ones) - 1) << (n - n_ones)  # n_ones most significant bits set
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps = np.zeros(1 << n)
     amps[rep] = pair[0]
     amps[(1 << n) - 1 - rep] = pair[1]
     return energy, StateVector(n, amps)

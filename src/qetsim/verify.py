@@ -105,7 +105,7 @@ def check_neutrality(oracle_cap: int = 12) -> CheckResult:
             params = ModelParams(n, 1.0, ratio)
             branches = protocol_oracle.measure_branches(params, part, oracle_cap)
             sites, interaction = protocol_oracle.output_term_energies(
-                branches.states, branches.alpha_product, params)
+                branches.states, branches.parity, params)
             worst = max(worst, float(np.max(np.abs(sites.sum(axis=0)))),
                         abs(float(np.sum(interaction))))
     passed = worst <= 1e-12

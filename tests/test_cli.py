@@ -312,7 +312,8 @@ def test_float_formatting_is_full_precision():
     (("efficiency", "--n", "3", "--m", "1", "--ratio", "1e200"), "e_out is not finite"),
     (("efficiency", "--n", "3", "--m", "1", "--ratio", "1e300"), "e_out is not finite"),
     (("sweep", "--n", "3:5", "--m", "1", "--ratio", "1,1e300"), "e_out is not finite"),
-    (("efficiency", "--n", "3", "--m", "1", "--ratio", "1", "--h", "1e-300"),
+    # E_in ~ 3e-450 underflows; h = 1e-300 alone is evaluated in units of h.
+    (("efficiency", "--n", "3", "--m", "1", "--ratio", "1e300", "--h", "1e-150"),
      "eta is not finite"),
     (("nopt", "--x", "1e300"), "x=1e+300"),
     (("nopt", "--x", "1e200", "--scan"), "x=1e+200"),
@@ -323,6 +324,27 @@ def test_closed_forms_out_of_float_range_exit_2(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err
+
+
+def test_tiny_field_prints_the_unit_field_eta_and_theta(capsys):
+    # h^2 is subnormal at h = 1e-162; eta and theta must read as at h = 1.
+    _, at_one, _ = run_cli(capsys, "efficiency", "--n", "3", "--m", "1", "--ratio", "1")
+    code, tiny, _ = run_cli(capsys, "efficiency", "--n", "3", "--m", "1", "--ratio", "1",
+                            "--h", "1e-162")
+    assert code == 0
+
+    def eta_theta(out):
+        lines = out.splitlines()
+        theta = float(lines[0].split(": ")[1])
+        row = dict(zip(lines[-2].split(","), lines[-1].split(",")))
+        return float(row["eta"]), theta
+
+    eta, theta = eta_theta(tiny)
+    eta_one, theta_one = eta_theta(at_one)
+    assert (eta_one, theta_one) == (pytest.approx(0.17704295804975825, rel=1e-13),
+                                    pytest.approx(0.2595730571232615, rel=1e-13))
+    assert eta == pytest.approx(eta_one, rel=1e-13)
+    assert theta == pytest.approx(theta_one, rel=1e-13)
 
 
 def test_verify_json_and_text_render_the_same_results(monkeypatch, capsys):

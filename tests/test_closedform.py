@@ -226,11 +226,30 @@ def test_points_beyond_float_range_raise_and_name_the_quantity():
     with pytest.raises(InvalidRange, match="e_out is not finite"):
         cf.efficiency(ModelParams(3, 1.0, 1e200), part)
     with pytest.raises(InvalidRange, match="eta is not finite"):
-        cf.report(ModelParams(3, 1e-300, 1e-300), part)
+        cf.report(ModelParams(3, 1e-150, 1e150), part)  # E_in ~ 3e-450 underflows
     with pytest.raises(InvalidRange, match=r"N=3, m=1, k/h=1e\+300"):
         cf.energies([3.0, 3.0], 1, [1.0, 1e300])
     # k = 0 is the decoupled limit, not an overflow: eta is exactly 0.
     assert cf.energies([3.0, 8.0], 1, 0.0).eta.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("h", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("n, m, ratio", [(3, 1, 1.0), (7, 3, 0.01), (40, 1, 100.0)])
+def test_tiny_field_matches_high_precision(h, n, m, ratio):
+    # h^2 is subnormal here; the closed forms are evaluated in units of h.
+    p, part = ModelParams(n, h, ratio * h), Partition.last(n, m)
+    n_mp, h_mp, k_mp = mp.mpf(n), mp.mpf(h), mp.mpf(p.k)
+    c = mp.sqrt((n_mp * h_mp) ** 2 + 4 * k_mp**2)
+    a = n_mp * m * h_mp**2 + 4 * k_mp**2
+    b = 2 * (n_mp - m) * h_mp * k_mp
+    e_in = (n_mp - m) * n_mp * h_mp**2 / c
+    e_out = (a / c) * (mp.sqrt(1 + (b / a) ** 2) - 1)
+    theta = mp.atan2(b, a) / 2
+    rep = cf.report(p, part)
+    for got, want in [(rep.e_in, e_in), (rep.e_out_max, e_out), (rep.eta, e_out / e_in),
+                      (rep.theta_opt.theta, theta),
+                      (cf.output_energy_at_theta(p, part, rep.theta_opt.theta), e_out)]:
+        assert float(abs(got - want) / want) < 1e-13
 
 
 def _float_reference(n, m, h, k):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -60,20 +63,73 @@ def test_pauli_signs_involution(backend):
         assert np.array_equal(twice, amps)
 
 
+def kron_butterfly(n_qubits: int, bit: int) -> np.ndarray:
+    """sqrt(2) times the Hadamard on bit ``bit`` (bit 0 is the rightmost factor)."""
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    return reduce(np.kron, [h2 if b == bit else np.eye(2)
+                            for b in range(n_qubits - 1, -1, -1)])
+
+
+def projector(amps: np.ndarray, mask: int, sign: int) -> np.ndarray:
+    """(1 + sign X) / 2 from two butterflies: split, drop the other outcome, merge."""
+    split = kernels.project_x(amps.copy(), mask)
+    other = (np.arange(amps.shape[-1]) & mask) == (0 if sign < 0 else mask)
+    split[..., other] = 0.0
+    return kernels.project_x(split, mask) / 2.0
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_project_x_resolves_identity_and_is_idempotent(backend):
     amps = random_state(5, np.random.default_rng(11))
     mask = 0b00100
-    plus = kernels.project_x(amps, mask, 1)
-    minus = kernels.project_x(amps, mask, -1)
+    plus = projector(amps, mask, 1)
+    minus = projector(amps, mask, -1)
     # (a+b)/2 and (a-b)/2 round independently, so completeness holds to an ulp.
     assert np.allclose(plus + minus, amps, rtol=0, atol=1e-15)
-    assert np.array_equal(kernels.project_x(plus, mask, 1), plus)
+    assert np.array_equal(projector(plus, mask, 1), plus)
     # Opposite-sign projection of an eigenbranch annihilates it outright.
-    assert not np.any(kernels.project_x(plus, mask, -1))
+    assert not np.any(projector(plus, mask, -1))
     # Branch weights resolve the norm.
     total = kernels.norm_sq(plus) + kernels.norm_sq(minus)
     assert total == pytest.approx(kernels.norm_sq(amps), abs=1e-13)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("real", [True, False])
+def test_project_x_is_sqrt2_hadamard_in_place(backend, real):
+    n = 5
+    rng = np.random.default_rng(29)
+    amps = random_state(n, rng)
+    if real:
+        amps = amps.real.copy()
+    for bit in range(n):
+        want = kron_butterfly(n, bit) @ amps
+        work = amps.copy()
+        assert kernels.project_x(work, 1 << bit) is work
+        assert np.allclose(work, want, rtol=0, atol=1e-15)
+        # H^2 = 1, so two butterflies give back 2 psi.
+        assert np.allclose(kernels.project_x(work, 1 << bit), 2.0 * amps, rtol=0, atol=1e-15)
+    # On a strided view (the protocol engine splits the columns of its branch
+    # matrix through a transpose) it writes through to the parent array.
+    columns = np.stack([random_state(n, rng).real for _ in range(3)], axis=1)
+    want = kron_butterfly(n, 2) @ columns
+    kernels.project_x(columns.T, 1 << 2)
+    assert np.allclose(columns, want, rtol=0, atol=1e-15)
+
+
+def test_project_x_allocates_no_full_size_temporary():
+    n = 16
+    amps = random_state(n, np.random.default_rng(31)).real.copy()
+    want = amps.copy()
+    kernels.project_x(want.copy(), 1 << 3)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        out = kernels.project_x(amps, 1 << 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is amps and not np.array_equal(amps, want)
+    assert peak < amps.nbytes
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -114,11 +170,11 @@ def test_batch_equals_row_by_row_calls():
     n = 5
     rng = np.random.default_rng(23)
     batch = np.stack([random_state(n, rng) for _ in range(6)])
-    sign_row = np.where(np.arange(1 << n) & 0b01000, -1.0, 1.0)
     permutations = {
         "apply_pauli_signs": lambda a: kernels.apply_pauli_signs(a, 0b10110, 0b00111),
-        "project_x": lambda a: kernels.project_x(a, 0b00100, -1),
-        "project_x per-index sign": lambda a: kernels.project_x(a, 0b01000, sign_row),
+        # project_x works in place: each call gets its own copy.
+        "project_x": lambda a: kernels.project_x(a.copy(), 0b00100),
+        "project_x top bit": lambda a: kernels.project_x(a.copy(), 0b10000),
     }
     reductions = {
         "norm_sq": kernels.norm_sq,

@@ -1,0 +1,43 @@
+"""Property test: the protocol oracle against the density-matrix reference.
+
+The reference is ``tests/test_dense_reference.py``'s ``Reference``: explicit
+Kronecker operators, a dense eigensolve, projectors on a density matrix and
+traces. Here Hypothesis draws the model, the output set, the angle and the
+qubit that carries the Y factor of the rotation.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from qetsim import protocol_oracle as po
+from qetsim.model import ModelParams, Partition
+from test_dense_reference import Reference
+
+
+@st.composite
+def protocol_cases(draw):
+    n = draw(st.integers(2, 5))
+    qubits = list(range(1, n + 1))
+    outputs = frozenset(draw(st.lists(st.sampled_from(qubits), min_size=1,
+                                      max_size=n - 1, unique=True)))
+    ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
+    theta = draw(st.floats(0.0, math.pi / 2.0))
+    y_qubit = draw(st.sampled_from(sorted(outputs)))
+    return n, outputs, ratio, theta, y_qubit
+
+
+@settings(max_examples=80, deadline=None)
+@given(protocol_cases())
+def test_oracle_matches_density_matrix_reference_anywhere(case):
+    n, outputs, ratio, theta, y_qubit = case
+    want_in, want_out, want_trace = Reference(n, 1.0, ratio, outputs).run(theta, y_qubit)
+    params, part = ModelParams(n, 1.0, ratio), Partition(n, outputs)
+    rep = po.extracted_energy(params, part, theta, y_qubit=y_qubit)
+    curve = po.output_energy_curve(params, part, [theta], y_qubit=y_qubit)
+    assert abs(rep.e_in - want_in) <= 1e-12
+    assert abs(rep.e_out - want_out) <= 1e-12
+    assert abs(rep.e_out_via_trace - want_trace) <= 1e-12
+    assert abs(curve[0] - want_out) <= 1e-12

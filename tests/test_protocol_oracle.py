@@ -4,6 +4,7 @@ adjudication of the two hand-derived four-qubit two-output expressions."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,19 @@ def _case(n, m, h=1.0, k=1.0):
     return ModelParams(n, h, k), Partition.last(n, m)
 
 
+def _signs(row: int, n_inputs: int) -> list[int]:
+    """Outcome signs of a branch row, read off its index: bit set means -1,
+    the first input qubit on the most significant bit."""
+    return [-1 if row >> (n_inputs - 1 - i) & 1 else 1 for i in range(n_inputs)]
+
+
 def test_branch_enumeration_order_and_weights():
     p, part = _case(3, 1)
     branches = po.measure_branches(p, part)
     assert branches.states.shape == (4, 2)
-    assert branches.alpha.tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
-    assert branches.alpha_product.tolist() == [1, -1, -1, 1]
+    assert [_signs(r, 2) for r in range(4)] == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+    assert branches.parity.tolist() == [1, -1, -1, 1]
+    assert branches.parity.tolist() == [math.prod(_signs(r, 2)) for r in range(4)]
     # X-measurement outcomes on this ground state are uniform.
     assert np.allclose(branches.probability, 0.25, atol=1e-15)
     assert np.array_equal(branches.probability, np.sum(np.abs(branches.states) ** 2, axis=1))
@@ -45,9 +53,35 @@ def test_branch_rows_are_output_states_of_the_projected_ground_state():
     branches = po.measure_branches(p, part)
     psi = StateVector.ground_state(p).amplitudes.reshape(2, 2, 2, 2)
     kets = {1: np.array([1.0, 1.0]) / math.sqrt(2.0), -1: np.array([1.0, -1.0]) / math.sqrt(2.0)}
-    for row, (a2, a4) in zip(branches.states, branches.alpha.tolist()):
+    for r, row in enumerate(branches.states):
+        a2, a4 = _signs(r, 2)
         expected = np.einsum("abcd,b,d->ac", psi, kets[a2], kets[a4]).reshape(4)
         assert np.allclose(row, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 8, 15])
+def test_engine_is_real_and_holds_no_sign_matrix(m):
+    # Every amplitude of the protocol is real, and a row's sign product is
+    # one number. At N = 16 a run stays within eight 2^N float64 arrays.
+    n = 16
+    p, part = _case(n, m, k=0.7)
+    branches = po.measure_branches(p, part, oracle_cap=n)
+    assert branches.states.dtype == np.float64
+    assert branches.parity.shape == (1 << (n - m),)
+    runs = {
+        "extracted_energy": lambda: po.extracted_energy(p, part, 0.3, oracle_cap=n),
+        "output_energy_curve": lambda: po.output_energy_curve(
+            p, part, np.linspace(0.0, 1.5, 32), oracle_cap=n),
+    }
+    for name, run in runs.items():
+        run()  # first-call allocations (caches, imports) stay out of the peak
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (1 << n) * 8, (name, peak / ((1 << n) * 8))
 
 
 def test_measured_qubits_end_in_x_eigenstates():
@@ -78,9 +112,9 @@ def test_injected_energy_skips_degenerate_branches():
     p, part = _case(3, 1)
     branches = po.measure_branches(p, part)
     dead = po.Branches(
-        states=np.vstack([branches.states, np.zeros((1, 2), dtype=complex)]),
+        states=np.vstack([branches.states, np.zeros((1, 2))]),
         probability=np.append(branches.probability, 0.0),
-        alpha=np.vstack([branches.alpha, [[1, 1]]]),
+        parity=np.append(branches.parity, 1.0),
     )
     total_with, _ = po.injected_energy(dead, p, part)
     total_without, _ = po.injected_energy(branches, p, part)

@@ -48,6 +48,18 @@ def test_state_vector_basics():
     assert t.overlap(s) == pytest.approx(np.conj(s.overlap(t)))
 
 
+def test_states_are_real_until_a_complex_amplitude_enters():
+    # Every state the protocol builds is real; a Y factor makes one complex.
+    p = ModelParams(5, 1.0, 0.7)
+    states = [sk.StateVector.basis(5, 3), sk.StateVector.ground_state(p)]
+    states += [sk.exact_ground_state(p, method)[1] for method in ("dense", "lanczos", "block")]
+    assert [s.amplitudes.dtype for s in states] == [np.float64] * 5
+    assert sk.StateVector(2, [1, 0, 0, 0]).amplitudes.dtype == np.float64
+    with_y = sk.apply_pauli_string(states[1], sk.PauliString("XYIII"))
+    assert with_y.amplitudes.dtype == np.complex128
+    assert sk.StateVector(2, np.zeros(4, dtype=np.complex64)).amplitudes.dtype == np.complex128
+
+
 def test_ground_state_vector_matches_amplitudes():
     p = ModelParams(4, 1.0, 2.0)
     g = ground_state_amplitudes(p)
