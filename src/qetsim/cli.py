@@ -13,8 +13,11 @@ verify      the full verification suite (exit 1 on any failure)
 Sweep-style output uses one fixed CSV schema, `n,m,ratio,e_in,e_out,eta,bell`
 (bell left empty when not computed), floats printed with 17 significant
 digits, metadata as `#` comment lines above the header, and a single
-newline as the separator. Identical configurations always produce identical
-bytes.
+newline as the separator. With `--format json` the same rows are objects
+keyed by that header, laid out as `json.dumps(indent=2)` lays them out,
+with floats as their shortest repr and `null` for a bell not computed.
+Identical configurations always produce identical bytes; the CSV and JSON
+bytes of sweeps and figures are pinned by `tests/test_output_bytes.py`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 """
@@ -25,13 +28,27 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, closedform, protocol_oracle, verify
 from .errors import QetError
 from .model import DEFAULT_ORACLE_CAP, ModelParams, Partition
 
 SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"
-#: One data row of SWEEP_HEADER; the last field is the bell cell as text.
-SWEEP_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%s"
+#: One data row of SWEEP_HEADER; the ratio and bell cells come preformatted.
+SWEEP_ROW = "%d,%d,%s,%.17g,%.17g,%.17g,%s"
+#: One row object of the JSON sweep, as ``json.dumps(indent=2)`` lays it out:
+#: a finite float is written with ``float.__repr__`` and the bell cell is
+#: ``null`` or a repr.
+SWEEP_JSON_ROW = ("    {\n"
+                  '      "n": %d,\n'
+                  '      "m": %d,\n'
+                  '      "ratio": %r,\n'
+                  '      "e_in": %r,\n'
+                  '      "e_out": %r,\n'
+                  '      "eta": %r,\n'
+                  '      "bell": %s\n'
+                  "    }")
 
 #: Config-file keys that map to valueless flags; written as key=true/false.
 _BOOLEAN_KEYS = frozenset({"bell", "scan"})
@@ -68,18 +85,38 @@ def _json_doc(meta: list[str], rows: list[dict]) -> str:
     return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
 
+def _bell_cells(bell: np.ndarray, fmt: str, missing: str) -> list[str]:
+    """The bell column as text; ``missing`` where it was not computed."""
+    return [missing if b != b else fmt % b for b in bell.tolist()]
+
+
 def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
-    *values, bell = table.columns()
-    cells = ["" if b is None else "%.17g" % b for b in bell]
+    # Each distinct ratio is formatted once: a sweep repeats it for every
+    # (N, m). Bit patterns, not values, pick the distinct ones, so -0.0
+    # keeps its sign.
+    codes, where = np.unique(table.ratio.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % r for r in codes.view(np.float64).tolist()], dtype=object)
     lines = [f"# {m}" for m in meta]
     lines.append(SWEEP_HEADER)
-    lines.extend(map(SWEEP_ROW.__mod__, zip(*values, cells)))
+    lines.extend(map(SWEEP_ROW.__mod__, zip(
+        table.n.tolist(), table.m.tolist(), texts[where].tolist(),
+        table.e_in.tolist(), table.e_out.tolist(), table.eta.tolist(),
+        _bell_cells(table.bell, "%.17g", ""))))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
-    keys = SWEEP_HEADER.split(",")
-    return _json_doc(meta, [dict(zip(keys, row)) for row in zip(*table.columns())])
+    import json
+    # The rows go between the brackets of the empty "rows" list, which
+    # json.dumps writes last.
+    head = json.dumps({"meta": meta, "rows": []}, indent=2)
+    if not table.n.size:
+        return head + "\n"
+    rows = map(SWEEP_JSON_ROW.__mod__, zip(
+        table.n.tolist(), table.m.tolist(), table.ratio.tolist(),
+        table.e_in.tolist(), table.e_out.tolist(), table.eta.tolist(),
+        _bell_cells(table.bell, "%r", "null")))
+    return head[:-len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def _render(points: analysis.Grid, h: float, fmt: str, meta: list[str]) -> str:

@@ -128,14 +128,25 @@ def _sqrt1pr2m1(r):
     return out[()]
 
 
+def _raise_at_first(bad, problem: str, how: str, n, m, ratio, h):
+    """InvalidRange naming the first point where ``bad`` holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidRange(f"{problem} at N={n[i]:.0f}, m={m[i]:.0f}, "
+                           f"k/h={ratio[i]:g}, h={h:g}: float64 {how} there")
+
+
 def _require_finite(n, m, ratio, h, **quantities):
     for name, values in quantities.items():
-        finite = np.isfinite(values)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise InvalidRange(
-                f"{name} is not finite at N={n[i]:.0f}, m={m[i]:.0f}, "
-                f"k/h={ratio[i]:g}, h={h:g}: float64 over- or underflows there")
+        _raise_at_first(~np.isfinite(values), f"{name} is not finite",
+                        "over- or underflows", n, m, ratio, h)
+
+
+def _require_normal(n, m, ratio, h, **quantities):
+    """A nonzero value below the normal range has lost digits."""
+    for name, values in quantities.items():
+        _raise_at_first((values != 0.0) & (np.abs(values) < sys.float_info.min),
+                        f"{name} is subnormal", "loses digits", n, m, ratio, h)
 
 
 def energies(n, m, k, h: float = 1.0) -> Energies:
@@ -144,7 +155,9 @@ def energies(n, m, k, h: float = 1.0) -> Energies:
     ``n``, ``m`` and ``k`` are scalars or 1-d arrays, broadcast against each
     other; every returned array is 1-d. Each point goes through the same
     operations, in the same order, as a one-point call, so results do not
-    depend on what else is in the arrays.
+    depend on what else is in the arrays. Raises ``InvalidRange`` at the
+    first point where a value is not finite, or where E_in or E_out(max) is
+    nonzero but subnormal.
     """
     n, m, k = np.broadcast_arrays(*np.atleast_1d(np.asarray(n, dtype=float),
                                                  np.asarray(m, dtype=float),
@@ -162,6 +175,7 @@ def energies(n, m, k, h: float = 1.0) -> Energies:
         if scale != 1.0:
             c, e_in, e_out = c * scale, e_in * scale, e_out * scale
         _require_finite(n, m, k / field, h, e_in=e_in, e_out=e_out, eta=eta)
+        _require_normal(n, m, k / field, h, e_in=e_in, e_out=e_out)
     return Energies(c=c, e_in=e_in, e_out_max=e_out, eta=eta)
 
 

@@ -317,6 +317,10 @@ def test_float_formatting_is_full_precision():
      "eta is not finite"),
     (("nopt", "--x", "1e300"), "x=1e+300"),
     (("nopt", "--x", "1e200", "--scan"), "x=1e+200"),
+    # Energies scaled back by a subnormal h have lost digits (E_in was 4e-5
+    # off its exact value, with exit 0).
+    (("efficiency", "--n", "3", "--m", "1", "--ratio", "1", "--h", "1e-320"),
+     "e_in is subnormal at N=3, m=1, k/h=1"),
 ])
 def test_closed_forms_out_of_float_range_exit_2(capsys, argv, named):
     # Before: nan cells with exit 0, or a ZeroDivisionError/OverflowError

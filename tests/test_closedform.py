@@ -229,8 +229,15 @@ def test_points_beyond_float_range_raise_and_name_the_quantity():
         cf.report(ModelParams(3, 1e-150, 1e150), part)  # E_in ~ 3e-450 underflows
     with pytest.raises(InvalidRange, match=r"N=3, m=1, k/h=1e\+300"):
         cf.energies([3.0, 3.0], 1, [1.0, 1e300])
-    # k = 0 is the decoupled limit, not an overflow: eta is exactly 0.
+    # A nonzero energy below the normal range has lost digits.
+    with pytest.raises(InvalidRange, match="e_in is subnormal at N=3, m=1, k/h=1, h="):
+        cf.input_energy(ModelParams(3, 1e-320, 1e-320), part)
+    with pytest.raises(InvalidRange, match=r"e_out is subnormal at N=8, m=1, k/h=1e-160"):
+        cf.energies([3.0, 8.0], 1, [1.0, 1e-160])
+    # k = 0 is the decoupled limit, not an overflow: eta is exactly 0, and an
+    # exact-zero E_out is not subnormal.
     assert cf.energies([3.0, 8.0], 1, 0.0).eta.tolist() == [0.0, 0.0]
+    assert cf.energies(3.0, 1, 0.0, 1e-300).e_out_max.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("h", [1e-160, 1e-200, 1e-300])

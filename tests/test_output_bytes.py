@@ -1,5 +1,5 @@
-"""Pinned output bytes: every figure, one sweep, and the bell, nopt and
-fixtures tables.
+"""Pinned output bytes: every figure, one sweep, the JSON of two sweeps
+and a figure, and the bell, nopt and fixtures tables.
 
 The figure and sweep digests hash the non-`#` lines of the CSV, joined by
 newlines. The figure digests are those of
@@ -7,7 +7,9 @@ newlines. The figure digests are those of
 the closed forms were evaluated over arrays. The table digests hash the
 whole output file, `#` lines included, and were taken while ``bell`` still
 evaluated one point at a time and each table command wrote its own CSV and
-JSON. A change to any value in the last bit, to the float format, to a JSON
+JSON. The sweep and figure JSON digests hash the whole file too; they were
+taken while the rows were still dicts passed to ``json.dumps(indent=2)``.
+A change to any value in the last bit, to the float format, to a JSON
 type or to the row order changes a digest.
 """
 
@@ -56,6 +58,24 @@ def test_sweep_rows_with_bell_are_pinned(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main([*SWEEP_ARGV, "--out", str(out)]) == 0
     assert _data_digest(out) == (SWEEP_ROWS, SWEEP_SHA256)
+
+
+#: Whole-file digests of JSON sweep and figure output: the sweep has null
+#: bell cells, h != 1 and both sqrt branches, fig4a has the k = 0 row and
+#: Bell values, and the last grid is empty (m >= N drops its only point).
+GRID_JSON_SHA256 = {
+    SWEEP_ARGV: "398b5d5662c195a64d8bca45f36893952329e115d19f3856c7ad95e63a3831aa",
+    ("figure", "fig4a"): "2e9694a249d3b365a480ad62fe1d799b7efa2d3b98a8aae23f9ae818764d850f",
+    ("sweep", "--n", "3", "--m", "5", "--ratio", "1"):
+        "a3d3788b5ceac9ed756b511a015f2173ec4fe4b43000f0d43beaf48d94ae3c54",
+}
+
+
+@pytest.mark.parametrize("argv", list(GRID_JSON_SHA256), ids=("sweep", "fig4a", "empty"))
+def test_grid_json_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "grid.json"
+    assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_JSON_SHA256[argv]
 
 
 #: Unsorted, repeated N and ratios (the commands sort and dedupe them), the

@@ -1,5 +1,6 @@
 """The property-suite's commutator check: it must see a non-commuting
-interaction, and it must not build a 2^N x 2^N matrix."""
+interaction, and it must not build a 2^N x 2^N matrix. The oracle check's
+detail line names its e_out error for what it is."""
 
 from __future__ import annotations
 
@@ -49,3 +50,12 @@ def test_commutator_check_holds_for_the_model_and_stays_linear_in_memory():
     # A dense 1024 x 1024 float64 matrix alone is 8 MiB; the check needs a
     # few vectors of 1024 entries.
     assert peak < 1 << 20
+
+
+def test_oracle_check_labels_its_e_out_error_as_absolute():
+    # The e_out error is divided by max(1, E_out) and E_out < 1 in every
+    # cell, so it is an absolute error, not a relative one.
+    result = verify.check_oracle_agreement(n_max=4)
+    assert result.passed
+    assert "worst rel err e_in " in result.detail
+    assert "worst e_out err (abs below 1) " in result.detail
