@@ -270,7 +270,9 @@ def sweep_grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
     """
     n_values = sorted(set(int(n) for n in n_values))
     m_values = sorted(set(int(m) for m in m_values))
-    ratios = sorted(set(float(r) for r in ratios))
+    # -0.0 + 0.0 is 0.0 and every other float is unchanged: a zero coupling
+    # has no sign, and the emitters would print one.
+    ratios = sorted(set(float(r) + 0.0 for r in ratios))
     for n in n_values:
         if n < 2:
             raise InvalidRange(f"qubit counts must be >= 2, got {n}")
@@ -278,8 +280,8 @@ def sweep_grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
         if m < 1:
             raise InvalidRange(f"output counts must be >= 1, got {m}")
     for r in ratios:
-        if not (r > 0.0 and math.isfinite(r)):
-            raise InvalidRange(f"coupling ratios must be positive, got {r}")
+        if not (r >= 0.0 and math.isfinite(r)):
+            raise InvalidRange(f"coupling ratios must be finite and >= 0, got {r}")
     return grid(n_values, m_values, ratios, with_bell)
 
 

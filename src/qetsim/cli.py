@@ -163,10 +163,19 @@ def _int_list(text: str) -> list[int]:
     return out
 
 
+def _ratio(text: str) -> float:
+    """A coupling ratio. -0 reads as 0: a zero coupling has no sign, and the
+    emitters would print one."""
+    try:
+        return float(text) + 0.0  # -0.0 + 0.0 is 0.0; every other float is unchanged
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
+        return [_ratio(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
 
 
@@ -228,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efficiency", help="one (N, m, ratio) point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ratio", type=float, required=True, help="k/h")
+    p.add_argument("--ratio", type=_ratio, required=True, help="k/h")
     p.add_argument("--shots", type=int, default=None,
                    help="add a finite-shot estimate (demo; exact path is default)")
     p.add_argument("--seed", type=int, default=0,

@@ -57,6 +57,10 @@ class ModelParams:
             raise NonPositiveCoupling(f"h must be finite and > 0, got {self.h}")
         if not (math.isfinite(self.k) and self.k >= 0):
             raise NonPositiveCoupling(f"k must be finite and >= 0, got {self.k}")
+        if self.k == 0.0:
+            # -0.0 passes the check above; store it unsigned, so that no
+            # result derived from k carries the sign.
+            object.__setattr__(self, "k", 0.0)
 
     @property
     def c(self) -> float:

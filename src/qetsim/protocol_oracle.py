@@ -135,18 +135,28 @@ def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
     -i * (Y X ... X) is the real signed permutation S of the columns, so row
     r becomes cos(theta) * psi_r + parity_r * sin(theta) * S psi_r.
     """
-    out = _signed_flip(branches, part, y_qubit)
-    out *= math.sin(theta)
+    out = _signed_flip(branches, part, y_qubit, math.sin(theta))
     out += math.cos(theta) * branches.states
     return out
 
 
-def _signed_flip(branches: Branches, part: Partition, y_qubit: int | None) -> np.ndarray:
-    """parity_r * S psi_r for every row: the rotated branches at theta = pi/2."""
+def _signed_flip(branches: Branches, part: Partition, y_qubit: int | None,
+                 scale: float) -> np.ndarray:
+    """scale * parity_r * S psi_r for every row; at scale 1, the rotated
+    branches at theta = pi/2. One pass applies parity and scale together:
+    parity is +-1, so this equals scaling after the parity, bit for bit."""
     p = _rotation_string(part, y_qubit)
     out = kernels.apply_pauli_signs(branches.states, p.flip_mask, p.phase_mask)
-    out *= branches.parity[:, None]
+    out *= scale * branches.parity[:, None]
     return out
+
+
+def _term_energies(weight, z, flip, params: ModelParams):
+    """Output-site and interaction energies from a weight, the outputs' <Z>
+    and the parity-read <FlipAll>: per row, or summed over the ensemble."""
+    sites = params.h * z + local_constant(params) * np.expand_dims(weight, -1)
+    interaction = 2.0 * params.k * flip + interaction_constant(params) * weight
+    return sites, interaction
 
 
 def output_term_energies(states: np.ndarray, parity: np.ndarray,
@@ -160,18 +170,30 @@ def output_term_energies(states: np.ndarray, parity: np.ndarray,
     on the measured register of row r, X...X reads ``parity[r]``.
     """
     m = states.shape[-1].bit_length() - 1
-    weight = kernels.norm_sq(states)
-    z = kernels.z_expectations(states, m)[:, ::-1]
-    sites = params.h * z + local_constant(params) * weight[:, None]
-    flip = parity * kernels.complement_overlap(states)
-    interaction = 2.0 * params.k * flip + interaction_constant(params) * weight
-    return sites, interaction
+    return _term_energies(kernels.norm_sq(states),
+                          kernels.z_expectations(states, m)[:, ::-1],
+                          parity * kernels.complement_overlap(states), params)
 
 
-def _drained(rotated: np.ndarray, branches: Branches, params: ModelParams) -> np.ndarray:
-    """Per-row energy drained from the output terms plus the interaction."""
-    sites, interaction = output_term_energies(rotated, branches.parity, params)
-    return -(sites.sum(axis=1) + interaction)
+def _ensemble_sums(rows: np.ndarray, parity: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Total weight, the outputs' <Z> (ascending qubit order) and the
+    parity-read <FlipAll>, each summed over the rows.
+
+    The rows of the C-ordered matrix are consecutive blocks of one vector
+    whose lowest m index bits are the output qubits, so the weight and <Z>
+    reductions run once over that vector and return ensemble values directly.
+    The one per-row reduction, FlipAll, goes to a scalar at once.
+    """
+    m = rows.shape[-1].bit_length() - 1
+    flat = rows.reshape(-1)
+    return (float(kernels.norm_sq(flat)), kernels.z_expectations(flat, m)[::-1],
+            float(parity @ kernels.complement_overlap(rows)))
+
+
+def _drained(sums: tuple[float, np.ndarray, float], params: ModelParams) -> float:
+    """Ensemble energy drained from the output terms plus the interaction."""
+    sites, interaction = _term_energies(*sums, params)
+    return -float(sites.sum() + interaction)
 
 
 def extracted_energy(params: ModelParams, part: Partition, theta: float,
@@ -183,23 +205,26 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     output-site terms plus the interaction term after the rotation. A second,
     independent accounting ``e_out_via_trace`` is the injected energy minus
     the total ensemble energy; the two must agree to near machine precision.
+    Both read the same rotated weight and FlipAll overlap; their Z sums come
+    from two kernels (the per-bit fold and the popcount diagonal).
     """
     branches = measure_branches(params, part, oracle_cap)
     e_in, per_qubit = injected_energy(branches, params, part)
 
     rotated = apply_conditional_unitary(branches, part, theta, y_qubit)
-    e_out = float(np.sum(_drained(rotated, branches, params)))
-    # Total <H> per row: the measured qubits sit in X eigenstates and add
-    # nothing to the Z sum, and FlipAll reads the row's parity on them.
-    flip = branches.parity * kernels.complement_overlap(rotated)
-    totals = (params.h * kernels.diag_z_total(rotated, part.m_outputs)
-              + 2.0 * params.k * flip + params.c * kernels.norm_sq(rotated))
+    sums = _ensemble_sums(rotated, branches.parity)
+    e_out = _drained(sums, params)
+    weight, _, flip = sums
+    # Total <H>: the measured qubits sit in X eigenstates and add nothing to
+    # the Z sum, and FlipAll reads each row's parity on them.
+    z_total = float(np.sum(kernels.diag_z_total(rotated, part.m_outputs)))
+    total = params.h * z_total + 2.0 * params.k * flip + params.c * weight
     return ProtocolReport(
         e_in=e_in,
         per_qubit_e_in=per_qubit,
         theta_used=theta,
         e_out=e_out,
-        e_out_via_trace=e_in - float(np.sum(totals)),
+        e_out_via_trace=e_in - total,
         eta=e_out / e_in,
         branches=branches,
     )
@@ -219,12 +244,12 @@ def _quadratic(branches: Branches, params: ModelParams, part: Partition,
     pi/2 and pi/4 fixes the three numbers. S psi is computed once, and the
     pi/4 rows are (psi + parity S psi) / sqrt(2), built in its place.
     """
-    a = float(np.sum(_drained(branches.states, branches, params)))
-    rows = _signed_flip(branches, part, y_qubit)
-    b = float(np.sum(_drained(rows, branches, params)))
+    a = _drained(_ensemble_sums(branches.states, branches.parity), params)
+    rows = _signed_flip(branches, part, y_qubit, 1.0)
+    b = _drained(_ensemble_sums(rows, branches.parity), params)
     rows += branches.states
     rows *= math.sqrt(0.5)
-    mid = float(np.sum(_drained(rows, branches, params)))
+    mid = _drained(_ensemble_sums(rows, branches.parity), params)
     return a, b, mid - 0.5 * (a + b)
 
 
@@ -328,8 +353,9 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     # Per-outcome energies of the normalized branch states; a drawn outcome
     # has nonzero probability, so dividing by it is safe. Every outcome leaves
     # the measured qubits in X eigenstates, so each shot injects the same.
-    drained = _drained(apply_conditional_unitary(branches, part, theta),
-                       branches, params)
+    sites, interaction = output_term_energies(
+        apply_conditional_unitary(branches, part, theta), branches.parity, params)
+    drained = -(sites.sum(axis=1) + interaction)
 
     rng = np.random.default_rng(np.uint64(seed))
     draws = rng.choice(len(probs), size=n_shots, p=probs)

@@ -210,9 +210,13 @@ def test_sweep_grid_validation():
     with pytest.raises(InvalidRange):
         an.sweep_grid([3], [1], [-1.0])
     with pytest.raises(InvalidRange):
-        an.sweep_grid([3], [1], [0.0])
-    with pytest.raises(InvalidRange):
         an.sweep_grid([3], [1], [math.inf])
+    with pytest.raises(InvalidRange):
+        an.sweep_grid([3], [1], [math.nan])
+    # k = 0 is the decoupled point that every other command prints; -0.0
+    # merges into it and keeps no sign.
+    zero = an.sweep_grid([3], [1], [-0.0, 0.0, 1.0]).ratio
+    assert zero.tolist() == [0.0, 1.0] and math.copysign(1.0, zero[0]) == 1.0
     with pytest.raises(InvalidRange):
         an.efficiency_sweep([3], [1], [1.0], h=0.0)
 

@@ -130,6 +130,42 @@ def test_sweep_bell_column(capsys):
     assert float(by_n["3"].rsplit(",", 1)[1]) == pytest.approx(1.1435437497937313, rel=1e-14)
 
 
+def test_sweep_k_zero_row_matches_efficiency(capsys):
+    # The decoupled point k = 0 is on the sweep's domain, as on every other
+    # command's, with E_in > 0 and nothing extracted.
+    code, out, _ = run_cli(capsys, "sweep", "--n", "3", "--m", "1", "--ratio", "0,1")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    code, point, _ = run_cli(capsys, "efficiency", "--n", "3", "--m", "1", "--ratio", "0")
+    assert code == 0
+    assert rows[0] == parse_csv(point)[2][0] == "3,1,0,2,0,0,"
+
+
+@pytest.mark.parametrize("argv", [
+    ("efficiency", "--n", "3", "--m", "1", "--ratio={}"),
+    ("efficiency", "--n", "3", "--m", "1", "--ratio={}", "--format", "json"),
+    ("bell", "--n", "3", "--ratio={}"),
+    ("sweep", "--n", "3", "--m", "1", "--ratio={},1"),
+])
+def test_negative_zero_ratio_prints_as_zero(capsys, argv):
+    code, minus, _ = run_cli(capsys, *(a.format("-0") for a in argv))
+    assert code == 0
+    code, plus, _ = run_cli(capsys, *(a.format("0") for a in argv))
+    assert code == 0
+    assert minus == plus and "-0" not in minus
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["efficiency", "--n", "3", "--m", "1", "--ratio", "1"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "qetsim", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_cli(capsys, *argv)[1]
+
+
 def test_sweep_rejects_bad_ranges(capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "1:3", "--m", "1", "--ratio", "1.0")
     assert code == 2 and "error:" in err

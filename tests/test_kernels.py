@@ -7,6 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qetsim import kernels
 
@@ -191,3 +192,78 @@ def test_batch_equals_row_by_row_calls():
         rows = np.stack([fn(row) for row in batch])
         assert got.shape == rows.shape, name
         assert np.allclose(got, rows, rtol=0, atol=1e-15), name
+
+
+def gather_reference(amps: np.ndarray, flip_mask: int, phase_mask: int) -> np.ndarray:
+    """The defining gather: an index array, ``np.take`` and a sign vector."""
+    src = np.arange(amps.shape[-1], dtype=np.int64) ^ flip_mask
+    out = np.take(amps, src, axis=-1)
+    out *= 1.0 - 2.0 * (np.bitwise_count(src & phase_mask) & 1)
+    return out
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Amplitudes of shape lead + (2**n,), C-ordered or with a strided last axis."""
+    n = draw(st.integers(0, 10))
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.standard_normal(lead + (1 << n, 2)) @ np.array([1.0, 1j])
+    amps = amps.real.copy() if dtype is np.float64 else amps
+    if draw(st.booleans()):
+        # Same values, last axis strided: a transpose of a C-ordered array.
+        amps = np.moveaxis(np.ascontiguousarray(np.moveaxis(amps, -1, 0)), 0, -1)
+    full = (1 << n) - 1
+    return amps, n, draw(st.integers(0, full)), draw(st.integers(0, full))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_apply_pauli_signs_equals_the_gather_bit_for_bit(case):
+    # Both sides only move values and flip signs, so they agree bit for bit
+    # (the drawn values have no zeros, whose sign a complex product by +-1
+    # may change).
+    amps, _, flip_mask, phase_mask = case
+    got = kernels.apply_pauli_signs(amps, flip_mask, phase_mask)
+    want = gather_reference(amps, flip_mask, phase_mask)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs(), st.data())
+def test_z_reductions_equal_per_bit_masked_sums(case, data):
+    amps, n, _, _ = case
+    low = data.draw(st.integers(0, n))
+    w = np.abs(amps) ** 2
+    idx = np.arange(1 << n)
+    total = w.sum(axis=-1)
+    want = np.zeros(amps.shape[:-1] + (n,))
+    for b in range(n):
+        want[..., b] = np.where(idx >> b & 1, -w, w).sum(axis=-1)
+    scale = 1e-13 * np.maximum(total, np.finfo(float).tiny)
+    # Entry b is bit b; with fewer bits asked for, the low ones.
+    z = kernels.z_expectations(amps, low)
+    assert z.shape == amps.shape[:-1] + (low,)
+    assert np.all(np.abs(z - want[..., :low]) <= scale[..., None])
+    assert np.all(np.abs(kernels.diag_z_total(amps, n) - want.sum(axis=-1)) <= n * scale)
+
+
+@pytest.mark.parametrize("name, bound", [("apply_pauli_signs", 1.1), ("z_expectations", 1.13)])
+def test_kernel_peak_memory_on_one_vector(name, bound):
+    # The signed permutation allocates its output and nothing else; the
+    # Z reduction one weight array, folded in place.
+    n = 16
+    amps = np.random.default_rng(37).standard_normal(1 << n)
+    run = {"apply_pauli_signs": lambda: kernels.apply_pauli_signs(amps, (1 << n) - 1, 1 << 15),
+           "z_expectations": lambda: kernels.z_expectations(amps, n)}[name]
+    run()  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * amps.nbytes, peak / amps.nbytes

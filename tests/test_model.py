@@ -41,6 +41,8 @@ def test_params_validation():
             ModelParams(3, h, k)
     # k = 0 is the admitted decoupled limit on the dataclass itself ...
     assert ModelParams(3, 1.0, 0.0).k == 0.0
+    # -0.0 is the same point and is stored without its sign.
+    assert math.copysign(1.0, ModelParams(3, 1.0, -0.0).k) == 1.0
     # ... but the strict entry point refuses it.
     with pytest.raises(NonPositiveCoupling):
         validate_params(3, 1.0, 0.0)
