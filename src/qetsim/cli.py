@@ -193,11 +193,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write output here instead of standard output")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--h", type=float, default=1.0,
-                   help="field coupling; energies scale linearly with it")
-    p.add_argument("--oracle-cap", type=int, default=None,
-                   help="largest N the brute-force engine will accept "
-                        "(default: QET_ORACLE_CAP env or 12)")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value file supplying defaults for these flags")
 
@@ -233,8 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="energy teleportation closed forms, brute-force checks, "
                     "and figure datasets")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags match by their whole name only: as an abbreviation, --h on a
+    # command with no field would read as --help and exit 0.
+    exact = {"allow_abbrev": False}
 
-    p = sub.add_parser("efficiency", help="one (N, m, ratio) point")
+    p = sub.add_parser("efficiency", help="one (N, m, ratio) point", **exact)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ratio", type=_ratio, required=True, help="k/h")
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_efficiency)
 
-    p = sub.add_parser("sweep", help="closed-form grid over N, m, k/h ranges")
+    p = sub.add_parser("sweep", help="closed-form grid over N, m, k/h ranges", **exact)
     p.add_argument("--n", type=_int_list, required=True,
                    help="e.g. 3:10 or 3,5,8")
     p.add_argument("--m", type=_int_list, required=True)
@@ -255,18 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("figure", help="emit one pinned figure dataset")
+    p = sub.add_parser("figure", help="emit one pinned figure dataset", **exact)
     p.add_argument("name", choices=sorted(analysis.FIGURE_BUILDERS))
     _add_common(p)
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("bell", help="ground-state Bell values")
+    p = sub.add_parser("bell", help="ground-state Bell values", **exact)
     p.add_argument("--n", type=_int_list, required=True)
     p.add_argument("--ratio", type=_float_list, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_bell)
 
-    p = sub.add_parser("nopt", help="optimal qubit count at fixed k/h")
+    p = sub.add_parser("nopt", help="optimal qubit count at fixed k/h", **exact)
     p.add_argument("--x", type=_float_list, required=True, help="k/h values")
     p.add_argument("--scan", action="store_true",
                    help="add exhaustive-scan columns as a cross-check")
@@ -275,16 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_nopt)
 
-    p = sub.add_parser("fixtures", help="specialization fixture report")
+    p = sub.add_parser("fixtures", help="specialization fixture report", **exact)
     _add_common(p)
     p.set_defaults(func=_cmd_fixtures)
 
-    p = sub.add_parser("verify", help="run the verification suite")
+    p = sub.add_parser("verify", help="run the verification suite", **exact)
     p.add_argument("--n-max", type=int, default=10,
-                   help="largest N on the oracle agreement grid")
+                   help="largest N on the oracle agreement grid (>= 3)")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
+    # Each command takes only the flags it reads.
+    for name in ("efficiency", "sweep", "figure", "bell"):
+        sub.choices[name].add_argument(
+            "--h", type=float, default=1.0,
+            help="field coupling; energies scale linearly with it")
+    for name in ("efficiency", "verify"):
+        sub.choices[name].add_argument(
+            "--oracle-cap", type=int, default=None,
+            help="largest N the brute-force engine will accept "
+                 "(default: QET_ORACLE_CAP env or 12)")
     return parser
 
 

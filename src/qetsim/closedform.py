@@ -41,33 +41,11 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InvalidRange
-from .model import ModelParams, Partition
+from .model import ModelParams, Partition, ThetaChoice
 
 #: Below this B/A the difference form sqrt(1+r^2)-1 cancels digits; use the
 #: quotient form there and the overflow-safe hypot form above.
 STABLE_R_THRESHOLD = 1.0
-
-
-@dataclass(frozen=True)
-class ThetaChoice:
-    """Rotation angle with its doubled-angle cosine and sine.
-
-    Both components are nonnegative, so theta lies in [0, pi/4].
-    """
-
-    theta: float
-    cos_2theta: float
-    sin_2theta: float
-
-    @classmethod
-    def from_components(cls, a: float, b: float) -> "ThetaChoice":
-        """Normalize (a, b) >= 0 onto the unit circle; theta = atan2(b, a) / 2."""
-        d = math.hypot(a, b)
-        if d == 0.0:
-            return cls(0.0, 1.0, 0.0)
-        cos2t = a / d
-        sin2t = b / d
-        return cls(0.5 * math.atan2(sin2t, cos2t), cos2t, sin2t)
 
 
 @dataclass(frozen=True)

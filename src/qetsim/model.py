@@ -10,7 +10,9 @@ exactly zero:
 
 The ground state is a GHZ-type superposition of the all-zeros and all-ones
 basis states; its two amplitudes are available in closed form and are the
-single source of truth for every engine in this package.
+single source of truth for every engine in this package. They and the two
+additive constants go through the ratios k/c and h/c in [0, 1], so they
+stay accurate at any normal h, also where h*h is subnormal.
 
 Conventions used throughout:
 
@@ -112,24 +114,47 @@ def ground_state_amplitudes(params: ModelParams) -> GroundStateAmplitudes:
 
     a0 = sqrt((1 - N h / c) / 2) >= 0,  a1 = -sqrt((1 + N h / c) / 2) <= 0.
 
-    a0 is evaluated as sqrt(2 k^2 / (c (c + N h))), which is algebraically
-    identical but free of the 1 - Nh/c cancellation when k << N h.
+    With x = N h / c in (0, 1], a0 is evaluated as (k / c) sqrt(2 / (1 + x)),
+    which is algebraically identical but free of the 1 - x cancellation when
+    k << N h, and holds no product of two couplings.
     """
-    c = params.c
-    nh = params.n_qubits * params.h
-    a0 = math.sqrt(2.0 * params.k * params.k / (c * (c + nh)))
-    a1 = -math.sqrt(0.5 * (c + nh) / c)
+    x = params.n_qubits * params.h / params.c
+    a0 = params.k / params.c * math.sqrt(2.0 / (1.0 + x))
+    a1 = -math.sqrt(0.5 * (1.0 + x))
     return GroundStateAmplitudes(a0, a1)
 
 
 def local_constant(params: ModelParams) -> float:
     """Additive constant N h^2 / c of each single-qubit term."""
-    return params.n_qubits * params.h * params.h / params.c
+    return params.n_qubits * params.h * (params.h / params.c)
 
 
 def interaction_constant(params: ModelParams) -> float:
     """Additive constant 4 k^2 / c of the interaction term."""
-    return 4.0 * params.k * params.k / params.c
+    return 4.0 * params.k * (params.k / params.c)
+
+
+@dataclass(frozen=True)
+class ThetaChoice:
+    """Rotation angle with its doubled-angle cosine and sine, as both the
+    closed forms and the brute-force oracle report it.
+
+    Both components are nonnegative, so theta lies in [0, pi/4].
+    """
+
+    theta: float
+    cos_2theta: float
+    sin_2theta: float
+
+    @classmethod
+    def from_components(cls, a: float, b: float) -> "ThetaChoice":
+        """Normalize (a, b) >= 0 onto the unit circle; theta = atan2(b, a) / 2."""
+        d = math.hypot(a, b)
+        if d == 0.0:
+            return cls(0.0, 1.0, 0.0)
+        cos2t = a / d
+        sin2t = b / d
+        return cls(0.5 * math.atan2(sin2t, cos2t), cos2t, sin2t)
 
 
 @dataclass(frozen=True)

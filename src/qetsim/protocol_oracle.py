@@ -4,8 +4,9 @@ Every closed-form energy in this package has an independent check here:
 start from the exact ground state, split it into all 2^(N-m) X-basis
 measurement outcomes on the input qubits, account the injected energy,
 apply the outcome-conditioned rotation, and read the extracted energy off
-the rotated ensemble. Nothing in this module uses the closed forms; the two
-paths meet only in the tests.
+the rotated ensemble. Nothing in this module uses or imports the closed
+forms, and its best angle maximises its own measured energy curve; the two
+paths meet only in the tests and in ``verify``.
 
 An X measurement leaves the measured qubits in the product state |alpha>,
 so outcome alpha is fully described by the unnormalised m-qubit output
@@ -34,20 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .closedform import ThetaChoice
 from .errors import InvalidPartition, InvalidRange, OracleCapExceeded
 from .model import (
     DEFAULT_ORACLE_CAP,
     ModelParams,
     Partition,
+    ThetaChoice,
     interaction_constant,
     local_constant,
 )
-from .simkernel import PauliString, StateVector
-
-THETA_LO = 0.0
-THETA_HI = math.pi / 2.0
-GOLDEN_TOL = 1e-9
+from .simkernel import StateVector
 
 
 @dataclass
@@ -115,15 +112,17 @@ def injected_energy(branches: Branches, params: ModelParams,
     return float(per_qubit.sum()), per_qubit
 
 
-def _rotation_string(part: Partition, y_qubit: int | None) -> PauliString:
-    """Y on ``y_qubit``, X on the other outputs, over the output register."""
+def _rotation_masks(part: Partition, y_qubit: int | None) -> tuple[int, int]:
+    """(flip, phase) masks of Y on ``y_qubit`` and X on the other outputs,
+    over the output register: every bit flips, and the Y qubit's bit (the
+    first sorted output on the most significant bit) also takes the sign."""
     outputs = part.output_qubits_sorted
     if y_qubit is None:
         y_qubit = outputs[0]
     elif y_qubit not in part.output_qubits:
         raise InvalidPartition(f"qubit {y_qubit} is not an output qubit")
-    return PauliString.from_sites(
-        len(outputs), {i + 1: "Y" if q == y_qubit else "X" for i, q in enumerate(outputs)})
+    m = len(outputs)
+    return (1 << m) - 1, 1 << (m - 1 - outputs.index(y_qubit))
 
 
 def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
@@ -145,8 +144,7 @@ def _signed_flip(branches: Branches, part: Partition, y_qubit: int | None,
     """scale * parity_r * S psi_r for every row; at scale 1, the rotated
     branches at theta = pi/2. One pass applies parity and scale together:
     parity is +-1, so this equals scaling after the parity, bit for bit."""
-    p = _rotation_string(part, y_qubit)
-    out = kernels.apply_pauli_signs(branches.states, p.flip_mask, p.phase_mask)
+    out = kernels.apply_pauli_signs(branches.states, *_rotation_masks(part, y_qubit))
     out *= scale * branches.parity[:, None]
     return out
 
@@ -268,47 +266,19 @@ def output_energy_curve(params: ModelParams, part: Partition, thetas,
     return a * ct * ct + b * st * st + 2.0 * c * ct * st
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Maximize a unimodal scalar function by golden-section bracketing."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
-    span = b - a
-    c = a + invphi2 * span
-    d = a + invphi * span
-    fc, fd = f(c), f(d)
-    while span > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            span = b - a
-            c = a + invphi2 * span
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            span = b - a
-            d = a + invphi * span
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 def optimize_theta_numeric(params: ModelParams, part: Partition,
                            oracle_cap: int = DEFAULT_ORACLE_CAP) -> ThetaChoice:
-    """Find the best rotation angle by direct search over protocol runs.
+    """The exact maximiser of the oracle's own drained-energy curve.
 
-    Golden-section maximization of the drained energy on [0, pi/2] to 1e-9
-    in the angle. The branch enumeration happens once; each probe angle
-    evaluates the exact ensemble drained energy from its three coefficients.
+    The curve a cos^2 t + b sin^2 t + 2c cos t sin t is
+    (a+b)/2 + R cos(2t - phi) with phi = atan2(2c, a - b), so its maximum on
+    [0, pi/2] is at t = phi / 2, read off the three measured coefficients.
+    a - b > 0 and c >= 0 up to rounding; c is clamped at 0 so that phi lies
+    in [0, pi/2] and theta in [0, pi/4].
     """
     branches = measure_branches(params, part, oracle_cap)
     a, b, c = _quadratic(branches, params, part, None)
-
-    def e_out(theta: float) -> float:
-        ct, st = math.cos(theta), math.sin(theta)
-        return a * ct * ct + b * st * st + 2.0 * c * ct * st
-
-    theta = _golden_section_max(e_out, THETA_LO, THETA_HI, GOLDEN_TOL)
-    return ThetaChoice(theta=theta, cos_2theta=math.cos(2.0 * theta),
-                       sin_2theta=math.sin(2.0 * theta))
+    return ThetaChoice.from_components(a - b, max(0.0, 2.0 * c))
 
 
 def simulate_with_outputs(params: ModelParams, output_set, theta: float,

@@ -107,15 +107,6 @@ class PauliString:
         if not set(self.letters) <= _LETTERS:
             raise ValueError(f"letters must be drawn from IXYZ, got {self.letters!r}")
 
-    @classmethod
-    def from_sites(cls, n_qubits: int, sites: dict[int, str],
-                   coefficient: complex = 1.0 + 0.0j) -> "PauliString":
-        """Identity everywhere except the given 1-based qubit -> letter map."""
-        letters = ["I"] * n_qubits
-        for q, letter in sites.items():
-            letters[q - 1] = letter
-        return cls("".join(letters), coefficient)
-
     @property
     def n_qubits(self) -> int:
         return len(self.letters)

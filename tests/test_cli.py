@@ -404,3 +404,42 @@ def test_verify_json_and_text_render_the_same_results(monkeypatch, capsys):
     assert out == ("[PASS] first: worst 1.00e-15 (0.50 s)\n"
                    "[FAIL] second: off by 2.00e-03 (1.25 s)\n"
                    "1/2 checks passed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "3", "--m", "1", "--ratio", "1", "--h", "1e-200", "--shots", "8"),
+    ("--n", "2", "--m", "1", "--ratio", "0.01", "--h", "1e-160", "--shots", "16"),
+])
+def test_shot_estimate_at_a_tiny_field(capsys, argv):
+    # Before: a ZeroDivisionError traceback at h = 1e-200, and a sampled
+    # e_out of the wrong sign at h = 1e-160, where h*h is subnormal.
+    code, out, err = run_cli(capsys, "efficiency", *argv)
+    assert code == 0 and err == ""
+    meta, header, rows = parse_csv(out)
+    sampled = {ln[2:].split(": ")[0]: float(ln.split(": ")[1]) for ln in meta}
+    exact = dict(zip(header.split(","), rows[0].split(",")))
+    for key in ("e_in", "e_out"):
+        assert sampled[f"sampled_{key}"] == pytest.approx(float(exact[key]), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("nopt", "--x", "10", "--h", "5"),
+    ("fixtures", "--h", "5"),
+    ("verify", "--h", "5"),
+    ("bell", "--n", "3", "--ratio", "1", "--oracle-cap", "3"),
+    ("sweep", "--n", "3", "--m", "1", "--ratio", "1", "--oracle-cap", "3"),
+    ("figure", "fig2a", "--oracle-cap", "3"),
+])
+def test_commands_refuse_flags_they_do_not_read(capsys, argv):
+    # Before: each exited 0, the flag ignored (--h read as --help).
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_without_oracle_cells_exits_2(capsys):
+    # Before: "[PASS] oracle-vs-closed-form: 0 cells" and exit 0.
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "n_max=2" in err

@@ -3,8 +3,10 @@ adjudication of the two hand-derived four-qubit two-output expressions."""
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from qetsim import closedform as cf
 from qetsim import protocol_oracle as po
 from qetsim.errors import InvalidPartition, InvalidRange, OracleCapExceeded
-from qetsim.model import ModelParams, Partition, local_constant
+from qetsim.model import ModelParams, Partition, ground_state_amplitudes, local_constant
 from qetsim.simkernel import StateVector
 
 
@@ -201,11 +203,23 @@ def test_output_energy_curve_matches_pointwise_runs():
 
 
 def test_numeric_theta_matches_closed_form():
+    # The oracle's angle is the exact argmax of its measured curve, so it
+    # meets tan 2theta = B / A to rounding, from k = 0 to k/h = 1e6.
+    for n, m in ((n, m) for n in range(2, 11) for m in range(1, n)):
+        for ratio in (0.0, 1e-6, 0.01, 0.1, 1.0, 10.0, 1e3, 1e6):
+            for h in (0.3, 1.0, 7.0):
+                p, part = _case(n, m, h=h, k=ratio * h)
+                numeric = po.optimize_theta_numeric(p, part)
+                closed = cf.optimal_theta(p, part)
+                assert numeric.theta == pytest.approx(closed.theta, abs=1e-12)
+                assert numeric.cos_2theta == pytest.approx(closed.cos_2theta, abs=1e-12)
+                assert numeric.sin_2theta == pytest.approx(closed.sin_2theta, abs=1e-12)
+
+
+def test_numeric_theta_extracts_the_closed_form_maximum():
     for n, m, k in [(2, 1, 1.0), (3, 1, 1.0), (4, 3, 0.1), (5, 2, 10.0)]:
         p, part = _case(n, m, k=k)
         numeric = po.optimize_theta_numeric(p, part)
-        closed = cf.optimal_theta(p, part)
-        assert numeric.theta == pytest.approx(closed.theta, abs=1e-7)
         best = cf.max_output_energy(p, part)
         got = po.extracted_energy(p, part, numeric.theta).e_out
         assert got == pytest.approx(best, rel=1e-11)
@@ -267,3 +281,36 @@ def test_sampling_needs_at_least_one_shot(shots):
     p, part = _case(3, 1)
     with pytest.raises(InvalidRange):
         po.sample_protocol(p, part, 0.3, n_shots=shots)
+
+
+def test_engine_modules_import_nothing_from_the_closed_form_side():
+    # Read from the source: importing qetsim loads every module, so
+    # sys.modules cannot show which module imports which.
+    src = Path(__file__).resolve().parents[1] / "src" / "qetsim"
+    forbidden = {"closedform", "analysis", "verify", "cli"}
+    for name in ("kernels.py", "simkernel.py", "protocol_oracle.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert not imported & forbidden, (name, imported & forbidden)
+
+
+@pytest.mark.parametrize("h", [1e-160, 1e-200, 1e-300])
+def test_engine_at_tiny_field_matches_unit_field_and_closed_forms(h):
+    # h*h and k*k are subnormal here; the amplitudes depend on k/h alone,
+    # and every oracle energy scales with h.
+    for n, m, ratio in [(2, 1, 0.01), (3, 1, 1.0), (5, 2, 10.0), (6, 5, 0.1)]:
+        p, part = _case(n, m, h=h, k=ratio * h)
+        unit = ground_state_amplitudes(ModelParams(n, 1.0, ratio))
+        tiny = ground_state_amplitudes(p)
+        assert tiny.a_all_zero == pytest.approx(unit.a_all_zero, rel=1e-15)
+        assert tiny.a_all_one == pytest.approx(unit.a_all_one, rel=1e-15)
+        rep = po.extracted_energy(p, part, cf.optimal_theta(p, part).theta)
+        want = cf.report(p, part)
+        assert rep.e_in == pytest.approx(want.e_in, rel=1e-10, abs=0)
+        assert rep.e_out == pytest.approx(want.e_out_max, rel=1e-10, abs=0)
+        assert rep.e_out_via_trace == pytest.approx(want.e_out_max, rel=1e-10, abs=0)

@@ -71,8 +71,7 @@ def test_ground_state_vector_matches_amplitudes():
 
 
 def test_pauli_string_masks():
-    p = sk.PauliString.from_sites(3, {1: "X", 3: "Y"})
-    assert p.letters == "XIY"
+    p = sk.PauliString("XIY")
     assert p.flip_mask == 0b101
     assert p.phase_mask == 0b001
     assert p.n_y == 1
@@ -152,7 +151,7 @@ def test_expectation_dense_and_pauli_paths_agree():
     assert dense_val.imag == pytest.approx(0.0, abs=1e-15)
     assert np.vdot(psi, kron_hamiltonian(p) @ psi).real == pytest.approx(dense_val.real,
                                                                          abs=1e-12)
-    strings = [sk.PauliString.from_sites(3, {q: "Z"}, coefficient=p.h) for q in (1, 2, 3)]
+    strings = [sk.PauliString(z, coefficient=p.h) for z in ("ZII", "IZI", "IIZ")]
     strings.append(sk.PauliString("XXX", coefficient=2.0 * p.k))
     strings.append(sk.PauliString("III", coefficient=p.c))
     pauli_val = sum(state.overlap(sk.apply_pauli_string(state, s)) for s in strings)

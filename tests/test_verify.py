@@ -1,6 +1,7 @@
 """The property-suite's commutator check: it must see a non-commuting
 interaction, and it must not build a 2^N x 2^N matrix. The oracle check's
-detail line names its e_out error for what it is."""
+detail line names its e_out error for what it is, and a grid with no cell
+is refused."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import tracemalloc
 import pytest
 
 from qetsim import kernels, verify
+from qetsim.errors import InvalidRange
 from qetsim.model import interaction_constant
 
 
@@ -59,3 +61,11 @@ def test_oracle_check_labels_its_e_out_error_as_absolute():
     assert result.passed
     assert "worst rel err e_in " in result.detail
     assert "worst e_out err (abs below 1) " in result.detail
+    # The time is in result.seconds, and only there.
+    assert not result.detail.endswith(" s")
+
+
+def test_oracle_check_refuses_a_grid_without_cells():
+    for n_max in (2, 0):
+        with pytest.raises(InvalidRange):
+            verify.check_oracle_agreement(n_max=n_max)
