@@ -26,7 +26,6 @@ from .errors import (
     InvalidPartition,
     InvalidRange,
     NoConvergence,
-    NonHermitian,
     NonPositiveCoupling,
     NonPositiveRatio,
     OracleCapExceeded,
@@ -63,7 +62,6 @@ __all__ = [
     "TooFewQubits",
     "OracleCapExceeded",
     "DimensionMismatch",
-    "NonHermitian",
     "NoConvergence",
     "InvalidPartition",
     "BellUndefinedForN2",

@@ -182,19 +182,6 @@ def n_opt_scan(x: float, n_max: int = 100_000) -> tuple[int, float]:
 # Sweeps and figure datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a sweep; ``bell`` is None when not requested."""
-
-    n: int
-    m: int
-    ratio: float
-    e_in: float
-    e_out: float
-    eta: float
-    bell: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Grid points as columns, in emission order: by N, then m, then ratio.
@@ -224,29 +211,14 @@ class SweepTable:
     eta: np.ndarray
     bell: np.ndarray
 
-    def columns(self) -> tuple[list, ...]:
-        """The columns as Python lists in ``SweepRow`` field order; a bell
-        value that was not computed is None."""
-        bell = self.bell.tolist()
-        return (self.n.tolist(), self.m.tolist(), self.ratio.tolist(),
-                self.e_in.tolist(), self.e_out.tolist(), self.eta.tolist(),
-                [None if math.isnan(b) else b for b in bell])
 
-    def rows(self) -> list[SweepRow]:
-        return [SweepRow(*row) for row in zip(*self.columns())]
-
-
-#: One grid point: (n, m, ratio, with_bell). A point is evaluated alone by
-#: ``sweep_row``; whole grids go through ``evaluate`` as columns.
-GridPoint = tuple[int, int, float, bool]
-
-
-def sweep_row(point: GridPoint, h: float = 1.0) -> SweepRow:
-    """One grid point, evaluated as a one-point grid."""
+def sweep_row(point: tuple[int, int, float, bool], h: float = 1.0) -> SweepTable:
+    """One grid point (n, m, ratio, with_bell), validated as the model
+    validates it, as a one-row table."""
     n, m, ratio, with_bell = point
     ModelParams(n, h, ratio * h)  # raise on couplings or a split the model rejects
     Partition.last(n, m)
-    return evaluate(grid([n], [m], [ratio], with_bell), h).rows()[0]
+    return evaluate(grid([n], [m], [ratio], with_bell), h)
 
 
 def grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
@@ -300,9 +272,9 @@ def evaluate(points: Grid, h: float = 1.0) -> SweepTable:
 
 
 def efficiency_sweep(n_values, m_values, ratios, h: float = 1.0,
-                     with_bell: bool = False) -> list[SweepRow]:
+                     with_bell: bool = False) -> SweepTable:
     """Closed-form energies over the cross product of the given ranges."""
-    return evaluate(sweep_grid(n_values, m_values, ratios, with_bell), h).rows()
+    return evaluate(sweep_grid(n_values, m_values, ratios, with_bell), h)
 
 
 def _ratio_log_grid(lo_exp: float, hi_exp: float) -> np.ndarray:
@@ -372,9 +344,9 @@ def figure_grid(name: str) -> Grid:
     return builder()
 
 
-def figure_dataset(name: str, h: float = 1.0) -> list[SweepRow]:
-    """Rows of one fixed figure-style dataset (see ``FIGURE_BUILDERS``)."""
-    return evaluate(figure_grid(name), h).rows()
+def figure_dataset(name: str, h: float = 1.0) -> SweepTable:
+    """One fixed figure-style dataset (see ``FIGURE_BUILDERS``)."""
+    return evaluate(figure_grid(name), h)
 
 
 # ---------------------------------------------------------------------------

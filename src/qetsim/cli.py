@@ -119,24 +119,23 @@ def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
     return head[:-len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
-def _render(points: analysis.Grid, h: float, fmt: str, meta: list[str]) -> str:
-    table = analysis.evaluate(points, h)
+def _render(table: analysis.SweepTable, fmt: str, meta: list[str]) -> str:
     return rows_to_csv(table, meta) if fmt == "csv" else rows_to_json(table, meta)
 
 
 def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
                  h: float = 1.0, fmt: str = "csv") -> str:
-    points = analysis.sweep_grid(n_values, m_values, ratios, with_bell)
-    meta = ["dataset: sweep", f"h: {_fmt(h)}", f"points: {len(points)}"]
-    return _render(points, h, fmt, meta)
+    table = analysis.efficiency_sweep(n_values, m_values, ratios, h, with_bell)
+    meta = ["dataset: sweep", f"h: {_fmt(h)}", f"points: {table.n.size}"]
+    return _render(table, fmt, meta)
 
 
 def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
-    points = analysis.figure_grid(name)
+    table = analysis.figure_dataset(name, h)
     meta = [f"dataset: {name}", f"h: {_fmt(h)}",
             "ratio grids: log-spaced, 50 points per decade",
-            f"points: {len(points)}"]
-    return _render(points, h, fmt, meta)
+            f"points: {table.n.size}"]
+    return _render(table, fmt, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +178,25 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
 
 
+def _oracle_cap(text: str) -> int:
+    """A brute-force cap: an integer >= 2, since a smaller one admits no model."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return cap
+
+
 def _env_oracle_cap() -> int:
     raw = os.environ.get("QET_ORACLE_CAP")
     if raw is None:
         return DEFAULT_ORACLE_CAP
     try:
-        return int(raw)
-    except ValueError:
-        raise QetError(f"QET_ORACLE_CAP must be an integer, got {raw!r}") from None
+        return _oracle_cap(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise QetError(f"QET_ORACLE_CAP {exc}") from None
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="field coupling; energies scale linearly with it")
     for name in ("efficiency", "verify"):
         sub.choices[name].add_argument(
-            "--oracle-cap", type=int, default=None,
+            "--oracle-cap", type=_oracle_cap, default=None,
             help="largest N the brute-force engine will accept "
                  "(default: QET_ORACLE_CAP env or 12)")
     return parser
@@ -301,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_efficiency(args) -> int:
+    table = analysis.sweep_row((args.n, args.m, args.ratio, False), args.h)
     params = ModelParams(args.n, args.h, args.ratio * args.h)
     part = Partition.last(args.n, args.m)
-    table = analysis.evaluate(analysis.grid([args.n], [args.m], [args.ratio]), args.h)
     theta = closedform.optimal_theta(params, part)
     meta = [f"theta_opt: {_fmt(theta.theta)}",
             f"cos_2theta: {_fmt(theta.cos_2theta)}",
@@ -319,10 +329,9 @@ def _cmd_efficiency(args) -> int:
     if args.format == "csv":
         text = rows_to_csv(table, meta)
     else:
-        row = table.rows()[0]
         doc = {"n": args.n, "m": args.m, "ratio": args.ratio, "h": args.h,
-               "e_in": row.e_in, "e_out": row.e_out, "eta": row.eta,
-               "theta_opt": theta.theta, **extra}
+               "e_in": table.e_in.item(), "e_out": table.e_out.item(),
+               "eta": table.eta.item(), "theta_opt": theta.theta, **extra}
         text = _json_doc([], [doc])
     _emit(text, args.out)
     return 0
@@ -414,7 +423,8 @@ def main(argv=None) -> int:
             injected = _load_config(args.config)
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + injected + argv[at:])
-        if getattr(args, "oracle_cap", None) is None:
+        # Only the commands that take --oracle-cap read the environment.
+        if "oracle_cap" in vars(args) and args.oracle_cap is None:
             args.oracle_cap = _env_oracle_cap()
         return args.func(args)
     except QetError as exc:

@@ -25,10 +25,6 @@ class DimensionMismatch(QetError):
     """Operator and state sizes are incompatible."""
 
 
-class NonHermitian(QetError):
-    """An operator that must be Hermitian is not."""
-
-
 class NoConvergence(QetError):
     """An iterative eigensolver stopped before it converged."""
 

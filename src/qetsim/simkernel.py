@@ -15,7 +15,7 @@ three independent ground-state solvers:
 * ``block``: the interaction couples each basis state only to its bitwise
   complement, so the Hamiltonian splits into 2x2 blocks labelled by the
   magnetization sector; enumerating the sectors gives the exact spectrum
-  floor for N up to 30.
+  floor for N up to 30, and the state for N up to ``oracle_cap``.
 
 scipy is imported only inside the ``dense`` and ``lanczos`` solvers, so
 importing the package does not pay for it.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, NoConvergence, NonHermitian, OracleCapExceeded
+from .errors import DimensionMismatch, NoConvergence, OracleCapExceeded
 from .model import (
     DEFAULT_ORACLE_CAP,
     ModelParams,
@@ -43,10 +43,6 @@ from .model import (
 
 #: Sector enumeration works to N = 30; beyond that nothing here is exact.
 BLOCK_CAP = 30
-#: Largest N for which the block solver will materialize a 2**N amplitude array.
-BLOCK_STATE_CAP = 26
-
-_IMAG_ATOL = 1e-10
 
 
 @dataclass
@@ -143,7 +139,7 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
 def _check_cap(n_qubits: int, cap: int):
     if n_qubits > cap:
         raise OracleCapExceeded(
-            f"N={n_qubits} exceeds the dense-operator cap of {cap} qubits")
+            f"N={n_qubits} exceeds the statevector cap of {cap} qubits")
 
 
 def build_hamiltonian(params: ModelParams,
@@ -174,11 +170,9 @@ def site_z_expectations(state: StateVector) -> np.ndarray:
 
 
 def flip_all_expectation(state: StateVector) -> float:
-    """<X_1 X_2 ... X_N>; real for every state reachable in this protocol."""
-    val = kernels.complement_overlap(state.amplitudes)
-    if abs(val.imag) > _IMAG_ATOL:
-        raise NonHermitian(f"flip-all expectation has imaginary part {val.imag:g}")
-    return val.real
+    """<X_1 X_2 ... X_N>. The overlap pairs each index j with its complement,
+    whose term is the conjugate of j's, so the sum is real for every state."""
+    return kernels.complement_overlap(state.amplitudes).real
 
 
 def site_energy(state: StateVector, params: ModelParams, qubit: int) -> float:
@@ -237,10 +231,12 @@ def _lanczos_ground_state(params: ModelParams, oracle_cap: int):
     return float(w[0]) + params.c, StateVector(n, vec)
 
 
-def _block_ground_state(params: ModelParams, with_state: bool):
+def _block_ground_state(params: ModelParams, with_state: bool, oracle_cap: int):
     n = params.n_qubits
     if n > BLOCK_CAP:
         raise OracleCapExceeded(f"block solver supports N <= {BLOCK_CAP}, got {n}")
+    if with_state:
+        _check_cap(n, oracle_cap)
     c, h, k = params.c, params.h, params.k
     best = None
     for n_ones in range(n + 1):
@@ -252,10 +248,6 @@ def _block_ground_state(params: ModelParams, with_state: bool):
     energy, n_ones, block = best
     if not with_state:
         return energy, None
-    if n > BLOCK_STATE_CAP:
-        raise OracleCapExceeded(
-            f"materializing 2**{n} amplitudes is off (cap {BLOCK_STATE_CAP}); "
-            "call with with_state=False for the energy alone")
     # The floor sits in the {|00...0>, |11...1>} pair block.
     _, v = np.linalg.eigh(block)
     pair = v[:, 0]
@@ -274,11 +266,12 @@ def exact_ground_state(params: ModelParams, method: str = "dense", *,
     """Lowest eigenpair of the Hamiltonian.
 
     ``lanczos`` runs matrix-free Lanczos and ``dense`` diagonalizes the full
-    matrix, both with N capped by ``oracle_cap`` before anything is
-    allocated; ``block`` enumerates the 2x2 complement-pair sectors and is
-    exact for N <= 30, returning a materialized statevector only for
-    N <= 26. ``lanczos`` and ``block`` return the state with its amplitude
-    on |11...1> <= 0; ``dense`` leaves the sign to LAPACK.
+    matrix; ``block`` enumerates the 2x2 complement-pair sectors and gives
+    the energy exactly for N <= 30. Every statevector is capped at
+    ``oracle_cap`` qubits before anything is allocated for it, so only
+    ``block`` with ``with_state=False`` goes past the cap. ``lanczos`` and
+    ``block`` return the state with its amplitude on |11...1> <= 0;
+    ``dense`` leaves the sign to LAPACK.
     Returns ``(energy, StateVector | None)``.
     """
     solvers = {"lanczos": _lanczos_ground_state, "dense": _dense_ground_state}
@@ -286,5 +279,5 @@ def exact_ground_state(params: ModelParams, method: str = "dense", *,
         energy, state = solvers[method](params, oracle_cap)
         return (energy, state) if with_state else (energy, None)
     if method == "block":
-        return _block_ground_state(params, with_state)
+        return _block_ground_state(params, with_state, oracle_cap)
     raise ValueError(f"unknown method {method!r}; use 'lanczos', 'dense' or 'block'")

@@ -222,28 +222,29 @@ def test_sweep_grid_validation():
 
 
 def test_sweep_rows_carry_closed_form_values():
-    rows = an.efficiency_sweep([3, 4], [1, 2], [0.5, 2.0], h=1.5)
-    assert len(rows) == 8
-    for row in rows:
-        p = ModelParams(row.n, 1.5, row.ratio * 1.5)
-        part = Partition.last(row.n, row.m)
-        assert row.e_in == cf.input_energy(p, part)
-        assert row.e_out == cf.max_output_energy(p, part)
-        assert row.eta == cf.efficiency(p, part)
-        assert row.eta == pytest.approx(row.e_out / row.e_in, rel=1e-14)
-        assert row.bell is None
+    table = an.efficiency_sweep([3, 4], [1, 2], [0.5, 2.0], h=1.5)
+    assert table.n.size == 8
+    for n, m, ratio, e_in, e_out, eta in zip(
+            table.n.tolist(), table.m.tolist(), table.ratio.tolist(),
+            table.e_in.tolist(), table.e_out.tolist(), table.eta.tolist()):
+        p = ModelParams(n, 1.5, ratio * 1.5)
+        part = Partition.last(n, m)
+        assert e_in == cf.input_energy(p, part)
+        assert e_out == cf.max_output_energy(p, part)
+        assert eta == cf.efficiency(p, part)
+        assert eta == pytest.approx(e_out / e_in, rel=1e-14)
+    assert np.isnan(table.bell).all()
 
 
 def test_sweep_bell_column():
-    rows = an.efficiency_sweep([2, 3], [1], [1.0], with_bell=True)
-    by_n = {row.n: row for row in rows}
-    assert by_n[2].bell is None  # undefined below three qubits
-    assert by_n[3].bell == pytest.approx(1.1435437497937313, rel=1e-14)
+    table = an.efficiency_sweep([2, 3], [1], [1.0], with_bell=True)
+    assert table.n.tolist() == [2, 3]
+    assert math.isnan(table.bell[0])  # undefined below three qubits
+    assert table.bell[1] == pytest.approx(1.1435437497937313, rel=1e-14)
 
 
 def test_efficiency_declines_with_m_at_fixed_ratio():
-    rows = an.efficiency_sweep([10], range(1, 10), [10.0])
-    etas = [r.eta for r in rows]
+    etas = an.efficiency_sweep([10], range(1, 10), [10.0]).eta.tolist()
     assert etas == sorted(etas, reverse=True)
 
 
@@ -273,35 +274,36 @@ def test_ratio_log_grid_density():
 
 
 def test_figure_dataset_large_n_strong_coupling_endpoint():
-    rows = an.figure_dataset("fig3a")
-    last = [r for r in rows if r.n == 1000][-1]
-    assert last.ratio == pytest.approx(1e4, rel=1e-12)
-    assert last.eta == pytest.approx(0.4995, abs=1e-3)
+    table = an.figure_dataset("fig3a")
+    last = table.n == 1000
+    assert table.ratio[last][-1] == pytest.approx(1e4, rel=1e-12)
+    assert table.eta[last][-1] == pytest.approx(0.4995, abs=1e-3)
 
 
 def test_figure_dataset_three_qubit_asymptotes():
-    rows = an.figure_dataset("fig7")
-    tail = {r.m: r.eta for r in rows if r.ratio > 9999.0}
+    table = an.figure_dataset("fig7")
+    at_tail = table.ratio > 9999.0
+    tail = dict(zip(table.m[at_tail].tolist(), table.eta[at_tail].tolist()))
     assert tail[1] == pytest.approx(1.0 / 3.0, abs=1e-3)
     assert tail[2] == pytest.approx(1.0 / 6.0, abs=1e-3)
 
 
 def test_figure_dataset_bell_boundary_and_monotonicity():
-    rows = an.figure_dataset("fig4a")
+    table = an.figure_dataset("fig4a")
     for n in (3, 8, 10):
-        curve = [r for r in rows if r.n == n]
-        assert curve[0].ratio == 0.0
-        assert curve[0].bell == 1.0
-        assert curve[0].eta == 0.0
-        bells = [r.bell for r in curve]
-        assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bells, bells[1:]))
+        curve = table.n == n
+        ratio, bells, eta = table.ratio[curve], table.bell[curve], table.eta[curve]
+        assert ratio[0] == 0.0
+        assert bells[0] == 1.0
+        assert eta[0] == 0.0
+        assert np.all(np.diff(bells) >= -1e-12)
 
 
 def test_figure_dataset_row_count_matches_grid():
-    rows = an.figure_dataset("fig2a")
-    assert len(rows) == 45
-    assert all(r.n == 10 for r in rows)
-    assert {r.m for r in rows} == set(range(1, 10))
+    table = an.figure_dataset("fig2a")
+    assert table.n.size == 45
+    assert np.all(table.n == 10)
+    assert set(table.m.tolist()) == set(range(1, 10))
 
 
 # ---------------------------------------------------------------------------

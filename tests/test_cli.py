@@ -321,12 +321,38 @@ def test_oracle_cap_env(monkeypatch, capsys):
     assert code == 2 and "QET_ORACLE_CAP" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("efficiency", "--n", "3", "--m", "1", "--ratio", "1", "--oracle-cap", "-5"),
+    ("efficiency", "--n", "3", "--m", "1", "--ratio", "1", "--oracle-cap", "1"),
+    ("verify", "--oracle-cap", "0"),
+    ("verify", "--oracle-cap", "twelve"),
+])
+def test_oracle_cap_below_two_is_a_usage_error(capsys, argv):
+    # Before: efficiency exited 0 and verify failed on its first cell.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert "--oracle-cap: must be an integer >= 2" in capsys.readouterr().err
+
+
+def test_oracle_cap_env_is_read_only_where_the_flag_is(monkeypatch, capsys):
+    monkeypatch.setenv("QET_ORACLE_CAP", "twelve")
+    # Before: exit 2, although bell never runs the brute-force engine.
+    code, out, err = run_cli(capsys, "bell", "--n", "3", "--ratio", "1")
+    assert code == 0 and err == "" and "\nn,ratio,b_value" in out
+    monkeypatch.setenv("QET_ORACLE_CAP", "1")
+    code, out, err = run_cli(capsys, "efficiency", "--n", "3", "--m", "1",
+                             "--ratio", "1", "--shots", "8")
+    assert code == 2 and out == ""
+    assert err == "error: QET_ORACLE_CAP must be an integer >= 2, got '1'\n"
+
+
 def test_render_sweep_matches_library_values():
     text = cli.render_sweep([3], [1], [1.0])
     _, _, rows = parse_csv(text)
     row = analysis.sweep_row((3, 1, 1.0, False))
     expected = ",".join(
-        ["3", "1", "1"] + ["%.17g" % v for v in (row.e_in, row.e_out, row.eta)]
+        ["3", "1", "1"] + ["%.17g" % v.item() for v in (row.e_in, row.e_out, row.eta)]
     ) + ","
     assert rows[0] == expected
 

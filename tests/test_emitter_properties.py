@@ -2,8 +2,8 @@
 
 ``cli.rows_to_csv`` formats each distinct ratio once and ``cli.rows_to_json``
 fills one text template per row. The references below are the earlier
-renderers: one ``%.17g`` row template over ``SweepTable.columns()`` for CSV,
-and row dicts through ``json.dumps(indent=2)`` for JSON. Hypothesis draws
+renderers: one ``%.17g`` row template over the table's columns as Python
+lists for CSV, and row dicts through ``json.dumps(indent=2)`` for JSON. Hypothesis draws
 tables with ratios repeated from a small pool, floats from 0 through the
 subnormals and 1e-300 to 1e300, and bell cells that are nan or finite.
 """
@@ -21,8 +21,16 @@ from qetsim import analysis, cli
 OLD_SWEEP_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%s"
 
 
+def columns(table: analysis.SweepTable) -> tuple[list, ...]:
+    """The columns as Python lists in header order; a bell value that was
+    not computed is None."""
+    bell = [None if math.isnan(b) else b for b in table.bell.tolist()]
+    return (table.n.tolist(), table.m.tolist(), table.ratio.tolist(),
+            table.e_in.tolist(), table.e_out.tolist(), table.eta.tolist(), bell)
+
+
 def reference_csv(table: analysis.SweepTable, meta: list[str]) -> str:
-    *values, bell = table.columns()
+    *values, bell = columns(table)
     cells = ["" if b is None else "%.17g" % b for b in bell]
     lines = [f"# {m}" for m in meta]
     lines.append(cli.SWEEP_HEADER)
@@ -32,7 +40,7 @@ def reference_csv(table: analysis.SweepTable, meta: list[str]) -> str:
 
 def reference_json(table: analysis.SweepTable, meta: list[str]) -> str:
     keys = cli.SWEEP_HEADER.split(",")
-    rows = [dict(zip(keys, row)) for row in zip(*table.columns())]
+    rows = [dict(zip(keys, row)) for row in zip(*columns(table))]
     return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
 

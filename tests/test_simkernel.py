@@ -282,6 +282,20 @@ def test_lanczos_honours_cap_before_allocating(monkeypatch):
         sk.exact_ground_state(ModelParams(40, 1.0, 1.0), "lanczos", oracle_cap=30)
 
 
+def test_block_solver_honours_cap_before_allocating(monkeypatch):
+    p = ModelParams(13, 1.0, 1.0)
+    e, v = sk.exact_ground_state(p, "block", oracle_cap=13)
+    assert abs(e) <= 1e-12 and v.norm_sq() == pytest.approx(1.0, abs=1e-14)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(sk.np, "zeros", no_allocation)
+    with pytest.raises(OracleCapExceeded):
+        sk.exact_ground_state(p, "block")  # before: 2**13 amplitudes at cap 12
+    assert sk.exact_ground_state(p, "block", with_state=False)[1] is None
+
+
 def test_lanczos_non_convergence_is_typed(monkeypatch):
     import scipy.sparse.linalg as ssl
 

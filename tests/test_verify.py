@@ -1,17 +1,19 @@
 """The property-suite's commutator check: it must see a non-commuting
-interaction, and it must not build a 2^N x 2^N matrix. The oracle check's
+interaction, and it must not build a 2^N x 2^N matrix. Its optimality
+probe sees a closed-form angle a little off the optimum. The oracle check's
 detail line names its e_out error for what it is, and a grid with no cell
 is refused."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import pytest
 
-from qetsim import kernels, verify
+from qetsim import closedform, kernels, verify
 from qetsim.errors import InvalidRange
-from qetsim.model import interaction_constant
+from qetsim.model import ThetaChoice, interaction_constant
 
 
 def _with_phase(phase_qubit_bit: int, flip: bool):
@@ -69,3 +71,17 @@ def test_oracle_check_refuses_a_grid_without_cells():
     for n_max in (2, 0):
         with pytest.raises(InvalidRange):
             verify.check_oracle_agreement(n_max=n_max)
+
+
+def test_optimality_probe_sees_a_shifted_closed_form_angle(monkeypatch):
+    # Before: 10,000 sampled angles, and a shift of 2e-5 rad still passed.
+    exact = closedform.optimal_theta
+
+    def shifted(params, part):
+        t = exact(params, part).theta + 1e-5
+        return ThetaChoice(t, math.cos(2.0 * t), math.sin(2.0 * t))
+
+    monkeypatch.setattr(closedform, "optimal_theta", shifted)
+    result = verify.check_properties()
+    assert not result.passed
+    assert "the oracle's own optimum beat the closed-form angle" in result.detail
