@@ -28,6 +28,10 @@ FIXTURE_TOL = 1e-12
 #: Points per decade on the logarithmic ratio grids of the figure datasets.
 RATIO_DECADE_POINTS = 50
 
+#: Largest ``n_opt_scan`` bound: the scan holds about 115 bytes per count,
+#: so 10**7 counts peak near 1.2 GB.
+SCAN_N_MAX = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # Bell value of the GHZ-type ground state
@@ -170,8 +174,8 @@ def n_opt_scan(x: float, n_max: int = 100_000) -> tuple[int, float]:
     evaluated and the best (count, efficiency) pair returned.
     """
     _check_ratio(x)
-    if n_max < 2:
-        raise InvalidRange(f"scan needs n_max >= 2, got {n_max}")
+    if not 2 <= n_max <= SCAN_N_MAX:
+        raise InvalidRange(f"scan needs 2 <= n_max <= {SCAN_N_MAX}, got {n_max}")
     n = np.arange(2, n_max + 1, dtype=float)
     etas = closedform.energies(n, 1, x).eta
     i = int(np.argmax(etas))

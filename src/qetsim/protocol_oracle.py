@@ -296,6 +296,10 @@ def simulate_with_outputs(params: ModelParams, output_set, theta: float,
 # Sampling demonstration (not used by any verification path)
 # ---------------------------------------------------------------------------
 
+#: Most shots one estimate draws: about 24 bytes each, 240 MB at the cap.
+MAX_SHOTS = 10_000_000
+
+
 @dataclass
 class SampleEstimate:
     """Monte Carlo estimate of the protocol energies from finite shots."""
@@ -314,8 +318,8 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     Exists to show what a shot-based experiment would see; the exact
     enumeration above is what everything else in the package relies on.
     """
-    if n_shots < 1:
-        raise InvalidRange(f"need at least one shot, got {n_shots}")
+    if not 1 <= n_shots <= MAX_SHOTS:
+        raise InvalidRange(f"need 1 to {MAX_SHOTS} shots, got {n_shots}")
     if not 0 <= seed < 1 << 64:
         raise InvalidRange(f"seed must lie in [0, 2**64), got {seed}")
     branches = measure_branches(params, part, oracle_cap)

@@ -179,6 +179,16 @@ def test_n_opt_input_validation():
         an.n_opt_scan(10.0, n_max=1)
 
 
+def test_n_opt_scan_refuses_a_bound_past_its_cap_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(an.np, "arange", no_allocation)
+    for n_max in (an.SCAN_N_MAX + 1, 2_000_000_000):
+        with pytest.raises(InvalidRange, match="n_max"):
+            an.n_opt_scan(1.0, n_max=n_max)
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------

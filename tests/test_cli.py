@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qetsim import analysis, cli, verify
+from qetsim import analysis, cli, protocol_oracle, verify
 from qetsim.model import ModelParams
 
 
@@ -91,11 +91,30 @@ def test_efficiency_rejects_out_of_range_seed(capsys, seed):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("nopt", "--x", "1", "--scan", "--n-max", "2000000000"),
+    ("efficiency", "--n", "3", "--m", "1", "--ratio", "1", "--shots", "2000000000"),
+])
+def test_sizes_past_their_cap_exit_2_before_allocating(capsys, monkeypatch, argv):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(analysis.np, "arange", no_allocation)
+    monkeypatch.setattr(protocol_oracle, "measure_branches", no_allocation)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2000000000" in err
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, qetsim, qetsim.cli; "
+    # Both numerical solvers run as well: neither needs scipy.
+    probe = ("import sys, qetsim, qetsim.cli; from qetsim import simkernel; "
+             "p = qetsim.model.ModelParams(6, 1.0, 0.7); "
+             "[simkernel.exact_ground_state(p, method) "
+             "for method in ('lanczos', 'dense')]; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)

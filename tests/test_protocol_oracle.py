@@ -283,6 +283,18 @@ def test_sampling_needs_at_least_one_shot(shots):
         po.sample_protocol(p, part, 0.3, n_shots=shots)
 
 
+def test_sampling_refuses_shots_past_the_cap_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    monkeypatch.setattr(po, "measure_branches", no_allocation)
+    monkeypatch.setattr(po.np.random, "default_rng", no_allocation)
+    p, part = _case(3, 1)
+    for shots in (po.MAX_SHOTS + 1, 2_000_000_000):
+        with pytest.raises(InvalidRange, match="shots"):
+            po.sample_protocol(p, part, 0.3, n_shots=shots)
+
+
 def test_engine_modules_import_nothing_from_the_closed_form_side():
     # Read from the source: importing qetsim loads every module, so
     # sys.modules cannot show which module imports which.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,12 +298,23 @@ def test_block_solver_honours_cap_before_allocating(monkeypatch):
 
 
 def test_lanczos_non_convergence_is_typed(monkeypatch):
-    import scipy.sparse.linalg as ssl
-
-    def stalled(*args, **kwargs):
-        raise ssl.ArpackNoConvergence("ARPACK stalled", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(ssl, "eigsh", stalled)
+    monkeypatch.setattr(sk, "LANCZOS_MAX_STEPS", 1)
     with pytest.raises(NoConvergence) as info:
         sk.exact_ground_state(ModelParams(5, 1.0, 1.0), "lanczos")
     assert isinstance(info.value, QetError)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.7, 1e3])
+def test_lanczos_stores_no_krylov_basis(ratio):
+    # Two passes over the recurrence in place of a stored basis: at N = 16
+    # one solve stays within eight 2^N float64 arrays.
+    n = 16
+    p = ModelParams(n, 1.0, ratio)
+    sk.exact_ground_state(p, "lanczos", oracle_cap=n)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        sk.exact_ground_state(p, "lanczos", oracle_cap=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (1 << n) * 8, peak / ((1 << n) * 8)
