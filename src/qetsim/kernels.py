@@ -12,6 +12,12 @@ The same function therefore serves a single statevector of shape ``(2**n,)``
 and a batch of them, such as the ``(2**m, 2**(N-m))`` transposed view of the
 protocol engine's branch matrix; reductions return a scalar for one vector
 and one value per row for a batch.
+
+The Z and norm reductions read squared amplitudes, a weight array. The
+amplitude-first forms (``norm_sq``, ``z_expectations``, ``diag_z_total``)
+square their input themselves; the weight-input forms (``z_fold``,
+``z_diagonal``) take a weight array from ``weights``, so that a caller that
+reduces one ensemble several ways squares it once, into a buffer of its own.
 """
 
 from __future__ import annotations
@@ -78,26 +84,30 @@ def project_x(amps: np.ndarray, qubit_mask: int) -> np.ndarray:
     return amps
 
 
-def _weights(amps: np.ndarray) -> np.ndarray:
-    # conj() of a real array is the array itself, so real input costs one product.
-    return (amps.conj() * amps).real
+def weights(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|amps|**2 elementwise, written into ``out`` when it is given.
 
-
-def norm_sq(amps: np.ndarray):
-    """<psi|psi>."""
-    return _weights(amps).sum(axis=-1)
-
-
-def z_expectations(amps: np.ndarray, n_bits: int) -> np.ndarray:
-    """Per-bit <Z> of the lowest ``n_bits`` index bits (bit value 0 counts as
-    eigenvalue +1); entry b is bit b, summed over every value of the bits above.
-
-    A top-down fold over one weight array: the top bit's set weight is the sum
-    of the upper half; the upper half is then added into the lower half in
-    place, which goes on as the weights of the lower bits. The one entry left
-    at the end is the total weight.
+    The weight array is what the reductions below read. A caller that needs
+    several of them for one ensemble squares its amplitudes once, into a
+    buffer it reuses, and runs ``z_diagonal`` before ``z_fold``, which
+    overwrites the weights.
     """
-    w = _weights(amps)
+    if np.iscomplexobj(amps):
+        return np.add(np.square(amps.real), np.square(amps.imag), out=out)
+    return np.multiply(amps, amps, out=out)
+
+
+def z_fold(w: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bit <Z> of the lowest ``n_bits`` index bits and the total weight,
+    from a weight array that the fold overwrites.
+
+    Entry b of the first result is bit b (bit value 0 counts as eigenvalue
+    +1), summed over every value of the bits above. A top-down fold: the top
+    bit's set weight is the sum of the upper half; the upper half is then
+    added into the lower half in place, which goes on as the weights of the
+    lower bits. The one entry left at the end is the total weight, the
+    second result.
+    """
     out = np.empty(w.shape[:-1] + (n_bits,), dtype=np.float64)
     for b in range(w.shape[-1].bit_length() - 2, -1, -1):
         lo, hi = w[..., :1 << b], w[..., 1 << b:2 << b]
@@ -107,17 +117,70 @@ def z_expectations(amps: np.ndarray, n_bits: int) -> np.ndarray:
         w = lo
     out *= -2.0
     out += w
-    return out
+    return out, w[..., 0].copy()
+
+
+#: Fewest index bits ``z_diagonal``'s low table spans, where the last axis
+#: has that many: its matrix-vector product then runs over rows of 256
+#: weights, and its output is at most 1/256 of the weight array.
+_LOW_BITS = 8
+
+
+def _z_table(width: int, n_bits: int) -> np.ndarray:
+    """The Z sum of the lowest ``n_bits`` bits of every j < 2**width.
+
+    Built by doubling, with no index array: the upper half of the table is
+    the lower half less 2 for a Z bit (b < n_bits), unchanged for a bit above.
+    """
+    table = np.empty(1 << width)
+    table[0] = min(width, n_bits)
+    for b in range(width):
+        np.subtract(table[:1 << b], 2.0 if b < n_bits else 0.0, out=table[1 << b:2 << b])
+    return table
+
+
+def z_diagonal(w: np.ndarray, n_bits: int):
+    """Sum over the lowest ``n_bits`` index bits of <Z_b>, from a weight
+    array, summed over every value of the bits above; ``w`` is only read.
+
+    The Z sum of index j is n_bits - 2 popcount(j). Split j's bits into a
+    high and a low part: popcount(j) = popcount(hi) + popcount(lo), so the
+    sum is a low-bit table dotted with every run of 2**lo weights, plus a
+    high-bit table dotted with the runs' sums. The low part takes half the
+    Z bits, at least ``_LOW_BITS`` index bits where the axis has them, so
+    both tables have about 2**(n_bits / 2) entries or 256; none is
+    2**n_bits long.
+    """
+    lo = min(w.shape[-1].bit_length() - 1, max(n_bits - n_bits // 2, _LOW_BITS))
+    hi = max(0, n_bits - lo)
+    lead = w.shape[:-1]
+    runs = w.reshape(-1, 1 << lo)
+    total = (runs @ _z_table(lo, n_bits)).reshape(lead + (-1,)).sum(axis=-1)
+    if hi:
+        run_sums = runs.sum(axis=-1).reshape(-1, 1 << hi)
+        total += (run_sums @ _z_table(hi, hi)).reshape(lead + (-1,)).sum(axis=-1)
+    return total
+
+
+def norm_sq(amps: np.ndarray):
+    """<psi|psi>."""
+    return weights(amps).sum(axis=-1)
+
+
+def z_expectations(amps: np.ndarray, n_bits: int) -> np.ndarray:
+    """Per-bit <Z> of the lowest ``n_bits`` index bits (bit value 0 counts as
+    eigenvalue +1); entry b is bit b, summed over every value of the bits
+    above. ``z_fold`` over one weight array."""
+    return z_fold(weights(amps), n_bits)[0]
 
 
 def diag_z_total(amps: np.ndarray, n_bits: int):
-    """Sum over bits of <Z_b>, computed in one pass via popcounts."""
-    z_total = np.bitwise_count(np.arange(amps.shape[-1])).astype(np.float64)
-    z_total *= -2.0
-    z_total += n_bits
-    return _weights(amps) @ z_total
+    """Sum over the lowest ``n_bits`` index bits of <Z_b>: ``z_diagonal``
+    over one weight array, a popcount reduction independent of the fold."""
+    return z_diagonal(weights(amps), n_bits)
 
 
-def complement_overlap(amps: np.ndarray):
-    """<psi| FlipAll |psi> = sum_j conj(a[j]) a[all_ones ^ j]; real for real amps."""
-    return np.einsum("...j,...j->...", amps.conj(), amps[..., ::-1])
+def complement_overlap(amps: np.ndarray, out: np.ndarray | None = None):
+    """<psi| FlipAll |psi> = sum_j conj(a[j]) a[all_ones ^ j]; real for real amps.
+    A batch's per-row values go into ``out`` when it is given."""
+    return np.vecdot(amps, amps[..., ::-1], out=out)

@@ -21,7 +21,10 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   plain sums of per-row expectations, and a zero-probability row weighs
   nothing without special-casing;
 * the conditioned rotation is one real signed permutation of the columns,
-  scaled per row by the parity of the row index: the product of its signs.
+  scaled per row by the parity of the row index: the product of its signs;
+* each ensemble is squared once, into one weight array that every Z and
+  norm reduction reads, so a call holds a fixed set of arrays of the branch
+  matrix's size: the measured rows, the rotated rows and one buffer.
 
 The ensemble average state is never materialized as a density matrix, and
 no Python loop runs over branches.
@@ -95,7 +98,8 @@ def measure_branches(params: ModelParams, part: Partition,
         kernels.project_x(states.T, 1 << i)
     states *= 2.0 ** (-0.5 * n_in)
     parity = 1.0 - 2.0 * (kernels.popcount(np.arange(1 << n_in)) & 1)
-    return Branches(states, kernels.norm_sq(states), parity)
+    # Row dot products: the probabilities need no weight array.
+    return Branches(states, np.einsum("ij,ij->i", states, states), parity)
 
 
 def injected_energy(branches: Branches, params: ModelParams,
@@ -134,9 +138,18 @@ def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
     -i * (Y X ... X) is the real signed permutation S of the columns, so row
     r becomes cos(theta) * psi_r + parity_r * sin(theta) * S psi_r.
     """
+    return _rotate(branches, part, theta, y_qubit)[0]
+
+
+def _rotate(branches: Branches, part: Partition, theta: float,
+            y_qubit: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The rotated rows, and the flat buffer that held their cos(theta) * psi
+    term, now free for the caller to reuse. It is allocated after the signed
+    permutation, whose own working set it would otherwise add to."""
     out = _signed_flip(branches, part, y_qubit, math.sin(theta))
-    out += math.cos(theta) * branches.states
-    return out
+    scratch = np.empty(out.size)
+    out += np.multiply(branches.states, math.cos(theta), out=scratch.reshape(out.shape))
+    return out, scratch
 
 
 def _signed_flip(branches: Branches, part: Partition, y_qubit: int | None,
@@ -152,7 +165,8 @@ def _signed_flip(branches: Branches, part: Partition, y_qubit: int | None,
 def _term_energies(weight, z, flip, params: ModelParams):
     """Output-site and interaction energies from a weight, the outputs' <Z>
     and the parity-read <FlipAll>: per row, or summed over the ensemble."""
-    sites = params.h * z + local_constant(params) * np.expand_dims(weight, -1)
+    sites = params.h * z
+    sites += local_constant(params) * np.asarray(weight)[..., None]
     interaction = 2.0 * params.k * flip + interaction_constant(params) * weight
     return sites, interaction
 
@@ -168,30 +182,49 @@ def output_term_energies(states: np.ndarray, parity: np.ndarray,
     on the measured register of row r, X...X reads ``parity[r]``.
     """
     m = states.shape[-1].bit_length() - 1
-    return _term_energies(kernels.norm_sq(states),
-                          kernels.z_expectations(states, m)[:, ::-1],
+    # One weight array gives each row's norm and per-bit <Z>.
+    z, norm = kernels.z_fold(kernels.weights(states), m)
+    return _term_energies(norm, z[:, ::-1],
                           parity * kernels.complement_overlap(states), params)
 
 
-def _ensemble_sums(rows: np.ndarray, parity: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Total weight, the outputs' <Z> (ascending qubit order) and the
-    parity-read <FlipAll>, each summed over the rows.
+def _weight_sums(w: np.ndarray, m: int) -> tuple[float, np.ndarray]:
+    """Total weight and the outputs' <Z> (ascending qubit order) of an
+    ensemble, from its rows' weights, which the fold overwrites.
 
-    The rows of the C-ordered matrix are consecutive blocks of one vector
-    whose lowest m index bits are the output qubits, so the weight and <Z>
-    reductions run once over that vector and return ensemble values directly.
-    The one per-row reduction, FlipAll, goes to a scalar at once.
+    ``w`` is the C-ordered weight matrix as one flat vector: its rows are
+    consecutive blocks whose lowest m index bits are the output qubits, so
+    one fold over the vector gives the ensemble's <Z> and, as its last
+    entry, its total weight.
     """
-    m = rows.shape[-1].bit_length() - 1
-    flat = rows.reshape(-1)
-    return (float(kernels.norm_sq(flat)), kernels.z_expectations(flat, m)[::-1],
-            float(parity @ kernels.complement_overlap(rows)))
+    z, weight = kernels.z_fold(w, m)
+    return float(weight), z[::-1]
 
 
-def _drained(sums: tuple[float, np.ndarray, float], params: ModelParams) -> float:
+def _flip_sum(rows: np.ndarray, parity: np.ndarray, w: np.ndarray) -> float:
+    """The parity-read <FlipAll> summed over the rows: the one per-row
+    reduction, taken to a scalar at once. Its per-row values go into the
+    flat buffer ``w``, whose contents are spent, so it runs before the
+    weights are squared into that buffer."""
+    per_row = kernels.complement_overlap(rows, out=w[:rows.shape[0]])
+    return float(parity @ per_row)
+
+
+def _drained(weight: float, z: np.ndarray, flip: float, params: ModelParams) -> float:
     """Ensemble energy drained from the output terms plus the interaction."""
-    sites, interaction = _term_energies(*sums, params)
+    sites, interaction = _term_energies(weight, z, flip, params)
     return -float(sites.sum() + interaction)
+
+
+def _ensemble_drained(rows: np.ndarray, parity: np.ndarray, params: ModelParams,
+                      w: np.ndarray) -> float:
+    """``_drained`` of one ensemble, its weights squared into the flat
+    buffer ``w``."""
+    m = rows.shape[-1].bit_length() - 1
+    flip = _flip_sum(rows, parity, w)
+    kernels.weights(rows, out=w.reshape(rows.shape))
+    weight, z = _weight_sums(w, m)
+    return _drained(weight, z, flip, params)
 
 
 def extracted_energy(params: ModelParams, part: Partition, theta: float,
@@ -203,19 +236,27 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     output-site terms plus the interaction term after the rotation. A second,
     independent accounting ``e_out_via_trace`` is the injected energy minus
     the total ensemble energy; the two must agree to near machine precision.
-    Both read the same rotated weight and FlipAll overlap; their Z sums come
-    from two kernels (the per-bit fold and the popcount diagonal).
+    Both read the same rotated weight array, total weight and FlipAll
+    overlap; their Z sums come from two kernels over that array (the
+    popcount diagonal, which runs first, and the per-bit fold).
+
+    Three arrays of the branch matrix's size are held: the measured rows, the
+    rotated rows and one buffer, which takes the rotation's cos(theta) * psi
+    term and then the rotated weights.
     """
     branches = measure_branches(params, part, oracle_cap)
     e_in, per_qubit = injected_energy(branches, params, part)
 
-    rotated = apply_conditional_unitary(branches, part, theta, y_qubit)
-    sums = _ensemble_sums(rotated, branches.parity)
-    e_out = _drained(sums, params)
-    weight, _, flip = sums
+    m = part.m_outputs
+    rotated, w = _rotate(branches, part, theta, y_qubit)
+    flip = _flip_sum(rotated, branches.parity, w)
+    kernels.weights(rotated, out=w.reshape(rotated.shape))
     # Total <H>: the measured qubits sit in X eigenstates and add nothing to
-    # the Z sum, and FlipAll reads each row's parity on them.
-    z_total = float(np.sum(kernels.diag_z_total(rotated, part.m_outputs)))
+    # the Z sum, and FlipAll reads each row's parity on them. The diagonal
+    # reads the weights before the fold overwrites them.
+    z_total = float(kernels.z_diagonal(w, m))
+    weight, z = _weight_sums(w, m)
+    e_out = _drained(weight, z, flip, params)
     total = params.h * z_total + 2.0 * params.k * flip + params.c * weight
     return ProtocolReport(
         e_in=e_in,
@@ -240,14 +281,17 @@ def _quadratic(branches: Branches, params: ModelParams, part: Partition,
     Every rotated row is cos(t) psi + parity sin(t) S psi, so every
     expectation is quadratic in (cos t, sin t); the drained energy at t = 0,
     pi/2 and pi/4 fixes the three numbers. S psi is computed once, and the
-    pi/4 rows are (psi + parity S psi) / sqrt(2), built in its place.
+    pi/4 rows are (psi + parity S psi) / sqrt(2), built in its place. The
+    three ensembles square into one weight buffer in turn, allocated after
+    the signed permutation, whose own working set it would otherwise add to.
     """
-    a = _drained(_ensemble_sums(branches.states, branches.parity), params)
     rows = _signed_flip(branches, part, y_qubit, 1.0)
-    b = _drained(_ensemble_sums(rows, branches.parity), params)
+    w = np.empty(rows.size)
+    a = _ensemble_drained(branches.states, branches.parity, params, w)
+    b = _ensemble_drained(rows, branches.parity, params, w)
     rows += branches.states
     rows *= math.sqrt(0.5)
-    mid = _drained(_ensemble_sums(rows, branches.parity), params)
+    mid = _ensemble_drained(rows, branches.parity, params, w)
     return a, b, mid - 0.5 * (a + b)
 
 

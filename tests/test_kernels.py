@@ -249,6 +249,8 @@ def test_z_reductions_equal_per_bit_masked_sums(case, data):
     assert z.shape == amps.shape[:-1] + (low,)
     assert np.all(np.abs(z - want[..., :low]) <= scale[..., None])
     assert np.all(np.abs(kernels.diag_z_total(amps, n) - want.sum(axis=-1)) <= n * scale)
+    assert np.all(np.abs(kernels.diag_z_total(amps, low) - want[..., :low].sum(axis=-1))
+                  <= max(low, 1) * scale)
 
 
 @pytest.mark.parametrize("name, bound", [("apply_pauli_signs", 1.1), ("z_expectations", 1.13)])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qetsim import closedform as cf
+from qetsim import kernels
 from qetsim import protocol_oracle as po
 from qetsim.errors import InvalidPartition, InvalidRange, OracleCapExceeded
 from qetsim.model import ModelParams, Partition, ground_state_amplitudes, local_constant
@@ -84,6 +85,108 @@ def test_engine_is_real_and_holds_no_sign_matrix(m):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (1 << n) * 8, (name, peak / ((1 << n) * 8))
+
+
+#: Warm tracemalloc peak of one call at N = 16, in units of one 2^N float64
+#: array. A call holds the measured rows, one array of rotated (or flipped)
+#: rows and one weight buffer; the rest is per-row vectors of 2^(N-m)
+#: entries (half a unit at m = 1) and tables of a few hundred entries.
+PROTOCOL_PEAK_UNITS = {
+    "extracted_energy": {1: 4.02, 8: 3.02, 15: 3.02},
+    "output_energy_curve": {1: 4.01, 8: 3.02, 15: 3.01},
+}
+
+
+@pytest.mark.parametrize("m", [1, 8, 15])
+def test_protocol_calls_keep_a_fixed_set_of_arrays(m):
+    n = 16
+    p, part = _case(n, m, k=0.7)
+    runs = {
+        "extracted_energy": lambda: po.extracted_energy(p, part, 0.3, oracle_cap=n),
+        "output_energy_curve": lambda: po.output_energy_curve(
+            p, part, np.linspace(0.0, 1.5, 32), oracle_cap=n),
+    }
+    for name, run in runs.items():
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        units = peak / ((1 << n) * 8)
+        assert units <= PROTOCOL_PEAK_UNITS[name][m], (name, units)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_shared_weight_reductions_equal_the_amplitude_kernels(n):
+    # One weight array of the whole ensemble, read by the popcount diagonal
+    # and then folded in place, against the kernels that square the ensemble
+    # themselves, one weight array each.
+    for m in range(1, n):
+        p, part = _case(n, m, k=0.7)
+        rows = po.apply_conditional_unitary(po.measure_branches(p, part), part, 0.4)
+        ensemble = rows.reshape(-1)
+        w = kernels.weights(ensemble)
+        diag = kernels.z_diagonal(w, m)
+        z, weight = kernels.z_fold(w, m)
+        assert abs(weight - kernels.norm_sq(ensemble)) <= 1e-15, (n, m)
+        assert np.max(np.abs(z - kernels.z_expectations(ensemble, m))) <= 1e-15, (n, m)
+        assert abs(diag - kernels.diag_z_total(ensemble, m)) <= 1e-15, (n, m)
+
+
+def test_each_ensemble_is_squared_once(monkeypatch):
+    # One weight array per ensemble: the rotated one of extracted_energy, the
+    # three of the curve, and the rows of the per-row path. No reduction
+    # squares its amplitudes again.
+    squared = []
+    weights = kernels.weights
+
+    def counted(amps, out=None):
+        squared.append(amps.shape)
+        return weights(amps, out)
+
+    def squares_again(*args):
+        raise AssertionError("a reduction squared its amplitudes again")
+
+    monkeypatch.setattr(kernels, "weights", counted)
+    for name in ("norm_sq", "z_expectations", "diag_z_total"):
+        monkeypatch.setattr(kernels, name, squares_again)
+    p, part = _case(5, 2, k=0.7)
+    po.extracted_energy(p, part, 0.3)
+    assert squared == [(8, 4)]
+    squared.clear()
+    po.output_energy_curve(p, part, [0.1, 0.2])
+    assert squared == [(8, 4)] * 3
+    squared.clear()
+    po.sample_protocol(p, part, 0.3, n_shots=16)
+    assert squared == [(8, 4)]
+
+
+@pytest.mark.parametrize("kernel", ["z_fold", "z_diagonal"])
+def test_the_two_accountings_read_independent_z_reductions(monkeypatch, kernel):
+    # e_out reads the per-bit fold and e_out_via_trace the popcount diagonal.
+    # An error of 1e-6 in one of them moves that accounting alone, so the
+    # two disagree: the shared weight array did not merge the reductions.
+    p, part = _case(6, 3, k=0.7)
+    theta = cf.optimal_theta(p, part).theta
+    exact = po.extracted_energy(p, part, theta)
+    assert abs(exact.e_out - exact.e_out_via_trace) <= 1e-13
+    reduction = getattr(kernels, kernel)
+    if kernel == "z_fold":
+        def off(w, n_bits):
+            z, weight = reduction(w, n_bits)
+            return z + 1e-6, weight
+    else:
+        def off(w, n_bits):
+            return reduction(w, n_bits) + 1e-6
+    monkeypatch.setattr(kernels, kernel, off)
+    rep = po.extracted_energy(p, part, theta)
+    assert abs(rep.e_out - rep.e_out_via_trace) > 1e-7
+    moved, kept = (("e_out", "e_out_via_trace") if kernel == "z_fold"
+                   else ("e_out_via_trace", "e_out"))
+    assert getattr(rep, kept) == getattr(exact, kept)
+    assert getattr(rep, moved) != getattr(exact, moved)
 
 
 def test_measured_qubits_end_in_x_eigenstates():
