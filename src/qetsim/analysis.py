@@ -9,6 +9,7 @@ figure-ready datasets the CLI emits as CSV.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ FIXTURE_TOL = 1e-12
 #: Points per decade on the logarithmic ratio grids of the figure datasets.
 RATIO_DECADE_POINTS = 50
 
-#: Largest ``n_opt_scan`` bound: the scan holds about 115 bytes per count,
-#: so 10**7 counts peak near 1.2 GB.
+#: Largest ``n_opt_scan`` bound: under tracemalloc the scan peaks at 56
+#: bytes per count, and at 98 where its screen is skipped, so 10**7 counts
+#: peak near 1 GB.
 SCAN_N_MAX = 10_000_000
 
 
@@ -44,12 +46,25 @@ class BellReport:
     saturation_value: float
 
 
+#: Largest N at which 2^(N-2) is a finite float64.
+_BELL_POWER_N_MAX = 1025
+
+
 def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
-    """b = sqrt(2^(N-2) (2k/c)^2 + (Nh/c)^2) over arrays of integer N >= 3."""
+    """b = sqrt(2^(N-2) (2k/c)^2 + (Nh/c)^2) over arrays of integer N >= 3.
+
+    Past ``_BELL_POWER_N_MAX`` 2^(N-2) overflows although b need not, so
+    there b is hypot(2^((N-2)/2) 2k/c, Nh/c), the power applied by ldexp.
+    """
     with np.errstate(all="ignore"):
         sx = 2.0 * k / c
         cz = n * h / c
         b = np.sqrt(np.ldexp(1.0, n - 2) * sx * sx + cz * cz)
+        big = n > _BELL_POWER_N_MAX
+        if big.any():
+            nb = n[big]
+            odd = np.where(nb % 2 == 1, math.sqrt(2.0), 1.0)
+            b[big] = np.hypot(np.ldexp(odd * sx[big], (nb - 2) // 2), cz[big])
     bad = ~np.isfinite(b)
     if bad.any():
         i = int(np.argmax(bad))
@@ -85,7 +100,12 @@ def bell_values(n, k, h: float = 1.0) -> np.ndarray:
 
 
 def _bell_saturation(n: int) -> float:
-    return 2.0 ** ((n - 2) / 2.0)
+    """2^((N-2)/2); past N = 2050 it overflows although b can be finite."""
+    try:
+        return 2.0 ** ((n - 2) / 2.0)
+    except OverflowError:
+        raise InvalidRange(f"bell saturation is not finite at N={n}: "
+                           "float64 overflows there") from None
 
 
 def bell_value_ground_state(params: ModelParams) -> BellReport:
@@ -167,16 +187,66 @@ def n_opt(x: float) -> NOptReport:
                       eta_at_opt=float(etas[best]), c_aux=c_aux)
 
 
+#: The screen in ``n_opt_scan`` passes on every count whose rough
+#: efficiency is within this fraction of the rough maximum.
+_SCAN_MARGIN = 1e-12
+
+
+def _near_maximal(n: np.ndarray, x: float) -> np.ndarray | None:
+    """Mask of the counts whose rough m = 1 efficiency at k/h = x is within
+    ``_SCAN_MARGIN`` of the rough maximum, or None where a rough E_in,
+    E_out, eta or sqrt(1 + (B/A)^2) - 1 is not a finite float well inside
+    the normal range.
+
+    Array operations only: ``np.hypot`` for c, and the quotient form
+    r^2 / (sqrt(1 + r^2) + 1) for sqrt(1 + r^2) - 1 at every r = B/A; r^2
+    is at most N, so it cannot overflow. Each value is within a few ulps of
+    its ``closedform.energies`` counterpart.
+    """
+    with np.errstate(all="ignore"):
+        c = np.hypot(n, 2.0 * x)
+        e_in = (n - 1.0) * n / c
+        a = n + 4.0 * x * x
+        r2 = np.square((n - 1.0) * (2.0 * x) / a)
+        gain = r2 / (np.sqrt(r2 + 1.0) + 1.0)
+        del r2
+        e_out = a / c * gain
+        del a, c
+        eta = e_out / e_in
+    # A four-fold margin on either side: where the rough values lie in
+    # range, the exact ones are finite and normal too, and raise nowhere.
+    lo, hi = 4.0 * sys.float_info.min, sys.float_info.max / 4.0
+    for values in (gain, e_in, e_out, eta):
+        if not (values.min() >= lo and values.max() <= hi):  # nan fails both
+            return None
+    return eta >= eta.max() * (1.0 - _SCAN_MARGIN)
+
+
 def n_opt_scan(x: float, n_max: int = 100_000) -> tuple[int, float]:
     """Integer argmax of single-output efficiency by exhaustive scan.
 
-    The safety net behind the closed-form count: every N in [2, n_max] is
-    evaluated and the best (count, efficiency) pair returned.
+    The safety net behind the closed-form count: the best (count,
+    efficiency) pair over every N in [2, n_max], with the bits that
+    ``closedform.energies`` over the whole range and ``np.argmax`` give.
+
+    Two passes. A screen computes a rough efficiency at every count with
+    array operations (``_near_maximal``) and keeps the counts within 1e-12
+    (relative) of its maximum; only those go through ``closedform.energies``,
+    which is pointwise, so they get the bits they would get in the full
+    range. Rough and exact eta agree to about 6e-16, a few ulps, so every
+    count that reaches the exact maximum is kept, and the kept counts stay in
+    order, so ``argmax`` still picks the first of a tie. Where a rough value
+    is not a finite, normal float (x^2 overflows, (B/A)^2 underflows), the
+    screen is skipped and the whole range goes through ``energies``, which
+    raises or returns as it always has.
     """
     _check_ratio(x)
     if not 2 <= n_max <= SCAN_N_MAX:
         raise InvalidRange(f"scan needs 2 <= n_max <= {SCAN_N_MAX}, got {n_max}")
     n = np.arange(2, n_max + 1, dtype=float)
+    keep = _near_maximal(n, x)
+    if keep is not None:
+        n = n[keep]
     etas = closedform.energies(n, 1, x).eta
     i = int(np.argmax(etas))
     return int(n[i]), float(etas[i])

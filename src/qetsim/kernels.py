@@ -22,6 +22,8 @@ reduces one ensemble several ways squares it once, into a buffer of its own.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: The one kernel implementation; recorded by tools that log the environment.
@@ -126,16 +128,21 @@ def z_fold(w: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
 _LOW_BITS = 8
 
 
+@functools.lru_cache(maxsize=None)
 def _z_table(width: int, n_bits: int) -> np.ndarray:
     """The Z sum of the lowest ``n_bits`` bits of every j < 2**width.
 
     Built by doubling, with no index array: the upper half of the table is
     the lower half less 2 for a Z bit (b < n_bits), unchanged for a bit above.
+    Built once per (width, n_bits) and read-only, since every caller shares
+    it; ``z_diagonal`` asks for widths of about half a statevector's bits,
+    so the cache holds a few small tables.
     """
     table = np.empty(1 << width)
     table[0] = min(width, n_bits)
     for b in range(width):
         np.subtract(table[:1 << b], 2.0 if b < n_bits else 0.0, out=table[1 << b:2 << b])
+    table.flags.writeable = False
     return table
 
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qetsim import analysis as an
 from qetsim import closedform as cf
@@ -85,6 +89,22 @@ def test_bell_values_raise_for_the_first_bad_point(n, k, h, error):
         an.bell_values(n, k, h)
 
 
+@pytest.mark.parametrize("n", [1026, 1100, 2049, 2051, 3000])
+@pytest.mark.parametrize("ratio", [0.0, 1e-3, 1.0, 1e3, 1e8])
+def test_bell_values_past_the_power_overflow_match_mpmath(n, ratio):
+    # Past N = 1025, 2^(N-2) overflows float64 while b can still be finite.
+    with mpmath.workdps(30):
+        k = mpmath.mpf(ratio)
+        c = mpmath.sqrt(n * n + 4 * k * k)
+        want = mpmath.sqrt(mpmath.mpf(2) ** (n - 2) * (2 * k / c) ** 2 + (n / c) ** 2)
+        if want >= sys.float_info.max:
+            with pytest.raises(InvalidRange, match=f"bell is not finite at N={n}"):
+                an.bell_values([n], [ratio])
+            return
+        got = an.bell_values([n], [ratio])[0]
+        assert abs(mpmath.mpf(got) / want - 1) <= 4 * sys.float_info.epsilon
+
+
 def test_bell_table_sorts_dedupes_and_types():
     rows = an.bell_table([4, 3, 4], [1.0, 0.0, 1.0], h=1.5)
     assert [r[:2] for r in rows] == [(3, 0.0), (3, 1.0), (4, 0.0), (4, 1.0)]
@@ -159,6 +179,59 @@ def test_scan_efficiency_matches_scalar_closed_form():
             assert eta == cf.single_output_efficiency(ModelParams(count, 1.0, x))
         scan_n, scan_eta = an.n_opt_scan(x, n_max=1000)
         assert scan_eta == cf.single_output_efficiency(ModelParams(scan_n, 1.0, x))
+
+
+def _exhaustive_scan(x, n_max):
+    """The scan without its screen: every count through ``closedform.energies``."""
+    n = np.arange(2, n_max + 1, dtype=float)
+    etas = cf.energies(n, 1, x).eta
+    i = int(np.argmax(etas))
+    return int(n[i]), float(etas[i])
+
+
+def _scan_outcome(scan, x, n_max):
+    """(count, eta's bits), or the error's class and message."""
+    try:
+        count, eta = scan(x, n_max)
+    except QetError as e:
+        return type(e), str(e)
+    return count, eta.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.integers(2, 3000))
+def test_screened_scan_equals_the_exhaustive_scan(x, n_max):
+    assert _scan_outcome(an.n_opt_scan, x, n_max) == _scan_outcome(_exhaustive_scan, x, n_max)
+
+
+# The verify check's ratios, the pinned ``nopt --scan`` ones, and one whose
+# peak (N = 8963) is flat enough that two counts pass the screen.
+@pytest.mark.parametrize("x", [10.0, 100.0, 1000.0, 0.5, 3.7, 3e5])
+def test_screened_scan_equals_the_exhaustive_scan_at_the_default_bound(x):
+    assert (_scan_outcome(an.n_opt_scan, x, 100_000)
+            == _scan_outcome(_exhaustive_scan, x, 100_000))
+
+
+def test_screen_keeps_the_counts_near_a_flat_peak():
+    keep = an._near_maximal(np.arange(2, 100_001, dtype=float), 3e5)
+    assert (np.flatnonzero(keep) + 2).tolist() == [8963, 8964]
+
+
+#: tracemalloc peak of one ``n_opt_scan`` per count, at 10^6 counts. Before
+#: the screen the scan measured 115 bytes per count at x = 10 and 98 at
+#: x = 1e-170, where the screen is skipped; the screened path measures 56.
+@pytest.mark.parametrize("x, bytes_per_count", [(10.0, 64), (1e-170, 98)])
+def test_scan_peak_memory_per_count(x, bytes_per_count):
+    n_max = 1_000_000
+    an.n_opt_scan(x, n_max=1000)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        an.n_opt_scan(x, n_max=n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 64 KiB for the handful of small arrays and objects beside the columns.
+    assert peak <= bytes_per_count * n_max + 65536, peak / n_max
 
 
 def test_single_output_efficiency_is_unimodal_in_n():
@@ -358,5 +431,8 @@ def test_out_of_float_range_inputs_raise():
         an.n_opt(1e300)
     with pytest.raises(InvalidRange, match="is not finite"):
         an.n_opt_scan(1e200, n_max=100)
-    with pytest.raises(InvalidRange, match="bell is not finite at N=1100"):
-        an.bell_value_ground_state(ModelParams(1100, 1.0, 1.0))
+    with pytest.raises(InvalidRange, match="bell is not finite at N=3000"):
+        an.bell_value_ground_state(ModelParams(3000, 1.0, 1.0))
+    # b = 1 at k = 0, but the saturation value 2^((N-2)/2) overflows.
+    with pytest.raises(InvalidRange, match="bell saturation is not finite at N=2100"):
+        an.bell_value_ground_state(ModelParams(2100, 1.0, 0.0))

@@ -24,9 +24,10 @@ from hypothesis import given, settings, strategies as st
 from qetsim import analysis, closedform
 from qetsim.model import ModelParams, Partition
 
-#: Largest N whose Bell value ``analysis.bell_values`` can return: above it
-#: 2^(N-2) overflows float64 and the call raises ``InvalidRange``.
-BELL_N_MAX = 1025
+#: Largest N whose Bell value is finite at every k: b <= 2^((N-2)/2), which
+#: is 2^1023.5 here. Above N = 1025, 2^(N-2) alone overflows float64, and
+#: ``analysis.bell_values`` takes another form.
+BELL_N_MAX = 2049
 
 
 def ratios():

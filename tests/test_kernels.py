@@ -253,6 +253,19 @@ def test_z_reductions_equal_per_bit_masked_sums(case, data):
                   <= max(low, 1) * scale)
 
 
+@pytest.mark.parametrize("width, n_bits", [(0, 0), (3, 5), (8, 8), (8, 3), (9, 12)])
+def test_z_tables_are_cached_read_only_and_equal_a_fresh_build(width, n_bits):
+    table = kernels._z_table(width, n_bits)
+    assert kernels._z_table(width, n_bits) is table
+    fresh = kernels._z_table.__wrapped__(width, n_bits)
+    assert fresh is not table and table.tobytes() == fresh.tobytes()
+    j = np.arange(1 << width)
+    low = min(width, n_bits)
+    assert table.tolist() == (low - 2 * kernels.popcount(j & ((1 << low) - 1))).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+
+
 @pytest.mark.parametrize("name, bound", [("apply_pauli_signs", 1.1), ("z_expectations", 1.13)])
 def test_kernel_peak_memory_on_one_vector(name, bound):
     # The signed permutation allocates its output and nothing else; the
