@@ -34,6 +34,17 @@ RATIO_DECADE_POINTS = 50
 #: peak near 1 GB.
 SCAN_N_MAX = 10_000_000
 
+#: Most points a sweep or Bell grid holds. Under tracemalloc a run peaks at
+#: about 1440 bytes per emitted row (``bell --format json``; a JSON sweep
+#: with Bell takes 750, CSV 460), so a grid at the cap peaks near 1 GB.
+GRID_POINTS_MAX = 700_000
+
+
+def _check_grid_size(points: int):
+    """Refuse a grid past ``GRID_POINTS_MAX`` points, before it is built."""
+    if points > GRID_POINTS_MAX:
+        raise InvalidRange(f"the grid has {points} points, more than {GRID_POINTS_MAX}")
+
 
 # ---------------------------------------------------------------------------
 # Bell value of the GHZ-type ground state
@@ -50,21 +61,29 @@ class BellReport:
 _BELL_POWER_N_MAX = 1025
 
 
-def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
-    """b = sqrt(2^(N-2) (2k/c)^2 + (Nh/c)^2) over arrays of integer N >= 3.
+def _bell_form(n: np.ndarray, sx: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """b = sqrt(2^(N-2) sx^2 + cz^2) over arrays of integer N >= 3; the
+    ground state has sx = 2k/c and cz = Nh/c, the GHZ angle a has
+    sx = sin 2a and cz = cos 2a. The result is not checked for range.
 
     Past ``_BELL_POWER_N_MAX`` 2^(N-2) overflows although b need not, so
-    there b is hypot(2^((N-2)/2) 2k/c, Nh/c), the power applied by ldexp.
+    there b is hypot(2^((N-2)/2) sx, cz), the power applied by ldexp.
     """
     with np.errstate(all="ignore"):
-        sx = 2.0 * k / c
-        cz = n * h / c
         b = np.sqrt(np.ldexp(1.0, n - 2) * sx * sx + cz * cz)
         big = n > _BELL_POWER_N_MAX
         if big.any():
             nb = n[big]
             odd = np.where(nb % 2 == 1, math.sqrt(2.0), 1.0)
             b[big] = np.hypot(np.ldexp(odd * sx[big], (nb - 2) // 2), cz[big])
+    return b
+
+
+def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
+    """``_bell_form`` of the ground state, sx = 2k/c and cz = Nh/c; a value
+    that is not a finite float raises ``InvalidRange``."""
+    with np.errstate(all="ignore"):
+        b = _bell_form(n, 2.0 * k / c, n * h / c)
     bad = ~np.isfinite(b)
     if bad.any():
         i = int(np.argmax(bad))
@@ -125,6 +144,7 @@ def bell_table(n_values, ratios, h: float = 1.0) -> list[tuple]:
     sorted, deduplicated N and k/h values, in one array evaluation."""
     n_values = sorted(set(n_values))
     ratios = sorted(set(ratios))
+    _check_grid_size(len(n_values) * len(ratios))
     n = np.repeat(np.array(n_values, dtype=np.int64), len(ratios))
     ratio = np.tile(np.array(ratios, dtype=float), len(n_values))
     b = bell_values(n, ratio * h, h)
@@ -134,13 +154,19 @@ def bell_table(n_values, ratios, h: float = 1.0) -> list[tuple]:
 
 
 def bell_value_ghz_angle(n: int, alpha: float) -> float:
-    """Bell value of cos(a)|0..0> + sin(a)|1..1> parameterized by the angle."""
+    """Bell value of cos(a)|0..0> + sin(a)|1..1> parameterized by the angle:
+    ``_bell_form`` with sx = sin 2a and cz = cos 2a, so it is finite past
+    N = 1025 wherever b is, and ``InvalidRange`` where b overflows."""
     if n < 3:
         raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n}")
     if not 0.0 <= alpha <= math.pi / 4.0 + 1e-15:
         raise AngleOutOfRange(f"alpha must lie in [0, pi/4], got {alpha}")
-    s2, c2 = math.sin(2.0 * alpha), math.cos(2.0 * alpha)
-    return math.sqrt(2.0 ** (n - 2) * s2 * s2 + c2 * c2)
+    b = float(_bell_form(np.array([n]), np.array([math.sin(2.0 * alpha)]),
+                         np.array([math.cos(2.0 * alpha)]))[0])
+    if not math.isfinite(b):
+        raise InvalidRange(f"bell is not finite at N={n}, alpha={alpha!r}: "
+                           "float64 overflows there")
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +323,15 @@ def sweep_row(point: tuple[int, int, float, bool], h: float = 1.0) -> SweepTable
 
 def grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
     """The (N, m, ratio) cross product in the given order; pairs with m >= N
-    are dropped. No validation: see ``sweep_grid``."""
-    m_values = list(m_values)
+    are dropped. No validation: see ``sweep_grid``. The points are counted,
+    and refused past ``GRID_POINTS_MAX``, before the product is built."""
+    n_values, m_values = list(n_values), list(m_values)
+    ratios = np.asarray(ratios, dtype=float)
+    # Each N pairs with the m values below it: a sorted search counts them.
+    pair_count = np.searchsorted(np.sort(np.asarray(m_values)), n_values).sum()
+    _check_grid_size(int(pair_count) * ratios.size)
     pairs = np.array([(n, m) for n in n_values for m in m_values if m < n],
                      dtype=np.int64).reshape(-1, 2)
-    ratios = np.asarray(ratios, dtype=float)
     return Grid(n=np.repeat(pairs[:, 0], ratios.size),
                 m=np.repeat(pairs[:, 1], ratios.size),
                 ratio=np.tile(ratios, len(pairs)), with_bell=with_bell)

@@ -143,8 +143,10 @@ def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
-    """Comma-separated integers; a:b and a:b:step expand inclusively."""
-    out = []
+    """Comma-separated integers; a:b and a:b:step expand inclusively. The
+    values are counted before any range expands, and a list of more than
+    ``analysis.GRID_POINTS_MAX`` is refused."""
+    spans = []
     for part in text.split(","):
         if ":" in part:
             bits = part.split(":")
@@ -156,10 +158,15 @@ def _int_list(text: str) -> list[int]:
                 raise argparse.ArgumentTypeError(f"bad range {part!r}")
             if step < 1 or hi < lo:
                 raise argparse.ArgumentTypeError(f"bad range {part!r}")
-            out.extend(range(lo, hi + 1, step))
+            spans.append((lo, hi, step))
         else:
-            out.append(int(part))
-    return out
+            value = int(part)
+            spans.append((value, value, 1))
+    count = sum((hi - lo) // step + 1 for lo, hi, step in spans)
+    if count > analysis.GRID_POINTS_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} holds {count} values, more than {analysis.GRID_POINTS_MAX}")
+    return [v for lo, hi, step in spans for v in range(lo, hi + 1, step)]
 
 
 def _ratio(text: str) -> float:

@@ -19,12 +19,15 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   <alpha|psi>, sign included;
 * a row's squared norm is its outcome probability, so ensemble traces are
   plain sums of per-row expectations, and a zero-probability row weighs
-  nothing without special-casing;
+  nothing without special-casing; the total probability is one dot product
+  over the whole matrix, and only the sampler, which draws rows, takes each
+  row's own;
 * the conditioned rotation is one real signed permutation of the columns,
   scaled per row by the parity of the row index: the product of its signs;
 * each ensemble is squared once, into one weight array that every Z and
   norm reduction reads, so a call holds a fixed set of arrays of the branch
-  matrix's size: the measured rows, the rotated rows and one buffer.
+  matrix's size: the measured rows, the rotated rows and one buffer;
+* a ``ProtocolReport`` holds floats only, so no array outlives the call.
 
 The ensemble average state is never materialized as a density matrix, and
 no Python loop runs over branches.
@@ -56,27 +59,29 @@ class Branches:
 
     Row r of ``states`` is the unnormalised output state <alpha|psi> of
     outcome r, over the output qubits in ascending order (the first is the
-    most significant bit). ``probability[r]`` is its squared norm. Bit i of r,
-    from the most significant of its N-m bits, set means the i-th input qubit
-    (ascending) measured -1; ``parity[r] = (-1)**popcount(r)`` is the product.
+    most significant bit); its squared norm is the outcome's probability.
+    Bit i of r, from the most significant of its N-m bits, set means the
+    i-th input qubit (ascending) measured -1; ``parity[r] = (-1)**popcount(r)``
+    is the product.
     """
 
     states: np.ndarray
-    probability: np.ndarray
     parity: np.ndarray
 
 
 @dataclass
 class ProtocolReport:
-    """Full energy accounting of one protocol run at a fixed rotation angle."""
+    """Energy accounting of one protocol run at a fixed rotation angle.
+
+    Floats only: ``total_probability`` is the summed probability of the
+    measured rows, 1 up to rounding.
+    """
 
     e_in: float
-    per_qubit_e_in: np.ndarray
-    theta_used: float
     e_out: float
     e_out_via_trace: float
     eta: float
-    branches: Branches
+    total_probability: float
 
 
 def measure_branches(params: ModelParams, part: Partition,
@@ -98,22 +103,20 @@ def measure_branches(params: ModelParams, part: Partition,
         kernels.project_x(states.T, 1 << i)
     states *= 2.0 ** (-0.5 * n_in)
     parity = 1.0 - 2.0 * (kernels.popcount(np.arange(1 << n_in)) & 1)
-    # Row dot products: the probabilities need no weight array.
-    return Branches(states, np.einsum("ij,ij->i", states, states), parity)
+    return Branches(states, parity)
 
 
 def injected_energy(branches: Branches, params: ModelParams,
-                    part: Partition) -> tuple[float, np.ndarray]:
-    """Measurement cost per input qubit and in total.
+                    part: Partition) -> tuple[float, float]:
+    """Measurement cost, and the total probability of the measured rows.
 
-    Entry i of the returned array is the probability-weighted post-measurement
-    energy h<Z_j> + N h^2 / c of the i-th input qubit; the scalar is their sum.
-    Each measured qubit is left in an X eigenstate, where <Z> is exactly zero,
-    so every entry is the constant times the total probability.
+    Each measured qubit is left in an X eigenstate, where <Z> is exactly
+    zero, so its probability-weighted post-measurement energy
+    h<Z_j> + N h^2 / c is the constant times the total probability, which
+    is one dot product over the rows.
     """
-    weight = float(np.sum(branches.probability))
-    per_qubit = np.full(part.n_inputs, local_constant(params) * weight)
-    return float(per_qubit.sum()), per_qubit
+    probability = float(np.vdot(branches.states, branches.states))
+    return part.n_inputs * local_constant(params) * probability, probability
 
 
 def _rotation_masks(part: Partition, y_qubit: int | None) -> tuple[int, int]:
@@ -245,7 +248,7 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     term and then the rotated weights.
     """
     branches = measure_branches(params, part, oracle_cap)
-    e_in, per_qubit = injected_energy(branches, params, part)
+    e_in, probability = injected_energy(branches, params, part)
 
     m = part.m_outputs
     rotated, w = _rotate(branches, part, theta, y_qubit)
@@ -258,15 +261,8 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     weight, z = _weight_sums(w, m)
     e_out = _drained(weight, z, flip, params)
     total = params.h * z_total + 2.0 * params.k * flip + params.c * weight
-    return ProtocolReport(
-        e_in=e_in,
-        per_qubit_e_in=per_qubit,
-        theta_used=theta,
-        e_out=e_out,
-        e_out_via_trace=e_in - total,
-        eta=e_out / e_in,
-        branches=branches,
-    )
+    return ProtocolReport(e_in=e_in, e_out=e_out, e_out_via_trace=e_in - total,
+                          eta=e_out / e_in, total_probability=probability)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +363,8 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     if not 0 <= seed < 1 << 64:
         raise InvalidRange(f"seed must lie in [0, 2**64), got {seed}")
     branches = measure_branches(params, part, oracle_cap)
-    probs = branches.probability / np.sum(branches.probability)
+    row_probs = np.einsum("ij,ij->i", branches.states, branches.states)
+    probs = row_probs / np.sum(row_probs)
     # Per-outcome energies of the normalized branch states; a drawn outcome
     # has nonzero probability, so dividing by it is safe. Every outcome leaves
     # the measured qubits in X eigenstates, so each shot injects the same.
@@ -379,7 +376,7 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     draws = rng.choice(len(probs), size=n_shots, p=probs)
     return SampleEstimate(
         e_in=part.n_inputs * local_constant(params),
-        e_out=float(np.mean(drained[draws] / branches.probability[draws])),
+        e_out=float(np.mean(drained[draws] / row_probs[draws])),
         n_shots=n_shots,
         seed=seed,
     )

@@ -291,8 +291,7 @@ def check_properties(oracle_cap: int = 12) -> CheckResult:
                 rep = protocol_oracle.extracted_energy(params, part, t,
                                                        oracle_cap=oracle_cap)
                 worst_acct = max(worst_acct, abs(rep.e_out - rep.e_out_via_trace))
-                worst_prob = max(worst_prob, abs(
-                    float(np.sum(rep.branches.probability)) - 1.0))
+                worst_prob = max(worst_prob, abs(rep.total_probability - 1.0))
                 if rep.e_out > rep.e_in + 1e-10:
                     bad.append(f"extraction above injection at N={n}, m={m}")
     if worst_acct > 1e-10:

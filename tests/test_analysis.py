@@ -124,6 +124,23 @@ def test_bell_ghz_angle_endpoints_and_range():
         an.bell_value_ghz_angle(3, 1.0)
 
 
+@pytest.mark.parametrize("n", [1026, 2049, 3000])
+@pytest.mark.parametrize("alpha", [0.0, 1e-300, 1e-3, 0.3, math.pi / 8.0, math.pi / 4.0])
+def test_bell_ghz_angle_past_the_power_overflow_matches_mpmath(n, alpha):
+    # The angle form goes through the ground-state evaluation: finite
+    # wherever b is, InvalidRange where b itself overflows.
+    with mpmath.workdps(30):
+        a2 = 2 * mpmath.mpf(alpha)
+        want = mpmath.sqrt(mpmath.mpf(2) ** (n - 2) * mpmath.sin(a2) ** 2
+                           + mpmath.cos(a2) ** 2)
+        if want >= sys.float_info.max:
+            with pytest.raises(InvalidRange, match=f"bell is not finite at N={n}"):
+                an.bell_value_ghz_angle(n, alpha)
+            return
+        got = an.bell_value_ghz_angle(n, alpha)
+        assert abs(mpmath.mpf(got) / want - 1) <= 4 * sys.float_info.epsilon
+
+
 def test_bell_ground_state_matches_ghz_angle_form():
     for n, k in [(3, 1.0), (4, 0.2), (7, 30.0)]:
         p = ModelParams(n, 1.0, k)
@@ -265,6 +282,25 @@ def test_n_opt_scan_refuses_a_bound_past_its_cap_before_allocating(monkeypatch):
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
+
+def test_grids_past_their_cap_are_refused_before_they_are_built(monkeypatch):
+    cap = an.GRID_POINTS_MAX
+    assert len(an.grid([2], [1], np.zeros(cap))) == cap
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    for name in ("repeat", "tile"):
+        monkeypatch.setattr(an.np, name, no_allocation)
+    monkeypatch.setattr(an, "bell_values", no_allocation)
+    # Pairs with m >= N are not counted: 3 pairs here, so cap + 2 points.
+    with pytest.raises(InvalidRange, match=f"the grid has {cap + 2} points"):
+        an.grid([3, 2], [2, 1, 3], np.zeros((cap + 2) // 3))
+    with pytest.raises(InvalidRange, match="the grid has 1001000 points"):
+        an.efficiency_sweep(range(2, 1002), range(1, 1001), [1.0, 2.0])
+    with pytest.raises(InvalidRange, match="the grid has 701000 points"):
+        an.bell_table(range(3, 1003), np.linspace(0.5, 2.0, 701))
+
 
 def _points(grid):
     return list(zip(grid.n.tolist(), grid.m.tolist(), grid.ratio.tolist()))

@@ -106,6 +106,54 @@ def test_sizes_past_their_cap_exit_2_before_allocating(capsys, monkeypatch, argv
     assert err.startswith("error:") and "2000000000" in err
 
 
+def test_int_lists_past_the_grid_cap_exit_2_before_expanding(capsys, monkeypatch):
+    # Values are counted from the range bounds; a list past the cap is a
+    # usage error before any range object exists.
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("expanded past the cap")
+
+    monkeypatch.setattr(cli, "range", no_allocation, raising=False)
+    monkeypatch.setattr(analysis, "grid", no_allocation)
+    monkeypatch.setattr(analysis, "bell_table", no_allocation)
+    for argv, count in [
+        (("sweep", "--n", "2:1000000000", "--m", "1", "--ratio", "1"), 999999999),
+        (("sweep", "--m", "1:2000000000:2", "--n", "3", "--ratio", "1"), 1000000000),
+        (("bell", "--n", "3:400000,3:400000", "--ratio", "1"), 799996),
+    ]:
+        with pytest.raises(SystemExit) as done:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert done.value.code == 2 and captured.out == ""
+        assert f"holds {count} values" in captured.err, captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_int_lists_at_the_grid_cap_expand():
+    cap = analysis.GRID_POINTS_MAX
+    assert cli._int_list(f"1:{cap}") == list(range(1, cap + 1))
+    assert cli._int_list(f"5,1:{2 * cap - 3}:2") == [5, *range(1, 2 * cap - 2, 2)]
+
+
+@pytest.mark.parametrize("argv, points", [
+    (("sweep", "--n", "2:1001", "--m", "1:1000", "--ratio", "1,2"), 1001000),
+    (("sweep", "--n", "3:100002", "--m", "1,2", "--ratio", "1,2,3,4"), 800000),
+    (("bell", "--n", "3:300002", "--ratio", "1,2,3"), 900000),
+])
+def test_grids_past_their_cap_exit_2_before_allocating(capsys, monkeypatch, argv, points):
+    # Every list is under the cap, but the (N, m, ratio) product is not.
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    for name in ("repeat", "tile"):
+        monkeypatch.setattr(analysis.np, name, no_allocation)
+    monkeypatch.setattr(analysis, "bell_values", no_allocation)
+    monkeypatch.setattr(analysis.closedform, "energies", no_allocation)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: the grid has {points} points, "
+                   f"more than {analysis.GRID_POINTS_MAX}\n")
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
