@@ -36,7 +36,8 @@ SCAN_N_MAX = 10_000_000
 
 #: Most points a sweep or Bell grid holds. Under tracemalloc a run peaks at
 #: about 1440 bytes per emitted row (``bell --format json``; a JSON sweep
-#: with Bell takes 750, CSV 460), so a grid at the cap peaks near 1 GB.
+#: with Bell takes 750, ``bell`` CSV 460, a CSV sweep 255), so a grid at
+#: the cap peaks near 1 GB.
 GRID_POINTS_MAX = 700_000
 
 
@@ -44,6 +45,16 @@ def _check_grid_size(points: int):
     """Refuse a grid past ``GRID_POINTS_MAX`` points, before it is built."""
     if points > GRID_POINTS_MAX:
         raise InvalidRange(f"the grid has {points} points, more than {GRID_POINTS_MAX}")
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_qubit_counts(n_values: list[int]):
+    """Refuse a qubit count outside int64, before numpy converts it."""
+    if n_values and (min(n_values) < _INT64.min or max(n_values) > _INT64.max):
+        bad = next(n for n in n_values if not _INT64.min <= n <= _INT64.max)
+        raise InvalidRange(f"qubit count {bad} is outside the int64 range")
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +155,7 @@ def bell_table(n_values, ratios, h: float = 1.0) -> list[tuple]:
     sorted, deduplicated N and k/h values, in one array evaluation."""
     n_values = sorted(set(n_values))
     ratios = sorted(set(ratios))
+    _check_qubit_counts(n_values)
     _check_grid_size(len(n_values) * len(ratios))
     n = np.repeat(np.array(n_values, dtype=np.int64), len(ratios))
     ratio = np.tile(np.array(ratios, dtype=float), len(n_values))
@@ -326,6 +338,7 @@ def grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
     are dropped. No validation: see ``sweep_grid``. The points are counted,
     and refused past ``GRID_POINTS_MAX``, before the product is built."""
     n_values, m_values = list(n_values), list(m_values)
+    _check_qubit_counts(n_values)
     ratios = np.asarray(ratios, dtype=float)
     # Each N pairs with the m values below it: a sorted search counts them.
     pair_count = np.searchsorted(np.sort(np.asarray(m_values)), n_values).sum()

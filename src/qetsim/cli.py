@@ -11,11 +11,14 @@ fixtures    the specialization fixture report
 verify      the full verification suite (exit 1 on any failure)
 
 Sweep-style output uses one fixed CSV schema, `n,m,ratio,e_in,e_out,eta,bell`
-(bell left empty when not computed), floats printed with 17 significant
-digits, metadata as `#` comment lines above the header, and a single
-newline as the separator. With `--format json` the same rows are objects
-keyed by that header, laid out as `json.dumps(indent=2)` lays them out,
-with floats as their shortest repr and `null` for a bell not computed.
+(bell left empty when not computed), floats printed as `"%.17g" % x` prints
+them, metadata as `#` comment lines above the header, and a single newline
+as the separator. The CSV rows are laid out as arrays, a block of
+`CSV_BLOCK_ROWS` rows at a time: `floatfmt.g17` gives the bytes of each
+float, and each distinct n, m and ratio is formatted once. With
+`--format json` the same rows are objects keyed by that header, laid out as
+`json.dumps(indent=2)` lays them out, one text template per row, with
+floats as their shortest repr and `null` for a bell not computed.
 Identical configurations always produce identical bytes; the CSV and JSON
 bytes of sweeps and figures are pinned by `tests/test_output_bytes.py`.
 
@@ -25,8 +28,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -35,8 +40,8 @@ from .errors import QetError
 from .model import DEFAULT_ORACLE_CAP, ModelParams, Partition
 
 SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"
-#: One data row of SWEEP_HEADER; the ratio and bell cells come preformatted.
-SWEEP_ROW = "%d,%d,%s,%.17g,%.17g,%.17g,%s"
+#: Rows of a CSV sweep laid out at a time, as one uint8 array.
+CSV_BLOCK_ROWS = 4096
 #: One row object of the JSON sweep, as ``json.dumps(indent=2)`` lays it out:
 #: a finite float is written with ``float.__repr__`` and the bell cell is
 #: ``null`` or a repr.
@@ -85,24 +90,59 @@ def _json_doc(meta: list[str], rows: list[dict]) -> str:
     return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
 
-def _bell_cells(bell: np.ndarray, fmt: str, missing: str) -> list[str]:
-    """The bell column as text; ``missing`` where it was not computed."""
-    return [missing if b != b else fmt % b for b in bell.tolist()]
+def _distinct_cells(column: np.ndarray, fmt: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``fmt % value`` of each distinct value, as NUL-padded uint8 rows, and
+    the text row of each element. Bit patterns, not values, pick the
+    distinct ones, so -0.0 keeps its sign."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([fmt % v for v in bits.view(column.dtype).tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(bits.size, text.itemsize), where
+
+
+def _csv_block(cells: list[np.ndarray]) -> np.ndarray:
+    """Rows of NUL-padded cells joined by commas, each row ending in a newline."""
+    widths = [cell.shape[1] for cell in cells]
+    block = np.zeros((len(cells[0]), sum(widths) + len(cells)), dtype=np.uint8)
+    at = 0
+    for cell, width in zip(cells, widths):
+        block[:, at:at + width] = cell
+        block[:, at + width] = ord(",")
+        at += width + 1
+    block[:, -1] = ord("\n")
+    return block[block != 0]
+
+
+def _csv_blocks(table: analysis.SweepTable) -> Iterator[np.ndarray]:
+    """The data rows as ASCII, one uint8 array per ``CSV_BLOCK_ROWS`` rows."""
+    from . import floatfmt  # only commands that write a CSV sweep load it
+    # n, m and ratio repeat across rows, so each distinct value is formatted
+    # once, in Python.
+    n_text, n_at = _distinct_cells(table.n, b"%d")
+    m_text, m_at = _distinct_cells(table.m, b"%d")
+    ratio_text, ratio_at = _distinct_cells(table.ratio, b"%.17g")
+    has_bell = ~np.isnan(table.bell)
+    for start in range(0, table.n.size, CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        has = has_bell[rows]
+        count = has.size
+        text = floatfmt.g17(np.concatenate([table.e_in[rows], table.e_out[rows],
+                                            table.eta[rows], table.bell[rows][has]]))
+        # A bell value that was not computed leaves its cell empty.
+        bell = np.zeros((count, text.shape[1] if has.any() else 0), dtype=np.uint8)
+        bell[has] = text[3 * count:, :bell.shape[1]]
+        yield _csv_block([
+            n_text.take(n_at[rows], axis=0), m_text.take(m_at[rows], axis=0),
+            ratio_text.take(ratio_at[rows], axis=0),
+            text[:count], text[count:2 * count], text[2 * count:3 * count], bell])
 
 
 def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
-    # Each distinct ratio is formatted once: a sweep repeats it for every
-    # (N, m). Bit patterns, not values, pick the distinct ones, so -0.0
-    # keeps its sign.
-    codes, where = np.unique(table.ratio.view(np.int64), return_inverse=True)
-    texts = np.array(["%.17g" % r for r in codes.view(np.float64).tolist()], dtype=object)
-    lines = [f"# {m}" for m in meta]
-    lines.append(SWEEP_HEADER)
-    lines.extend(map(SWEEP_ROW.__mod__, zip(
-        table.n.tolist(), table.m.tolist(), texts[where].tolist(),
-        table.e_in.tolist(), table.e_out.tolist(), table.eta.tolist(),
-        _bell_cells(table.bell, "%.17g", ""))))
-    return "\n".join(lines) + "\n"
+    head = "\n".join([*(f"# {m}" for m in meta), SWEEP_HEADER]) + "\n"
+    # The rows are ASCII; the metadata goes through UTF-8 and back unchanged,
+    # a lone surrogate included.
+    text = np.concatenate([np.frombuffer(head.encode("utf-8", "surrogatepass"), np.uint8),
+                           *_csv_blocks(table)])
+    return codecs.utf_8_decode(text, "surrogatepass", True)[0]
 
 
 def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
@@ -115,7 +155,7 @@ def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
     rows = map(SWEEP_JSON_ROW.__mod__, zip(
         table.n.tolist(), table.m.tolist(), table.ratio.tolist(),
         table.e_in.tolist(), table.e_out.tolist(), table.eta.tolist(),
-        _bell_cells(table.bell, "%r", "null")))
+        ["null" if b != b else repr(b) for b in table.bell.tolist()]))
     return head[:-len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 

@@ -154,6 +154,29 @@ def test_grids_past_their_cap_exit_2_before_allocating(capsys, monkeypatch, argv
                    f"more than {analysis.GRID_POINTS_MAX}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n", "99999999999999999999", "--m", "1", "--ratio", "1"),
+    ("bell", "--n", "99999999999999999999", "--ratio", "1"),
+    ("efficiency", "--n", "99999999999999999999", "--m", "1", "--ratio", "1"),
+    ("bell", "--n", "-99999999999999999999", "--ratio", "1"),
+])
+def test_qubit_counts_past_int64_exit_2(capsys, argv):
+    # Before: an OverflowError traceback where the count became an int64.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: qubit count {argv[2]} is outside the int64 range\n"
+
+
+def test_largest_int64_qubit_count_runs(capsys):
+    # e_in >= 1e16 prints in the e+XX form, which the CSV formatter leaves to
+    # "%.17g" one value at a time.
+    code, out, _ = run_cli(capsys, "sweep", "--n", "9223372036854775807", "--m", "1",
+                           "--ratio", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == ("9223372036854775807,1,1,9.2233720368547758e+18,"
+                                    "1.2360679774997898,1.3401475865450357e-19,")
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
