@@ -160,6 +160,11 @@ def bell_table(n_values, ratios, h: float = 1.0) -> list[tuple]:
     n = np.repeat(np.array(n_values, dtype=np.int64), len(ratios))
     ratio = np.tile(np.array(ratios, dtype=float), len(n_values))
     b = bell_values(n, ratio * h, h)
+    if closedform._tiny(h):
+        # b depends on N and k/h alone, and here k = ratio * h can be
+        # subnormal: evaluate at unit field wherever 2 k/h is finite.
+        unit = ratio < 2.0 ** 1023
+        b[unit] = bell_values(n[unit], ratio[unit])
     saturation = np.repeat([_bell_saturation(v) for v in n_values], len(ratios))
     return list(zip(n.tolist(), ratio.tolist(), b.tolist(), (b > 1.0).tolist(),
                     saturation.tolist()))
@@ -213,7 +218,9 @@ def n_opt(x: float) -> NOptReport:
     try:
         c_aux = 2.0 ** (4.0 / 3.0) * (x * x + 4.0 * x ** 4) ** (1.0 / 3.0)
     except OverflowError:
-        raise InvalidRange(f"x={x:g} is too large: x**4 overflows float64") from None
+        c_aux = math.inf
+    if not math.isfinite(c_aux):  # 4 x^4 overflows a little below x^4 does
+        raise InvalidRange(f"x={x:g} is too large: x**4 overflows float64")
     root = math.sqrt(1.0 + c_aux)
     n_real = 0.5 + 0.5 * root + 0.5 * math.sqrt(
         2.0 - c_aux + (2.0 + 16.0 * x * x) / root)

@@ -38,6 +38,14 @@ from .errors import (
 DEFAULT_ORACLE_CAP = 12
 
 
+def check_oracle_cap(n_qubits: int, oracle_cap: int):
+    """The one size guard of the brute-force engine: every entry that would
+    hold 2**N amplitudes calls it before it allocates anything."""
+    if n_qubits > oracle_cap:
+        raise OracleCapExceeded(
+            f"N={n_qubits} exceeds the statevector cap of {oracle_cap} qubits")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Couplings of the N-qubit model.
@@ -91,9 +99,8 @@ def validate_params(n_qubits: int, h: float, k: float, *,
         raise TooFewQubits(f"need at least 2 qubits, got {n_qubits}")
     if not (h > 0) or not (k > 0):
         raise NonPositiveCoupling(f"h and k must be > 0, got h={h}, k={k}")
-    if for_oracle and n_qubits > oracle_cap:
-        raise OracleCapExceeded(
-            f"N={n_qubits} exceeds the statevector cap of {oracle_cap} qubits")
+    if for_oracle:
+        check_oracle_cap(n_qubits, oracle_cap)
     return ModelParams(n_qubits, float(h), float(k))
 
 

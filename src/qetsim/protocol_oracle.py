@@ -41,12 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidPartition, InvalidRange, OracleCapExceeded
+from .errors import InvalidPartition, InvalidRange
 from .model import (
     DEFAULT_ORACLE_CAP,
     ModelParams,
     Partition,
     ThetaChoice,
+    check_oracle_cap,
     interaction_constant,
     local_constant,
 )
@@ -90,9 +91,7 @@ def measure_branches(params: ModelParams, part: Partition,
     if part.n_qubits != params.n_qubits:
         raise InvalidPartition(
             f"partition is over {part.n_qubits} qubits, model over {params.n_qubits}")
-    if params.n_qubits > oracle_cap:
-        raise OracleCapExceeded(
-            f"N={params.n_qubits} exceeds the brute-force cap of {oracle_cap}")
+    check_oracle_cap(params.n_qubits, oracle_cap)
     n_in, m = part.n_inputs, part.m_outputs
     # Axis q-1 of the (2,)*N view is qubit q; reorder to (inputs, outputs).
     # The butterflies run in place on this call's own copy of the state.

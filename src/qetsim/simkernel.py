@@ -4,7 +4,8 @@ This is the substrate of the brute-force engine: statevectors as flat
 float64 arrays (complex128 once a Y factor makes them complex), Pauli strings
 applied as signed permutations (no matrix is ever materialized for them), the
 expectation values of the model's terms computed from index arithmetic, and
-three independent ground-state solvers:
+two ground-state solvers that each find the state without being told where
+it lies:
 
 * ``lanczos``: three-term Lanczos (Paige 1972) in two passes on the
   matrix-free operator diag(h * sum_j Z_j) plus 2k X_1 ... X_N, the latter a
@@ -12,14 +13,13 @@ three independent ground-state solvers:
   coefficients and stops at a rounding-level Ritz residual, after about
   N + 2 steps here; pass 2 replays the recurrence and adds up the Ritz
   vector. No Krylov basis is stored: the peak stays below eight 2**N
-  float64 vectors. Capped by ``oracle_cap``;
+  float64 vectors;
 * ``dense``: ``numpy.linalg.eigh`` of the full real symmetric Hamiltonian
-  (``build_hamiltonian``, the one 2**N x 2**N matrix here), capped at
-  N = 12, kept as a small-N reference;
-* ``block``: the interaction couples each basis state only to its bitwise
-  complement, so the Hamiltonian splits into 2x2 blocks labelled by the
-  magnetization sector; enumerating the sectors gives the exact spectrum
-  floor for N up to 30, and the state for N up to ``oracle_cap``.
+  (``build_hamiltonian``, the one 2**N x 2**N matrix here), kept as a
+  small-N reference.
+
+Both hold 2**N amplitudes, so both refuse N above ``oracle_cap`` through
+``model.check_oracle_cap`` before they allocate anything.
 
 Qubit convention (shared with ``model``): qubit 1 is the most significant
 bit; bit value 0 is the Z eigenvalue +1 state.
@@ -32,18 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, NoConvergence, OracleCapExceeded
+from .errors import DimensionMismatch, NoConvergence
 from .model import (
     DEFAULT_ORACLE_CAP,
     ModelParams,
+    check_oracle_cap,
     ground_state_amplitudes,
     interaction_constant,
     local_constant,
     qubit_mask,
 )
-
-#: Sector enumeration works to N = 30; beyond that nothing here is exact.
-BLOCK_CAP = 30
 
 
 @dataclass
@@ -137,12 +135,6 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
 # Dense Hamiltonian, the input of the dense solver
 # ---------------------------------------------------------------------------
 
-def _check_cap(n_qubits: int, cap: int):
-    if n_qubits > cap:
-        raise OracleCapExceeded(
-            f"N={n_qubits} exceeds the statevector cap of {cap} qubits")
-
-
 def build_hamiltonian(params: ModelParams,
                       oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """The full real Hamiltonian: diagonal field part plus anti-diagonal flip.
@@ -150,7 +142,7 @@ def build_hamiltonian(params: ModelParams,
     The additive constants of the individual terms sum to exactly c, so
     H = diag(h * sum_j Z_j + c) + 2k * FlipAll.
     """
-    _check_cap(params.n_qubits, oracle_cap)
+    check_oracle_cap(params.n_qubits, oracle_cap)
     n = params.n_qubits
     idx = np.arange(1 << n, dtype=np.int64)
     zsum = n - 2 * kernels.popcount(idx)
@@ -230,7 +222,7 @@ def _krylov(zfield: np.ndarray, flip: float, alphas: list, betas: list):
 
 
 def _lanczos_ground_state(params: ModelParams, oracle_cap: int):
-    _check_cap(params.n_qubits, oracle_cap)
+    check_oracle_cap(params.n_qubits, oracle_cap)
     n, dim = params.n_qubits, 1 << params.n_qubits
     # c stays out: with it, the k = 0 ground level is exactly 0 and sets no scale.
     zfield = params.h * (n - 2 * kernels.popcount(np.arange(dim, dtype=np.int64)))
@@ -256,53 +248,16 @@ def _lanczos_ground_state(params: ModelParams, oracle_cap: int):
     return float(theta[0]) + params.c, StateVector(n, vec)
 
 
-def _block_ground_state(params: ModelParams, with_state: bool, oracle_cap: int):
-    n = params.n_qubits
-    if n > BLOCK_CAP:
-        raise OracleCapExceeded(f"block solver supports N <= {BLOCK_CAP}, got {n}")
-    if with_state:
-        _check_cap(n, oracle_cap)
-    c, h, k = params.c, params.h, params.k
-    best = None
-    for n_ones in range(n + 1):
-        s = n - 2 * n_ones
-        block = np.array([[c + s * h, 2.0 * k], [2.0 * k, c - s * h]])
-        lo = float(np.linalg.eigvalsh(block)[0])
-        if best is None or lo < best[0]:
-            best = (lo, n_ones, block)
-    energy, n_ones, block = best
-    if not with_state:
-        return energy, None
-    # The floor sits in the {|00...0>, |11...1>} pair block.
-    _, v = np.linalg.eigh(block)
-    pair = v[:, 0]
-    if pair[1] > 0:  # sign convention: amplitude on the all-ones state <= 0
-        pair = -pair
-    rep = ((1 << n_ones) - 1) << (n - n_ones)  # n_ones most significant bits set
-    amps = np.zeros(1 << n)
-    amps[rep] = pair[0]
-    amps[(1 << n) - 1 - rep] = pair[1]
-    return energy, StateVector(n, amps)
-
-
 def exact_ground_state(params: ModelParams, method: str = "dense", *,
-                       with_state: bool = True,
                        oracle_cap: int = DEFAULT_ORACLE_CAP):
-    """Lowest eigenpair of the Hamiltonian.
+    """Lowest eigenpair of the Hamiltonian, as ``(energy, StateVector)``.
 
     ``lanczos`` runs matrix-free Lanczos and ``dense`` diagonalizes the full
-    matrix; ``block`` enumerates the 2x2 complement-pair sectors and gives
-    the energy exactly for N <= 30. Every statevector is capped at
-    ``oracle_cap`` qubits before anything is allocated for it, so only
-    ``block`` with ``with_state=False`` goes past the cap. ``lanczos`` and
-    ``block`` return the state with its amplitude on |11...1> <= 0;
+    matrix. Both refuse N above ``oracle_cap`` before anything is allocated.
+    ``lanczos`` returns the state with its amplitude on |11...1> <= 0;
     ``dense`` leaves the sign to LAPACK.
-    Returns ``(energy, StateVector | None)``.
     """
     solvers = {"lanczos": _lanczos_ground_state, "dense": _dense_ground_state}
-    if method in solvers:
-        energy, state = solvers[method](params, oracle_cap)
-        return (energy, state) if with_state else (energy, None)
-    if method == "block":
-        return _block_ground_state(params, with_state, oracle_cap)
-    raise ValueError(f"unknown method {method!r}; use 'lanczos', 'dense' or 'block'")
+    if method not in solvers:
+        raise ValueError(f"unknown method {method!r}; use 'lanczos' or 'dense'")
+    return solvers[method](params, oracle_cap)

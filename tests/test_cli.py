@@ -343,6 +343,34 @@ def test_nopt_subcommand_with_scan(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("scan", [(), ("--scan",)])
+@pytest.mark.parametrize("x", ["8.3e76", "1e77", "1.15e77"])
+def test_nopt_where_4x4_overflows_before_x4_exits_2(capsys, x, scan):
+    # Before: c_aux was inf and the square root raised "math domain error".
+    code, out, err = run_cli(capsys, "nopt", "--x", x, *scan)
+    assert (code, out) == (2, "")
+    assert err == f"error: x={float(x):g} is too large: x**4 overflows float64\n"
+
+
+def test_nopt_just_below_the_quartic_overflow_prints_a_row(capsys):
+    code, out, err = run_cli(capsys, "nopt", "--x", "8.1e76")
+    assert code == 0 and err == ""
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 1 and all(math.isfinite(float(f)) for f in rows[0].split(","))
+
+
+@pytest.mark.parametrize("h", ["1e-160", "1e-310", "1e-320", "5e-324"])
+def test_bell_rows_where_h_squared_is_subnormal_match_unit_field(capsys, h):
+    # b depends on N and k/h alone. Before: 1.0307764064044151 at N=3,
+    # k/h=1, h=5e-324, where the exact value is 1.1435437497937313.
+    argv = ("bell", "--n", "3,8,20", "--ratio", "0,0.01,1,7,1e5")
+    _, at_one, _ = run_cli(capsys, *argv)
+    code, tiny, err = run_cli(capsys, *argv, "--h", h)
+    assert code == 0 and err == ""
+    assert parse_csv(tiny)[2] == parse_csv(at_one)[2]
+    assert "3,1,1.1435437497937313,true," in at_one
+
+
 def test_fixtures_subcommand(capsys):
     code, out, _ = run_cli(capsys, "fixtures")
     assert code == 0  # variants misbehaving would flip the exit code

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from qetsim import protocol_oracle, simkernel
 from qetsim.errors import (
     InvalidPartition,
     NonPositiveCoupling,
@@ -57,6 +59,34 @@ def test_validate_params_oracle_cap():
     assert validate_params(13, 1.0, 1.0, for_oracle=True, oracle_cap=14).n_qubits == 13
     with pytest.raises(TooFewQubits):
         validate_params(3.5, 1.0, 1.0)
+
+
+_P6 = ModelParams(6, 1.0, 0.7)
+_LAST6 = Partition.last(6, 1)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda cap: simkernel.exact_ground_state(_P6, "lanczos", oracle_cap=cap),
+    lambda cap: simkernel.exact_ground_state(_P6, "dense", oracle_cap=cap),
+    lambda cap: simkernel.build_hamiltonian(_P6, oracle_cap=cap),
+    lambda cap: protocol_oracle.measure_branches(_P6, _LAST6, cap),
+    lambda cap: protocol_oracle.sample_protocol(_P6, _LAST6, 0.3, oracle_cap=cap),
+    lambda cap: validate_params(6, 1.0, 0.7, for_oracle=True, oracle_cap=cap),
+], ids=["lanczos", "dense", "build_hamiltonian", "measure_branches",
+        "sample_protocol", "validate_params"])
+def test_every_brute_force_entry_refuses_through_the_one_guard(monkeypatch, entry):
+    """Each entry that would hold 2**N amplitudes raises the guard's one
+    message before numpy allocates anything."""
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the cap")
+
+    for name in ("zeros", "arange", "empty"):
+        monkeypatch.setattr(np, name, no_allocation)
+    with pytest.raises(OracleCapExceeded) as refused:
+        entry(5)
+    assert str(refused.value) == "N=6 exceeds the statevector cap of 5 qubits"
+    monkeypatch.undo()
+    entry(6)  # at the cap the same call runs
 
 
 def test_energy_scale():

@@ -53,8 +53,8 @@ def test_states_are_real_until_a_complex_amplitude_enters():
     # Every state the protocol builds is real; a Y factor makes one complex.
     p = ModelParams(5, 1.0, 0.7)
     states = [sk.StateVector.basis(5, 3), sk.StateVector.ground_state(p)]
-    states += [sk.exact_ground_state(p, method)[1] for method in ("dense", "lanczos", "block")]
-    assert [s.amplitudes.dtype for s in states] == [np.float64] * 5
+    states += [sk.exact_ground_state(p, method)[1] for method in ("dense", "lanczos")]
+    assert [s.amplitudes.dtype for s in states] == [np.float64] * 4
     assert sk.StateVector(2, [1, 0, 0, 0]).amplitudes.dtype == np.float64
     with_y = sk.apply_pauli_string(states[1], sk.PauliString("XYIII"))
     assert with_y.amplitudes.dtype == np.complex128
@@ -184,20 +184,18 @@ def test_site_z_ordering_follows_qubit_labels():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_dense_and_block_solvers_agree(n):
+    """Dense and Lanczos against each other and against the analytic state,
+    the ground state of the {|0...0>, |1...1>} block; its energy is 0."""
     p = ModelParams(n, 1.0, 0.7)
     e_dense, v_dense = sk.exact_ground_state(p, "dense")
-    e_block, v_block = sk.exact_ground_state(p, "block")
-    assert abs(e_dense) <= 1e-10
-    assert abs(e_block) <= 1e-12
-    assert abs(v_dense.overlap(v_block)) >= 1.0 - 1e-10
-    analytic = sk.StateVector.ground_state(p)
-    assert abs(v_dense.overlap(analytic)) >= 1.0 - 1e-10
-    assert abs(v_block.overlap(analytic)) >= 1.0 - 1e-12
     e_lanczos, v_lanczos = sk.exact_ground_state(p, "lanczos")
+    analytic = sk.StateVector.ground_state(p)
+    assert abs(e_dense) <= 1e-10
+    assert abs(e_lanczos) <= 1e-12
     assert abs(e_lanczos - e_dense) <= 1e-10
-    assert abs(e_lanczos - e_block) <= 1e-12
+    assert abs(v_dense.overlap(analytic)) >= 1.0 - 1e-10
+    assert abs(v_lanczos.overlap(analytic)) >= 1.0 - 1e-12
     assert abs(v_lanczos.overlap(v_dense)) >= 1.0 - 1e-10
-    assert abs(v_lanczos.overlap(v_block)) >= 1.0 - 1e-12
     assert v_lanczos.norm_sq() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -212,29 +210,16 @@ def test_dense_solver_confirms_frozen_amplitudes():
     assert np.max(np.abs(amps[1:-1])) <= 1e-12
 
 
-def test_block_solver_beyond_dense_cap():
-    e, v = sk.exact_ground_state(ModelParams(12, 1.0, 5.0), "block")
-    assert abs(e) <= 1e-12
-    assert v.norm_sq() == pytest.approx(1.0, abs=1e-14)
-    e_only, none_state = sk.exact_ground_state(
-        ModelParams(26, 1.0, 2.0), "block", with_state=False)
-    assert abs(e_only) <= 1e-11
-    assert none_state is None
-    with pytest.raises(OracleCapExceeded):
-        sk.exact_ground_state(ModelParams(28, 1.0, 2.0), "block")  # 2**28 amplitudes
-    assert abs(sk.exact_ground_state(ModelParams(28, 1.0, 2.0), "block",
-                                     with_state=False)[0]) <= 1e-11
-    with pytest.raises(OracleCapExceeded):
-        sk.exact_ground_state(ModelParams(31, 1.0, 2.0), "block", with_state=False)
-
-
 def test_exact_ground_state_argument_handling():
-    with pytest.raises(ValueError):
-        sk.exact_ground_state(ModelParams(3, 1.0, 1.0), "sparse")
+    for method in ("sparse", "block"):
+        with pytest.raises(ValueError, match="use 'lanczos' or 'dense'"):
+            sk.exact_ground_state(ModelParams(3, 1.0, 1.0), method)
     with pytest.raises(OracleCapExceeded):
         sk.exact_ground_state(ModelParams(13, 1.0, 1.0), "dense")
-    e, state = sk.exact_ground_state(ModelParams(3, 1.0, 1.0), "dense", with_state=False)
-    assert state is None and abs(e) <= 1e-12
+    with pytest.raises(TypeError):
+        sk.exact_ground_state(ModelParams(3, 1.0, 1.0), "dense", with_state=False)
+    e, state = sk.exact_ground_state(ModelParams(3, 1.0, 1.0), "dense")
+    assert isinstance(state, sk.StateVector) and abs(e) <= 1e-12
 
 
 def test_decoupled_limit_ground_state_is_all_ones():
@@ -281,20 +266,6 @@ def test_lanczos_honours_cap_before_allocating(monkeypatch):
         sk.exact_ground_state(ModelParams(13, 1.0, 1.0), "lanczos")
     with pytest.raises(OracleCapExceeded):
         sk.exact_ground_state(ModelParams(40, 1.0, 1.0), "lanczos", oracle_cap=30)
-
-
-def test_block_solver_honours_cap_before_allocating(monkeypatch):
-    p = ModelParams(13, 1.0, 1.0)
-    e, v = sk.exact_ground_state(p, "block", oracle_cap=13)
-    assert abs(e) <= 1e-12 and v.norm_sq() == pytest.approx(1.0, abs=1e-14)
-
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("allocated past the cap")
-
-    monkeypatch.setattr(sk.np, "zeros", no_allocation)
-    with pytest.raises(OracleCapExceeded):
-        sk.exact_ground_state(p, "block")  # before: 2**13 amplitudes at cap 12
-    assert sk.exact_ground_state(p, "block", with_state=False)[1] is None
 
 
 def test_lanczos_non_convergence_is_typed(monkeypatch):
