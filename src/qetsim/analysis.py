@@ -35,9 +35,9 @@ RATIO_DECADE_POINTS = 50
 SCAN_N_MAX = 10_000_000
 
 #: Most points a sweep or Bell grid holds. Under tracemalloc a run peaks at
-#: about 1440 bytes per emitted row (``bell --format json``; a JSON sweep
-#: with Bell takes 750, ``bell`` CSV 460, a CSV sweep 255), so a grid at
-#: the cap peaks near 1 GB.
+#: about 720 bytes per emitted row (a JSON sweep with Bell; ``bell --format
+#: json`` takes 550, a CSV sweep with Bell 270, ``bell`` CSV 180), so a grid
+#: at the cap peaks near 0.5 GB.
 GRID_POINTS_MAX = 700_000
 
 
@@ -92,9 +92,15 @@ def _bell_form(n: np.ndarray, sx: np.ndarray, cz: np.ndarray) -> np.ndarray:
 
 def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
     """``_bell_form`` of the ground state, sx = 2k/c and cz = Nh/c; a value
-    that is not a finite float raises ``InvalidRange``."""
+    that is not a finite float raises ``InvalidRange``. Where 2k overflows,
+    sx and cz are k/c' and (Nh/2)/c' with c' = hypot(Nh/2, k), which does not."""
     with np.errstate(all="ignore"):
         b = _bell_form(n, 2.0 * k / c, n * h / c)
+        big = k > sys.float_info.max / 2.0
+        if big.any():
+            half_nh = n[big] * h / 2.0
+            half_c = np.hypot(half_nh, k[big])
+            b[big] = _bell_form(n[big], k[big] / half_c, half_nh / half_c)
     bad = ~np.isfinite(b)
     if bad.any():
         i = int(np.argmax(bad))
@@ -150,8 +156,8 @@ def bell_value_ground_state(params: ModelParams) -> BellReport:
                       saturation_value=_bell_saturation(n))
 
 
-def bell_table(n_values, ratios, h: float = 1.0) -> list[tuple]:
-    """Rows (N, k/h, b, b > 1, saturation) over the cross product of the
+def bell_table(n_values, ratios, h: float = 1.0) -> tuple[np.ndarray, ...]:
+    """Columns N, k/h, b, b > 1 and saturation over the cross product of the
     sorted, deduplicated N and k/h values, in one array evaluation."""
     n_values = sorted(set(n_values))
     ratios = sorted(set(ratios))
@@ -162,12 +168,10 @@ def bell_table(n_values, ratios, h: float = 1.0) -> list[tuple]:
     b = bell_values(n, ratio * h, h)
     if closedform._tiny(h):
         # b depends on N and k/h alone, and here k = ratio * h can be
-        # subnormal: evaluate at unit field wherever 2 k/h is finite.
-        unit = ratio < 2.0 ** 1023
-        b[unit] = bell_values(n[unit], ratio[unit])
+        # subnormal: evaluate at unit field.
+        b = bell_values(n, ratio)
     saturation = np.repeat([_bell_saturation(v) for v in n_values], len(ratios))
-    return list(zip(n.tolist(), ratio.tolist(), b.tolist(), (b > 1.0).tolist(),
-                    saturation.tolist()))
+    return n, ratio, b, b > 1.0, saturation
 
 
 def bell_value_ghz_angle(n: int, alpha: float) -> float:

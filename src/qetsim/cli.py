@@ -10,17 +10,9 @@ nopt        optimal qubit count at fixed k/h
 fixtures    the specialization fixture report
 verify      the full verification suite (exit 1 on any failure)
 
-Sweep-style output uses one fixed CSV schema, `n,m,ratio,e_in,e_out,eta,bell`
-(bell left empty when not computed), floats printed as `"%.17g" % x` prints
-them, metadata as `#` comment lines above the header, and a single newline
-as the separator. The CSV rows are laid out as arrays, a block of
-`CSV_BLOCK_ROWS` rows at a time: `floatfmt.g17` gives the bytes of each
-float, and each distinct n, m and ratio is formatted once. With
-`--format json` the same rows are objects keyed by that header, laid out as
-`json.dumps(indent=2)` lays them out, one text template per row, with
-floats as their shortest repr and `null` for a bell not computed.
-Identical configurations always produce identical bytes; the CSV and JSON
-bytes of sweeps and figures are pinned by `tests/test_output_bytes.py`.
+Every table goes out through one CSV writer and one JSON writer, `_csv` and
+`_json`, whose docstrings give the format. Identical configurations always
+produce identical bytes; `tests/test_output_bytes.py` pins them.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 """
@@ -31,7 +23,7 @@ import argparse
 import codecs
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -39,34 +31,16 @@ from . import analysis, closedform, protocol_oracle, verify
 from .errors import QetError
 from .model import DEFAULT_ORACLE_CAP, ModelParams, Partition
 
-SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"
-#: Rows of a CSV sweep laid out at a time, as one uint8 array.
+SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"  # the fields of analysis.SweepTable
+#: Rows of a CSV table laid out at a time, as one uint8 array.
 CSV_BLOCK_ROWS = 4096
-#: One row object of the JSON sweep, as ``json.dumps(indent=2)`` lays it out:
-#: a finite float is written with ``float.__repr__`` and the bell cell is
-#: ``null`` or a repr.
-SWEEP_JSON_ROW = ("    {\n"
-                  '      "n": %d,\n'
-                  '      "m": %d,\n'
-                  '      "ratio": %r,\n'
-                  '      "e_in": %r,\n'
-                  '      "e_out": %r,\n'
-                  '      "eta": %r,\n'
-                  '      "bell": %s\n'
-                  "    }")
 
 #: Config-file keys that map to valueless flags; written as key=true/false.
 _BOOLEAN_KEYS = frozenset({"bell", "scan"})
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, str)):
-        return str(value)
-    return "%.17g" % value
+    return str(value) if isinstance(value, int) else "%.17g" % value
 
 
 def _emit(text: str, out: str | None):
@@ -77,26 +51,20 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _table(header: str, data_rows: list[list], meta: list[str]) -> str:
-    lines = [f"# {m}" for m in meta]
-    lines.append(header)
-    for row in data_rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _cell(value) -> bytes:
+    if isinstance(value, str):
+        return value.encode("utf-8", "surrogatepass")
+    if isinstance(value, bool):
+        return b"true" if value else b"false"
+    return b"" if value != value else _fmt(value).encode()
 
 
-def _json_doc(meta: list[str], rows: list[dict]) -> str:
-    import json
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
-
-
-def _distinct_cells(column: np.ndarray, fmt: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """``fmt % value`` of each distinct value, as NUL-padded uint8 rows, and
-    the text row of each element. Bit patterns, not values, pick the
-    distinct ones, so -0.0 keeps its sign."""
-    bits, where = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array([fmt % v for v in bits.view(column.dtype).tolist()], dtype=bytes)
-    return text.view(np.uint8).reshape(bits.size, text.itemsize), where
+def _distinct_cells(column: np.ndarray, cell) -> tuple[list, np.ndarray]:
+    """``cell`` of each distinct value of ``column``, and the index of each
+    element's. Floats are told apart by bit pattern, so -0.0 keeps its sign."""
+    values = column.view(np.int64) if column.dtype.kind == "f" else column
+    values, where = np.unique(values, return_inverse=True)
+    return [cell(v) for v in values.view(column.dtype).tolist()], where
 
 
 def _csv_block(cells: list[np.ndarray]) -> np.ndarray:
@@ -112,62 +80,94 @@ def _csv_block(cells: list[np.ndarray]) -> np.ndarray:
     return block[block != 0]
 
 
-def _csv_blocks(table: analysis.SweepTable) -> Iterator[np.ndarray]:
-    """The data rows as ASCII, one uint8 array per ``CSV_BLOCK_ROWS`` rows."""
-    from . import floatfmt  # only commands that write a CSV sweep load it
-    # n, m and ratio repeat across rows, so each distinct value is formatted
-    # once, in Python.
-    n_text, n_at = _distinct_cells(table.n, b"%d")
-    m_text, m_at = _distinct_cells(table.m, b"%d")
-    ratio_text, ratio_at = _distinct_cells(table.ratio, b"%.17g")
-    has_bell = ~np.isnan(table.bell)
-    for start in range(0, table.n.size, CSV_BLOCK_ROWS):
+def _csv_blocks(columns: Sequence[np.ndarray], keys: int) -> Iterator[np.ndarray]:
+    """The data rows as bytes, one uint8 array per ``CSV_BLOCK_ROWS`` rows."""
+    from . import floatfmt  # only commands that write a CSV table load it
+    distinct, has = {}, {}
+    for i, column in enumerate(columns):
+        if i < keys or column.dtype.kind != "f":
+            text, where = _distinct_cells(column, _cell)
+            text = np.array(text, dtype=bytes)
+            distinct[i] = text.view(np.uint8).reshape(len(text), text.itemsize), where
+        elif np.isnan(column).any():
+            has[i] = ~np.isnan(column)
+    for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
         rows = slice(start, start + CSV_BLOCK_ROWS)
-        has = has_bell[rows]
-        count = has.size
-        text = floatfmt.g17(np.concatenate([table.e_in[rows], table.e_out[rows],
-                                            table.eta[rows], table.bell[rows][has]]))
-        # A bell value that was not computed leaves its cell empty.
-        bell = np.zeros((count, text.shape[1] if has.any() else 0), dtype=np.uint8)
-        bell[has] = text[3 * count:, :bell.shape[1]]
-        yield _csv_block([
-            n_text.take(n_at[rows], axis=0), m_text.take(m_at[rows], axis=0),
-            ratio_text.take(ratio_at[rows], axis=0),
-            text[:count], text[count:2 * count], text[2 * count:3 * count], bell])
+        count = columns[0][rows].size
+        floats = [column[rows][has[i][rows]] if i in has else column[rows]
+                  for i, column in enumerate(columns) if i not in distinct]
+        text = floatfmt.g17(np.concatenate(floats) if floats else [])
+        cells, at = [], 0
+        for i in range(len(columns)):
+            if i in distinct:
+                cells.append(distinct[i][0].take(distinct[i][1][rows], axis=0))
+            elif i not in has:
+                cells.append(text[at:at + count])
+                at += count
+            else:
+                # A nan cell is empty; a block of nans, a column of zero width.
+                filled = has[i][rows]
+                found = np.count_nonzero(filled)
+                cell = np.zeros((count, text.shape[1] if found else 0), dtype=np.uint8)
+                cell[filled] = text[at:at + found, :cell.shape[1]]
+                cells.append(cell)
+                at += found
+        yield _csv_block(cells)
 
 
-def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
-    head = "\n".join([*(f"# {m}" for m in meta), SWEEP_HEADER]) + "\n"
-    # The rows are ASCII; the metadata goes through UTF-8 and back unchanged,
-    # a lone surrogate included.
+def _csv(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int) -> str:
+    """The table as CSV: ``meta`` as ``#`` lines, the header, a line a row. A
+    float is ``%.17g`` and nan an empty cell, an int decimal, a bool true or
+    false and a string itself. The first ``keys`` columns, the inputs, and
+    every column that is not float are formatted once per distinct value;
+    the other floats go through one ``floatfmt.g17`` call a block of rows."""
+    head = "\n".join([*(f"# {m}" for m in meta), header]) + "\n"
+    # Metadata survives UTF-8 and back, lone surrogates too; no block outlives the join.
     text = np.concatenate([np.frombuffer(head.encode("utf-8", "surrogatepass"), np.uint8),
-                           *_csv_blocks(table)])
+                           *_csv_blocks(columns, keys)])
     return codecs.utf_8_decode(text, "surrogatepass", True)[0]
 
 
-def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
+def _json(header: str, columns: Sequence[np.ndarray], meta: list[str]) -> str:
+    """The table as ``{"meta": meta, "rows": [...]}``. A row fills a text
+    template: an int goes in as ``%d``, a float as its repr, or ``null`` for
+    nan, and a bool or string as ``json.dumps`` of each distinct value."""
     import json
     # The rows go between the brackets of the empty "rows" list, which
     # json.dumps writes last.
     head = json.dumps({"meta": meta, "rows": []}, indent=2)
-    if not table.n.size:
+    if not columns[0].size:
         return head + "\n"
-    rows = map(SWEEP_JSON_ROW.__mod__, zip(
-        table.n.tolist(), table.m.tolist(), table.ratio.tolist(),
-        table.e_in.tolist(), table.e_out.tolist(), table.eta.tolist(),
-        ["null" if b != b else repr(b) for b in table.bell.tolist()]))
-    return head[:-len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+    fields, cells = [], []
+    for key, column in zip(header.split(","), columns):
+        kind = column.dtype.kind
+        if kind not in "iuf":
+            tokens, where = _distinct_cells(column, json.dumps)
+            spec, values = "%s", [tokens[i] for i in where.tolist()]
+        elif kind == "f" and np.isnan(column).any():
+            spec, values = "%s", ["null" if v != v else repr(v) for v in column.tolist()]
+        else:
+            spec, values = ("%d" if kind in "iu" else "%r"), column.tolist()
+        fields.append(f'      "{key}": {spec}')
+        cells.append(values)
+    row = "    {\n" + ",\n".join(fields) + "\n    }"
+    return (head[:-len("[]\n}")] + "[\n" + ",\n".join(map(row.__mod__, zip(*cells)))
+            + "\n  ]\n}\n")
 
 
-def _render(table: analysis.SweepTable, fmt: str, meta: list[str]) -> str:
-    return rows_to_csv(table, meta) if fmt == "csv" else rows_to_json(table, meta)
+def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
+    return _csv(SWEEP_HEADER, [*vars(table).values()], meta, keys=3)
+
+
+def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
+    return _json(SWEEP_HEADER, [*vars(table).values()], meta)
 
 
 def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
                  h: float = 1.0, fmt: str = "csv") -> str:
     table = analysis.efficiency_sweep(n_values, m_values, ratios, h, with_bell)
     meta = ["dataset: sweep", f"h: {_fmt(h)}", f"points: {table.n.size}"]
-    return _render(table, fmt, meta)
+    return rows_to_csv(table, meta) if fmt == "csv" else rows_to_json(table, meta)
 
 
 def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
@@ -175,7 +175,7 @@ def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
     meta = [f"dataset: {name}", f"h: {_fmt(h)}",
             "ratio grids: log-spaced, 50 points per decade",
             f"points: {table.n.size}"]
-    return _render(table, fmt, meta)
+    return rows_to_csv(table, meta) if fmt == "csv" else rows_to_json(table, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def _cmd_efficiency(args) -> int:
         doc = {"n": args.n, "m": args.m, "ratio": args.ratio, "h": args.h,
                "e_in": table.e_in.item(), "e_out": table.e_out.item(),
                "eta": table.eta.item(), "theta_opt": theta.theta, **extra}
-        text = _json_doc([], [doc])
+        text = _json(",".join(doc), [np.array([v]) for v in doc.values()], [])
     _emit(text, args.out)
     return 0
 
@@ -397,20 +397,15 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _emit_table(args, header: str, rows, meta: list[str]):
-    """Rows of Python values as CSV under ``header``, or as JSON objects
-    keyed by the header's fields."""
-    if args.format == "csv":
-        text = _table(header, rows, meta)
-    else:
-        keys = header.split(",")
-        text = _json_doc(meta, [dict(zip(keys, r)) for r in rows])
-    _emit(text, args.out)
+def _emit_table(args, header: str, columns, meta: list[str], keys: int):
+    _emit(_csv(header, columns, meta, keys) if args.format == "csv"
+          else _json(header, columns, meta), args.out)
 
 
 def _cmd_bell(args) -> int:
-    rows = analysis.bell_table(args.n, args.ratio, args.h)
-    _emit_table(args, "n,ratio,b_value,violates,saturation", rows, ["dataset: bell"])
+    columns = analysis.bell_table(args.n, args.ratio, args.h)
+    _emit_table(args, "n,ratio,b_value,violates,saturation", columns,
+                ["dataset: bell"], keys=2)
     return 0
 
 
@@ -425,7 +420,7 @@ def _cmd_nopt(args) -> int:
         if args.scan:
             row.extend(analysis.n_opt_scan(x, n_max=args.n_max))
         rows.append(row)
-    _emit_table(args, header, rows, ["dataset: nopt"])
+    _emit_table(args, header, [*map(np.array, zip(*rows))], ["dataset: nopt"], keys=1)
     return 0
 
 
@@ -435,7 +430,7 @@ def _cmd_fixtures(args) -> int:
     rows = [[r.fixture_id, r.n_qubits, r.m_outputs, r.max_deviation,
              r.tolerance, r.expected_mismatch, r.agrees,
              r.note.replace(",", ";")] for r in results]
-    _emit_table(args, header, rows, ["dataset: fixtures"])
+    _emit_table(args, header, [*map(np.array, zip(*rows))], ["dataset: fixtures"], keys=3)
     behaved = all(r.agrees != r.expected_mismatch for r in results)
     return 0 if behaved else 1
 

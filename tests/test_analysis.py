@@ -80,9 +80,10 @@ def test_bell_values_equal_the_one_point_path_bit_for_bit(h):
     ([3, 2, 1], [1.0, -1.0, 1.0], 1.0, "k must be"),  # k < 0 before N = 1
     ([3, 2, 3], [1.0, 1.0, -1.0], 1.0, "needs N >= 3, got N=2"),
     ([3, 1], [1.0, 1.0], 1.0, "need at least 2 qubits"),
-    ([3, 3], [1e308, np.inf], 1.0, "bell is not finite at N=3"),
+    ([3, 3], [1e308, np.inf], 1.0, "k must be"),  # b is finite where 2k overflows
     ([3, 3], [np.nan, 1e308], 1.0, "k must be"),
     ([3], [1.0], 0.0, "h must be"),
+    ([3000, 3], [1.0, np.inf], 1.0, "bell is not finite at N=3000"),
 ])
 def test_bell_values_raise_for_the_first_bad_point(n, k, h, error):
     with pytest.raises(QetError, match=error):
@@ -106,12 +107,14 @@ def test_bell_values_past_the_power_overflow_match_mpmath(n, ratio):
 
 
 def test_bell_table_sorts_dedupes_and_types():
-    rows = an.bell_table([4, 3, 4], [1.0, 0.0, 1.0], h=1.5)
-    assert [r[:2] for r in rows] == [(3, 0.0), (3, 1.0), (4, 0.0), (4, 1.0)]
-    assert all(type(v) in (int, float, bool) for r in rows for v in r)
-    assert rows[0][2:] == (1.0, False, math.sqrt(2.0))
+    n, ratio, b, violates, saturation = an.bell_table([4, 3, 4], [1.0, 0.0, 1.0], h=1.5)
+    assert n.tolist() == [3, 3, 4, 4] and ratio.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert [c.dtype for c in (n, ratio, b, violates, saturation)] == [
+        np.int64, np.float64, np.float64, np.bool_, np.float64]
+    assert (b[0], violates[0], saturation[0]) == (1.0, False, math.sqrt(2.0))
     rep = an.bell_value_ground_state(ModelParams(4, 1.5, 1.5))
-    assert rows[3][2:] == (rep.b_value, rep.violates, rep.saturation_value)
+    assert (b[3], violates[3], saturation[3]) == (
+        rep.b_value, rep.violates, rep.saturation_value)
 
 
 def test_bell_ghz_angle_endpoints_and_range():
