@@ -50,11 +50,13 @@ def _check_grid_size(points: int):
 _INT64 = np.iinfo(np.int64)
 
 
-def _check_qubit_counts(n_values: list[int]):
-    """Refuse a qubit count outside int64, before numpy converts it."""
-    if n_values and (min(n_values) < _INT64.min or max(n_values) > _INT64.max):
-        bad = next(n for n in n_values if not _INT64.min <= n <= _INT64.max)
-        raise InvalidRange(f"qubit count {bad} is outside the int64 range")
+def _check_qubit_counts(n_values: list[int], m_values: list[int] = ()):
+    """Refuse a qubit or output count outside int64, before numpy converts
+    it (an output count past it would drop every point, not raise)."""
+    for what, values in (("qubit count", n_values), ("output count", m_values)):
+        if values and (min(values) < _INT64.min or max(values) > _INT64.max):
+            bad = next(v for v in values if not _INT64.min <= v <= _INT64.max)
+            raise InvalidRange(f"{what} {bad} is outside the int64 range")
 
 
 # ---------------------------------------------------------------------------
@@ -90,45 +92,64 @@ def _bell_form(n: np.ndarray, sx: np.ndarray, cz: np.ndarray) -> np.ndarray:
     return b
 
 
-def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
-    """``_bell_form`` of the ground state, sx = 2k/c and cz = Nh/c; a value
-    that is not a finite float raises ``InvalidRange``. Where 2k overflows,
-    sx and cz are k/c' and (Nh/2)/c' with c' = hypot(Nh/2, k), which does not."""
+def _bell_plain(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
+    """``_bell_form`` of the ground state, sx = 2k/c and cz = Nh/c, unchecked.
+    Where 2k overflows, sx and cz are k/c' and (Nh/2)/c' with
+    c' = hypot(Nh/2, k), which does not."""
+    b = _bell_form(n, 2.0 * k / c, n * h / c)
+    big = k > sys.float_info.max / 2.0
+    if big.any():
+        half_nh = n[big] * h / 2.0
+        half_c = np.hypot(half_nh, k[big])
+        b[big] = _bell_form(n[big], k[big] / half_c, half_nh / half_c)
+    return b
+
+
+def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray,
+                 ratio: np.ndarray) -> np.ndarray:
+    """``_bell_plain`` at field h; a value that is not a finite float raises
+    ``InvalidRange``, naming the point's ``ratio`` (its k/h). b depends on N
+    and k/h alone, so above h = 1 a point whose plain value overflowed (N h
+    or k past the float range) is evaluated at unit field from ``ratio``."""
     with np.errstate(all="ignore"):
-        b = _bell_form(n, 2.0 * k / c, n * h / c)
-        big = k > sys.float_info.max / 2.0
-        if big.any():
-            half_nh = n[big] * h / 2.0
-            half_c = np.hypot(half_nh, k[big])
-            b[big] = _bell_form(n[big], k[big] / half_c, half_nh / half_c)
-    bad = ~np.isfinite(b)
+        b = _bell_plain(n, k, h, c)
+        bad = ~np.isfinite(b)
+        if h > 1.0 and bad.any():
+            n_bad, r_bad = n[bad], ratio[bad]
+            b[bad] = _bell_plain(n_bad, r_bad, 1.0,
+                                 closedform._hypot(n_bad * 1.0, 2.0 * r_bad))
+            bad = ~np.isfinite(b)
     if bad.any():
         i = int(np.argmax(bad))
-        raise InvalidRange(f"bell is not finite at N={n[i]}, k/h={k[i] / h:g}, "
+        raise InvalidRange(f"bell is not finite at N={n[i]}, k/h={ratio[i]:g}, "
                            f"h={h:g}: float64 over- or underflows there")
     return b
 
 
-def bell_values(n, k, h: float = 1.0) -> np.ndarray:
+def bell_values(n, k, h: float = 1.0, ratio=None) -> np.ndarray:
     """Bell values of the ground state over paired arrays of N and k, at field h.
 
     Every point goes through the same operations as a one-point call, so the
     values do not depend on what else is in the arrays. Points are checked
     in array order and the first one that fails raises: N < 2, h or k out of
     range as ``ModelParams`` raises, N = 2 as ``BellUndefinedForN2``, and a
-    value that is not a finite float as ``InvalidRange``.
+    value that is not a finite float as ``InvalidRange``. ``ratio`` is k/h
+    as the caller has it, k / h by default; where k is ratio * h and
+    overflowed, the point is valid and is evaluated from ``ratio``.
     """
     n = np.asarray(n, dtype=np.int64)
     k = np.asarray(k, dtype=float)
-    bad = (n < 3) | ~(np.isfinite(k) & (k >= 0.0))
+    with np.errstate(all="ignore"):
+        ratio = k / h if ratio is None else np.asarray(ratio, dtype=float)
+    finite = np.isfinite(k) | (np.isinf(k) & np.isfinite(ratio))
+    bad = (n < 3) | ~(finite & (k >= 0.0))
     stop = int(np.argmax(bad)) if bad.any() else n.size
     if not (h > 0.0 and math.isfinite(h)):
         stop = 0
     n_ok, k_ok = n[:stop], k[:stop]
     with np.errstate(all="ignore"):
-        c = np.fromiter(map(math.hypot, (n_ok * h).tolist(), (2.0 * k_ok).tolist()),
-                        float, count=stop)
-    b = _bell_values(n_ok, k_ok, h, c)
+        c = closedform._hypot(n_ok * h, 2.0 * k_ok)
+    b = _bell_values(n_ok, k_ok, h, c, ratio[:stop])
     if stop < n.size:
         ModelParams(int(n[stop]), h, float(k[stop]))  # N < 2, h and k raise here
         raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n[stop]}")
@@ -165,7 +186,9 @@ def bell_table(n_values, ratios, h: float = 1.0) -> tuple[np.ndarray, ...]:
     _check_grid_size(len(n_values) * len(ratios))
     n = np.repeat(np.array(n_values, dtype=np.int64), len(ratios))
     ratio = np.tile(np.array(ratios, dtype=float), len(n_values))
-    b = bell_values(n, ratio * h, h)
+    with np.errstate(over="ignore"):
+        k = ratio * h
+    b = bell_values(n, k, h, ratio)
     if closedform._tiny(h):
         # b depends on N and k/h alone, and here k = ratio * h can be
         # subnormal: evaluate at unit field.
@@ -349,7 +372,7 @@ def grid(n_values, m_values, ratios, with_bell: bool = False) -> Grid:
     are dropped. No validation: see ``sweep_grid``. The points are counted,
     and refused past ``GRID_POINTS_MAX``, before the product is built."""
     n_values, m_values = list(n_values), list(m_values)
-    _check_qubit_counts(n_values)
+    _check_qubit_counts(n_values, m_values)
     ratios = np.asarray(ratios, dtype=float)
     # Each N pairs with the m values below it: a sorted search counts them.
     pair_count = np.searchsorted(np.sort(np.asarray(m_values)), n_values).sum()
@@ -389,12 +412,13 @@ def evaluate(points: Grid, h: float = 1.0) -> SweepTable:
     """E_in, E_out(max), eta (and Bell values) at every grid point, at field h."""
     if not (h > 0.0 and math.isfinite(h)):
         raise InvalidRange(f"h must be finite and > 0, got {h}")
-    k = points.ratio * h
-    e = closedform.energies(points.n, points.m, k, h)
+    with np.errstate(over="ignore"):
+        k = points.ratio * h
+    e = closedform.energies(points.n, points.m, k, h, points.ratio)
     bell = np.full(len(points), np.nan)
     if points.with_bell:
         has = points.n >= 3
-        bell[has] = _bell_values(points.n[has], k[has], h, e.c[has])
+        bell[has] = _bell_values(points.n[has], k[has], h, e.c[has], points.ratio[has])
     return SweepTable(points.n, points.m, points.ratio, e.e_in, e.e_out_max, e.eta,
                       bell)
 

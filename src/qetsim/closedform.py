@@ -27,8 +27,11 @@ E_in, E_out(max) or eta is not a finite float raises ``InvalidRange``.
 
 Below h of about 1.5e-154, h^2 is subnormal and the products above lose
 digits. Such a field is evaluated in units of h (h -> 1, k -> k/h), and the
-energies are scaled back by h; eta and theta are scale-free. Every other h
-takes the plain path, so its values keep their bits.
+energies are scaled back by h; eta and theta are scale-free. Above h = 1 the
+same evaluation serves the points where the plain path overflows (N h, 2k,
+A or B past the float range, or k itself where it is k/h times h): a value
+is refused only where the scaled result is not finite either. Every other
+point takes the plain path, so its values keep their bits.
 """
 
 from __future__ import annotations
@@ -82,6 +85,12 @@ def _in_units_of_h(params: ModelParams) -> ModelParams:
     return ModelParams(params.n_qubits, 1.0, params.k / params.h)
 
 
+def _rescue(h: float, value: float) -> bool:
+    """True where a one-point value at field h is to be evaluated in units
+    of h instead: h^2 is subnormal, or h > 1 and the plain value overflowed."""
+    return _tiny(h) or (h > 1.0 and not math.isfinite(value))
+
+
 def _coefficients(params: ModelParams, part: Partition) -> tuple[float, float]:
     """(A, B) for the given partition; depends only on N and m."""
     return _ab(params.n_qubits, part.m_outputs, params.h, params.k)
@@ -127,33 +136,52 @@ def _require_normal(n, m, ratio, h, **quantities):
                         f"{name} is subnormal", "loses digits", n, m, ratio, h)
 
 
-def energies(n, m, k, h: float = 1.0) -> Energies:
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise over two 1-d float arrays."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, count=x.size)
+
+
+def _plain(n, m, k, h: float) -> tuple[np.ndarray, ...]:
+    """(c, E_in, E_out(max), eta) at field h, unchecked."""
+    c = _hypot(n * h, 2.0 * k)
+    a, b = _ab(n, m, h, k)
+    e_in = (n - m) * n * h * h / c
+    e_out = np.where(b == 0.0, 0.0, a / c * _sqrt1pr2m1(b / a))
+    eta = np.where(k == 0.0, 0.0, e_out / e_in)
+    return c, e_in, e_out, eta
+
+
+def energies(n, m, k, h: float = 1.0, ratio=None) -> Energies:
     """E_in, E_out(max) and eta over arrays of (N, m, k) at field h.
 
     ``n``, ``m`` and ``k`` are scalars or 1-d arrays, broadcast against each
     other; every returned array is 1-d. Each point goes through the same
     operations, in the same order, as a one-point call, so results do not
-    depend on what else is in the arrays. Raises ``InvalidRange`` at the
-    first point where a value is not finite, or where E_in or E_out(max) is
-    nonzero but subnormal.
+    depend on what else is in the arrays. ``ratio`` is k/h as the caller
+    has it, k / h by default: a point whose plain values are not finite at
+    h > 1 is evaluated from it in units of h, and so is a point whose k is
+    ratio * h and overflowed. Raises ``InvalidRange``, naming that k/h, at
+    the first point where a value is still not finite, or where E_in or
+    E_out(max) is nonzero but subnormal.
     """
     n, m, k = np.broadcast_arrays(*np.atleast_1d(np.asarray(n, dtype=float),
                                                  np.asarray(m, dtype=float),
                                                  np.asarray(k, dtype=float)))
-    field, scale = h, 1.0
-    if _tiny(h):
-        field, scale, k = 1.0, h, k / h
     with np.errstate(all="ignore"):
-        c = np.fromiter(map(math.hypot, (n * field).tolist(), (2.0 * k).tolist()),
-                        float, count=n.size)
-        a, b = _ab(n, m, field, k)
-        e_in = (n - m) * n * field * field / c
-        e_out = np.where(b == 0.0, 0.0, a / c * _sqrt1pr2m1(b / a))
-        eta = np.where(k == 0.0, 0.0, e_out / e_in)
-        if scale != 1.0:
-            c, e_in, e_out = c * scale, e_in * scale, e_out * scale
-        _require_finite(n, m, k / field, h, e_in=e_in, e_out=e_out, eta=eta)
-        _require_normal(n, m, k / field, h, e_in=e_in, e_out=e_out)
+        if _tiny(h):
+            c, e_in, e_out, eta = _plain(n, m, k / h, 1.0)
+            c, e_in, e_out = c * h, e_in * h, e_out * h
+        else:
+            c, e_in, e_out, eta = _plain(n, m, k, h)
+        ratio = k / h if ratio is None else np.broadcast_to(ratio, k.shape)
+        if h > 1.0:
+            over = ~(np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(eta))
+            if over.any():
+                unit = _plain(n[over], m[over], ratio[over], 1.0)
+                c[over], e_in[over], e_out[over] = (v * h for v in unit[:3])
+                eta[over] = unit[3]
+        _require_finite(n, m, ratio, h, e_in=e_in, e_out=e_out, eta=eta)
+        _require_normal(n, m, ratio, h, e_in=e_in, e_out=e_out)
     return Energies(c=c, e_in=e_in, e_out_max=e_out, eta=eta)
 
 
@@ -173,18 +201,19 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
     optimal angles of the strong-coupling regime where the difference form
     cancels.
     """
-    if _tiny(params.h):
-        return params.h * output_energy_at_theta(_in_units_of_h(params), part, theta)
     a, b = _coefficients(params, part)
     s = math.sin(theta)
-    return (b * math.sin(2.0 * theta) - 2.0 * a * s * s) / params.c
+    value = (b * math.sin(2.0 * theta) - 2.0 * a * s * s) / params.c
+    if _rescue(params.h, value):
+        return params.h * output_energy_at_theta(_in_units_of_h(params), part, theta)
+    return value
 
 
 def optimal_theta(params: ModelParams, part: Partition) -> ThetaChoice:
     """The angle maximizing the extracted energy: tan 2theta = B / A."""
-    if _tiny(params.h):
-        return optimal_theta(_in_units_of_h(params), part)
     a, b = _coefficients(params, part)
+    if _rescue(params.h, a + b):
+        return optimal_theta(_in_units_of_h(params), part)
     return ThetaChoice.from_components(a, b)
 
 

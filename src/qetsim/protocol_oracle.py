@@ -24,19 +24,24 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   row's own;
 * the conditioned rotation is one real signed permutation of the columns,
   scaled per row by the parity of the row index: the product of its signs;
-* each ensemble is squared once, into one weight array that every Z and
-  norm reduction reads, so a call holds a fixed set of arrays of the branch
-  matrix's size: the measured rows, the rotated rows and one buffer;
+* every ensemble reduction is a sum over rows, so ``extracted_energy`` and
+  the angle curve stream the measured rows through tiles of ``TILE``
+  elements: each tile is rotated, its FlipAll overlap taken, squared once
+  and its weights added up, and the Z accountings run at the end on those
+  sums. A call holds the measured rows and a few tile-sized buffers, and
+  the one Python loop runs over tiles, of which a matrix of up to ``TILE``
+  elements is one;
 * a ``ProtocolReport`` holds floats only, so no array outlives the call.
 
-The ensemble average state is never materialized as a density matrix, and
-no Python loop runs over branches.
+The ensemble average state is never materialized as a density matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,17 +123,16 @@ def injected_energy(branches: Branches, params: ModelParams,
     return part.n_inputs * local_constant(params) * probability, probability
 
 
-def _rotation_masks(part: Partition, y_qubit: int | None) -> tuple[int, int]:
-    """(flip, phase) masks of Y on ``y_qubit`` and X on the other outputs,
-    over the output register: every bit flips, and the Y qubit's bit (the
-    first sorted output on the most significant bit) also takes the sign."""
+def _phase_mask(part: Partition, y_qubit: int | None) -> int:
+    """The Y qubit's bit in the output register: the rotation flips every
+    bit and also takes the sign of this one (the first sorted output is the
+    most significant bit)."""
     outputs = part.output_qubits_sorted
     if y_qubit is None:
         y_qubit = outputs[0]
     elif y_qubit not in part.output_qubits:
         raise InvalidPartition(f"qubit {y_qubit} is not an output qubit")
-    m = len(outputs)
-    return (1 << m) - 1, 1 << (m - 1 - outputs.index(y_qubit))
+    return 1 << (len(outputs) - 1 - outputs.index(y_qubit))
 
 
 def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
@@ -140,37 +144,22 @@ def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
     -i * (Y X ... X) is the real signed permutation S of the columns, so row
     r becomes cos(theta) * psi_r + parity_r * sin(theta) * S psi_r.
     """
-    return _rotate(branches, part, theta, y_qubit)[0]
-
-
-def _rotate(branches: Branches, part: Partition, theta: float,
-            y_qubit: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The rotated rows, and the flat buffer that held their cos(theta) * psi
-    term, now free for the caller to reuse. It is allocated after the signed
-    permutation, whose own working set it would otherwise add to."""
-    out = _signed_flip(branches, part, y_qubit, math.sin(theta))
-    scratch = np.empty(out.size)
-    out += np.multiply(branches.states, math.cos(theta), out=scratch.reshape(out.shape))
-    return out, scratch
-
-
-def _signed_flip(branches: Branches, part: Partition, y_qubit: int | None,
-                 scale: float) -> np.ndarray:
-    """scale * parity_r * S psi_r for every row; at scale 1, the rotated
-    branches at theta = pi/2. One pass applies parity and scale together:
-    parity is +-1, so this equals scaling after the parity, bit for bit."""
-    out = kernels.apply_pauli_signs(branches.states, *_rotation_masks(part, y_qubit))
-    out *= scale * branches.parity[:, None]
+    out = _signed_flip(branches.states, branches.parity, math.sin(theta),
+                       _phase_mask(part, y_qubit))
+    out += math.cos(theta) * branches.states
     return out
 
 
-def _term_energies(weight, z, flip, params: ModelParams):
-    """Output-site and interaction energies from a weight, the outputs' <Z>
-    and the parity-read <FlipAll>: per row, or summed over the ensemble."""
-    sites = params.h * z
-    sites += local_constant(params) * np.asarray(weight)[..., None]
-    interaction = 2.0 * params.k * flip + interaction_constant(params) * weight
-    return sites, interaction
+def _signed_flip(rows: np.ndarray, parity: np.ndarray, scale: float,
+                 phase: int, out: np.ndarray | None = None) -> np.ndarray:
+    """scale * parity_r * S psi_r for every row, into ``out`` when it is
+    given; at scale 1, the rotated rows at theta = pi/2. S reverses the
+    columns and negates where the source column has the ``phase`` bit. One
+    pass applies parity and scale together: parity is +-1, so this equals
+    scaling after the parity, bit for bit."""
+    out = kernels.apply_pauli_signs(rows, rows.shape[-1] - 1, phase, out)
+    out *= scale * parity[:, None]
+    return out
 
 
 def output_term_energies(states: np.ndarray, parity: np.ndarray,
@@ -186,47 +175,145 @@ def output_term_energies(states: np.ndarray, parity: np.ndarray,
     m = states.shape[-1].bit_length() - 1
     # One weight array gives each row's norm and per-bit <Z>.
     z, norm = kernels.z_fold(kernels.weights(states), m)
-    return _term_energies(norm, z[:, ::-1],
-                          parity * kernels.complement_overlap(states), params)
+    sites = params.h * z[:, ::-1]
+    sites += local_constant(params) * norm[:, None]
+    flip = parity * kernels.complement_overlap(states)
+    return sites, 2.0 * params.k * flip + interaction_constant(params) * norm
 
 
-def _weight_sums(w: np.ndarray, m: int) -> tuple[float, np.ndarray]:
-    """Total weight and the outputs' <Z> (ascending qubit order) of an
-    ensemble, from its rows' weights, which the fold overwrites.
+# ---------------------------------------------------------------------------
+# Ensemble sums, tile by tile
+# ---------------------------------------------------------------------------
 
-    ``w`` is the C-ordered weight matrix as one flat vector: its rows are
-    consecutive blocks whose lowest m index bits are the output qubits, so
-    one fold over the vector gives the ensemble's <Z> and, as its last
-    entry, its total weight.
+#: Elements of the branch matrix in one tile: 128 KiB of float64, so that a
+#: tile and the few buffers of its size that a pass uses stay in a core's L2
+#: cache. Timed on the oracle benchmark's cells at 2^13 to 2^16 (2-CPU Xeon
+#: VM, 2 MiB of L2 a core): 2^14 and 2^15 ran alike, 2^13 and 2^16 slower,
+#: and 2^14 keeps the buffers of an N = 16 call at a quarter of the rows each.
+TILE = 1 << 14
+
+#: A product with these sums a chunk, or a tile's rows, in one BLAS call:
+#: numpy's own sum over the rows of a narrow C-ordered array runs its inner
+#: loop once per row, several times slower. A tile has at most TILE // 2
+#: rows, and a chunk of a row that spans several is TILE // 2 columns long.
+_ONES = np.ones(TILE // 2)
+_ONES.flags.writeable = False
+
+
+class _Tiling(NamedTuple):
+    """How a (rows, width) branch matrix splits into tiles.
+
+    S reverses a row's columns, so a tile is a block of ``block`` rows by a
+    pair of ``chunk``-column chunks, c and its mirror n_chunks - 1 - c, laid
+    side by side: S then reverses the tile's own columns. Where at least two
+    rows fit in a tile, the chunk is the whole row and a tile is a block of
+    whole rows; otherwise a tile is one row's pair of half-tile chunks.
     """
-    z, weight = kernels.z_fold(w, m)
-    return float(weight), z[::-1]
+
+    block: int
+    chunk: int
+    n_chunks: int
+    #: A tile's rows, and the columns of its one or two chunks.
+    shape: tuple[int, int]
+    #: Index bits within a chunk, and above it.
+    bits: tuple[int, int]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def of(rows: int, width: int) -> _Tiling:
+        chunk = min(width, TILE // 2)
+        n_chunks = width // chunk
+        block = min(rows, TILE // width) if n_chunks == 1 else 1
+        return _Tiling(block, chunk, n_chunks, (block, chunk * min(2, n_chunks)),
+                       (chunk.bit_length() - 1, n_chunks.bit_length() - 1))
+
+    def tiles(self, branches: Branches, phase: int):
+        """Every tile of the measured rows: (tile, its rows' parity, its
+        chunks as a slice, the sign of its Y phase).
+
+        A block of whole rows is a view; a chunk pair is copied into one
+        buffer, which each tile reuses. The tile's signed flip takes the
+        phase mask ``min(phase, chunk)``: a Y bit inside the chunk is that
+        bit of the tile, and one above it is the tile's half bit times the
+        returned sign, because the two chunk indices are complements, so
+        that bit of one is set exactly where it is clear in the other.
+        """
+        states, parity = branches.states, branches.parity
+        block, chunk, n_chunks = self.block, self.chunk, self.n_chunks
+        if n_chunks > 1:
+            split = states.reshape(len(states), n_chunks, chunk)
+            gather = np.empty((block, 2, chunk))
+        for r in range(0, len(states), block):
+            par = parity[r:r + block]
+            for c in range((n_chunks + 1) // 2):
+                pair = slice(c, n_chunks - c, max(1, n_chunks - 1 - 2 * c))
+                if n_chunks == 1:
+                    tile = states[r:r + block]
+                else:
+                    np.copyto(gather, split[r:r + block, pair])
+                    tile = gather.reshape(self.shape)
+                yield tile, par, pair, -1.0 if c & phase // chunk else 1.0
 
 
-def _flip_sum(rows: np.ndarray, parity: np.ndarray, w: np.ndarray) -> float:
-    """The parity-read <FlipAll> summed over the rows: the one per-row
-    reduction, taken to a scalar at once. Its per-row values go into the
-    flat buffer ``w``, whose contents are spent, so it runs before the
-    weights are squared into that buffer."""
-    per_row = kernels.complement_overlap(rows, out=w[:rows.shape[0]])
-    return float(parity @ per_row)
+class _Sums:
+    """One ensemble's reductions, added up over its tiles: the parity-read
+    FlipAll overlap, its weights summed over rows for every tile column, and,
+    where a row spans several chunks, each chunk's total weight.
+
+    Every tile holds the same output bits at the same columns, so the column
+    sums give the <Z> and popcount of the bits within a chunk (a pair's half
+    bit is a bit above them, summed over); the chunk totals give those of
+    the bits above a chunk.
+    """
+
+    def __init__(self, tiling: _Tiling):
+        self.tiling = tiling
+        self.flip = 0.0
+        self.columns = None
+        self.chunks = np.zeros(tiling.n_chunks) if tiling.n_chunks > 1 else None
+
+    def add(self, tile: np.ndarray, parity: np.ndarray, pair: slice,
+            w: np.ndarray) -> None:
+        """Reduce one tile. Its weights go into a new array for the first
+        tile and into the buffer ``w`` after it. A chunk pair's FlipAll
+        products all lie inside the tile."""
+        self.flip += 2.0 * float(parity @ kernels.mirror_overlap(tile))
+        first = self.columns is None
+        w = kernels.weights(tile, out=None if first else w)
+        columns = w[0] if len(w) == 1 else _ONES[:len(w)] @ w
+        if first:
+            self.columns = columns
+        else:
+            self.columns += columns
+        if self.tiling.n_chunks > 1:
+            self.chunks[pair] += columns.reshape(2, -1) @ _ONES
+
+    def z_total(self) -> float:
+        """Sum over the output bits of <Z>: the popcount diagonal, which only
+        reads the sums."""
+        lo, hi = self.tiling.bits
+        total = kernels.z_diagonal(self.columns, lo)
+        if hi:
+            total += kernels.z_diagonal(self.chunks, hi)
+        return float(total)
+
+    def fold(self) -> tuple[float, np.ndarray]:
+        """Total weight and the outputs' <Z> (ascending qubit order), from
+        the per-bit fold, which overwrites the sums."""
+        lo, hi = self.tiling.bits
+        z, weight = kernels.z_fold(self.columns, lo)
+        if hi:
+            z = np.concatenate([z, kernels.z_fold(self.chunks, hi)[0]])
+        return float(weight), z[::-1]
 
 
 def _drained(weight: float, z: np.ndarray, flip: float, params: ModelParams) -> float:
-    """Ensemble energy drained from the output terms plus the interaction."""
-    sites, interaction = _term_energies(weight, z, flip, params)
-    return -float(sites.sum() + interaction)
-
-
-def _ensemble_drained(rows: np.ndarray, parity: np.ndarray, params: ModelParams,
-                      w: np.ndarray) -> float:
-    """``_drained`` of one ensemble, its weights squared into the flat
-    buffer ``w``."""
-    m = rows.shape[-1].bit_length() - 1
-    flip = _flip_sum(rows, parity, w)
-    kernels.weights(rows, out=w.reshape(rows.shape))
-    weight, z = _weight_sums(w, m)
-    return _drained(weight, z, flip, params)
+    """Ensemble energy drained from the output terms plus the interaction,
+    from its total weight, the outputs' <Z> and the parity-read <FlipAll>:
+    ``output_term_energies`` summed over the rows."""
+    sites = params.h * z
+    sites += local_constant(params) * weight
+    return -float(sites.sum() + (2.0 * params.k * flip + interaction_constant(params) * weight))
 
 
 def extracted_energy(params: ModelParams, part: Partition, theta: float,
@@ -238,28 +325,33 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     output-site terms plus the interaction term after the rotation. A second,
     independent accounting ``e_out_via_trace`` is the injected energy minus
     the total ensemble energy; the two must agree to near machine precision.
-    Both read the same rotated weight array, total weight and FlipAll
-    overlap; their Z sums come from two kernels over that array (the
+    Both read the same rotated weight sums, total weight and FlipAll
+    overlap; their Z sums come from two kernels over those sums (the
     popcount diagonal, which runs first, and the per-bit fold).
 
-    Three arrays of the branch matrix's size are held: the measured rows, the
-    rotated rows and one buffer, which takes the rotation's cos(theta) * psi
-    term and then the rotated weights.
+    The rotated rows are made, squared and reduced one tile at a time, so
+    apart from the measured rows a call holds one tile's buffers.
     """
     branches = measure_branches(params, part, oracle_cap)
     e_in, probability = injected_energy(branches, params, part)
 
-    m = part.m_outputs
-    rotated, w = _rotate(branches, part, theta, y_qubit)
-    flip = _flip_sum(rotated, branches.parity, w)
-    kernels.weights(rotated, out=w.reshape(rotated.shape))
+    phase = _phase_mask(part, y_qubit)
+    tiling = _Tiling.of(*branches.states.shape)
+    cos, sin = math.cos(theta), math.sin(theta)
+    rotated = _Sums(tiling)
+    rows, w = np.empty(tiling.shape), np.empty(tiling.shape)
+    tile_phase = min(phase, tiling.chunk)
+    for tile, parity, pair, sign in tiling.tiles(branches, phase):
+        _signed_flip(tile, parity, sign * sin, tile_phase, rows)
+        rows += np.multiply(tile, cos, out=w)
+        rotated.add(rows, parity, pair, w)
     # Total <H>: the measured qubits sit in X eigenstates and add nothing to
     # the Z sum, and FlipAll reads each row's parity on them. The diagonal
-    # reads the weights before the fold overwrites them.
-    z_total = float(kernels.z_diagonal(w, m))
-    weight, z = _weight_sums(w, m)
-    e_out = _drained(weight, z, flip, params)
-    total = params.h * z_total + 2.0 * params.k * flip + params.c * weight
+    # reads the sums before the fold overwrites them.
+    z_total = rotated.z_total()
+    weight, z = rotated.fold()
+    e_out = _drained(weight, z, rotated.flip, params)
+    total = params.h * z_total + 2.0 * params.k * rotated.flip + params.c * weight
     return ProtocolReport(e_in=e_in, e_out=e_out, e_out_via_trace=e_in - total,
                           eta=e_out / e_in, total_probability=probability)
 
@@ -275,18 +367,23 @@ def _quadratic(branches: Branches, params: ModelParams, part: Partition,
 
     Every rotated row is cos(t) psi + parity sin(t) S psi, so every
     expectation is quadratic in (cos t, sin t); the drained energy at t = 0,
-    pi/2 and pi/4 fixes the three numbers. S psi is computed once, and the
-    pi/4 rows are (psi + parity S psi) / sqrt(2), built in its place. The
-    three ensembles square into one weight buffer in turn, allocated after
-    the signed permutation, whose own working set it would otherwise add to.
+    pi/2 and pi/4 fixes the three numbers. Each tile of psi is read once:
+    its S psi is computed, and its pi/4 rows (psi + parity S psi) / sqrt(2)
+    are built in that array's place, each ensemble squared into one buffer.
     """
-    rows = _signed_flip(branches, part, y_qubit, 1.0)
-    w = np.empty(rows.size)
-    a = _ensemble_drained(branches.states, branches.parity, params, w)
-    b = _ensemble_drained(rows, branches.parity, params, w)
-    rows += branches.states
-    rows *= math.sqrt(0.5)
-    mid = _ensemble_drained(rows, branches.parity, params, w)
+    phase = _phase_mask(part, y_qubit)
+    tiling = _Tiling.of(*branches.states.shape)
+    sums = [_Sums(tiling) for _ in range(3)]
+    rows, w = np.empty(tiling.shape), np.empty(tiling.shape)
+    tile_phase = min(phase, tiling.chunk)
+    for tile, parity, pair, sign in tiling.tiles(branches, phase):
+        sums[0].add(tile, parity, pair, w)
+        _signed_flip(tile, parity, sign, tile_phase, rows)
+        sums[1].add(rows, parity, pair, w)
+        rows += tile
+        rows *= math.sqrt(0.5)
+        sums[2].add(rows, parity, pair, w)
+    a, b, mid = (_drained(*s.fold(), s.flip, params) for s in sums)
     return a, b, mid - 0.5 * (a + b)
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,15 @@ def test_qubit_counts_past_int64_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: qubit count {argv[2]} is outside the int64 range\n"
+
+
+def test_output_counts_past_int64_exit_2(capsys):
+    # Before: exit 0 with "points: 0", every pair dropped as m >= N, while
+    # efficiency refused the same count.
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--m", "9223372036854775808",
+                             "--ratio", "1")
+    assert code == 2 and out == ""
+    assert err == "error: output count 9223372036854775808 is outside the int64 range\n"
 
 
 def test_largest_int64_qubit_count_runs(capsys):
@@ -386,6 +396,54 @@ def test_bell_past_the_2k_overflow_matches_tiny_field(capsys, n):
     assert parse_csv(tiny)[2] == rows
     if n == "3":
         assert "3,1e+308,1.4142135623730951,true,1.4142135623730951" in at_one
+
+
+def test_large_field_bell_matches_unit_field(capsys):
+    # b depends on N and k/h alone. Before: N h = 1.8e308 overflowed c and
+    # this exited 2 with "bell is not finite at N=3, k/h=1, h=6e+307".
+    _, at_one, _ = run_cli(capsys, "bell", "--n", "3", "--ratio", "1")
+    code, big, err = run_cli(capsys, "bell", "--n", "3", "--ratio", "1", "--h", "6e307")
+    assert code == 0 and err == ""
+    assert parse_csv(big)[2] == parse_csv(at_one)[2] == [
+        "3,1,1.1435437497937313,true,1.4142135623730951"]
+
+
+def test_large_field_efficiency_is_the_unit_field_scaled_by_h(capsys):
+    # Before: "e_in is not finite" with exit 2, where E_in is about 1.66e308.
+    argv = ("efficiency", "--n", "3", "--m", "1", "--ratio", "1")
+    _, at_one, _ = run_cli(capsys, *argv)
+    code, big, err = run_cli(capsys, *argv, "--h", "1e308")
+    assert code == 0 and err == ""
+    meta_one, _, (row_one,) = parse_csv(at_one)
+    meta_big, _, (row_big,) = parse_csv(big)
+    assert meta_big == meta_one  # theta is scale-free
+    e_in, e_out, eta = (float(v) for v in row_big.split(",")[3:6])
+    e_in1, e_out1, eta1 = (float(v) for v in row_one.split(",")[3:6])
+    assert e_in == e_in1 * 1e308 and e_out == e_out1 * 1e308 and eta == eta1
+    assert 1.66e308 < e_in < 1.67e308
+
+
+@pytest.mark.parametrize("argv, out_line, error", [
+    (("bell", "--n", "3", "--ratio", "1e300", "--h", "1e10"),
+     "3,1.0000000000000001e+300,1.4142135623730951,true,1.4142135623730951", None),
+    (("sweep", "--n", "3", "--m", "1", "--ratio", "1e300", "--h", "1e10"), None,
+     "error: e_out is not finite at N=3, m=1, k/h=1e+300, h=1e+10: "
+     "float64 over- or underflows there\n"),
+    (("sweep", "--n", "3", "--m", "1", "--ratio", "1e300", "--h", "1e10", "--bell"), None,
+     "error: e_out is not finite at N=3, m=1, k/h=1e+300, h=1e+10: "
+     "float64 over- or underflows there\n"),
+])
+def test_coupling_past_the_float_range_warns_nothing(capsys, argv, out_line, error):
+    # k = ratio * h overflows here. Before: numpy's RuntimeWarning and its
+    # source line on stderr, then an error naming k = inf or k/h = inf. Now b
+    # comes from k/h at unit field, and an error names the k/h and h given.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    if error is None:
+        assert code == 0 and err == "" and out.splitlines()[-1] == out_line
+    else:
+        assert code == 2 and out == "" and err == error
 
 
 def test_fixtures_subcommand(capsys):

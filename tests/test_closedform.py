@@ -290,3 +290,42 @@ def test_array_path_equals_float_reference_bit_for_bit():
     p, part = ModelParams(7, 0.37, 2.0 * 0.37), Partition.last(7, 3)
     rep = cf.report(p, part)
     assert (rep.e_in, rep.e_out_max, rep.eta) == _float_reference(7, 3, 0.37, 2.0 * 0.37)[1:]
+
+
+@pytest.mark.parametrize("h, n, m, ratio", [
+    *((h, n, m, ratio) for h in (1e155, 1e200, 1e306)
+      for n, m, ratio in [(3, 1, 1.0), (7, 3, 0.01), (40, 1, 100.0)]),
+    (1e308, 3, 1, 1.0), (6e307, 3, 2, 0.5),
+])
+def test_large_field_matches_high_precision(h, n, m, ratio):
+    # A and B (and, near the top of the range, N h and c) overflow at the
+    # plain path here; those points are evaluated in units of h. Before,
+    # they raised "e_in is not finite" although every energy is finite.
+    p, part = ModelParams(n, h, ratio * h), Partition.last(n, m)
+    c = mp.sqrt(n**2 + 4 * mp.mpf(p.k / h) ** 2)
+    a = n * m + 4 * mp.mpf(p.k / h) ** 2
+    b = 2 * (n - m) * mp.mpf(p.k / h)
+    e_in = (n - m) * n / c * h
+    e_out = (a / c) * (mp.sqrt(1 + (b / a) ** 2) - 1) * h
+    rep = cf.report(p, part)
+    for got, want in [(rep.e_in, e_in), (rep.e_out_max, e_out), (rep.eta, e_out / e_in),
+                      (rep.theta_opt.theta, mp.atan2(b, a) / 2),
+                      (cf.output_energy_at_theta(p, part, rep.theta_opt.theta), e_out)]:
+        assert math.isfinite(got) and float(abs(got - want) / want) < 1e-13
+
+
+def test_only_points_that_overflow_take_the_unit_field():
+    # A row that is finite at the plain path keeps its bits next to one that
+    # overflows; the overflowing one is the unit-field row scaled by h.
+    h = 1e200
+    mixed = cf.energies([3.0, 3.0], 1, [1e-5 * h, h], h)
+    alone = cf.energies(3.0, 1, 1e-5 * h, h)
+    unit = cf.energies(3.0, 1, 1.0)
+    assert mixed.e_in[0] == alone.e_in[0] and mixed.eta[0] == alone.eta[0]
+    assert mixed.e_in[1] == unit.e_in[0] * h and mixed.eta[1] == unit.eta[0]
+    # Where the scaled value is not finite either, the error names the k/h
+    # the caller gave, not k = ratio * h, which overflowed.
+    with pytest.raises(InvalidRange, match=r"e_out is not finite at N=3, m=1, k/h=1e\+300, "
+                                           r"h=1e\+10"):
+        with np.errstate(over="ignore"):
+            cf.energies(3.0, 1, np.array([1e300]) * 1e10, 1e10, ratio=[1e300])

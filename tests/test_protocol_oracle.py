@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st, target
 
 from qetsim import closedform as cf
 from qetsim import kernels
 from qetsim import protocol_oracle as po
 from qetsim.errors import InvalidPartition, InvalidRange, OracleCapExceeded
-from qetsim.model import ModelParams, Partition, ground_state_amplitudes, local_constant
+from qetsim.model import (ModelParams, Partition, ground_state_amplitudes, interaction_constant,
+                          local_constant)
 from qetsim.simkernel import StateVector
 
 
@@ -94,16 +96,18 @@ def test_engine_is_real_and_holds_no_sign_matrix(m):
         assert peak <= 8 * (1 << n) * 8, (name, peak / ((1 << n) * 8))
 
 
-#: Warm tracemalloc peak at N = 16, in units of one 2^N float64 array. A
-#: call holds the measured rows, one array of rotated (or flipped) rows and
-#: one weight buffer; the rest is the parity vector of 2^(N-m) entries (half
-#: a unit at m = 1) and tables of a few hundred entries. Reports hold no
-#: arrays, so two of them held while a curve runs (the pattern of the oracle
-#: benchmark) peak as one call does.
+#: Warm tracemalloc peak at N = 16, in units of one 2^N float64 array, plus
+#: 0.02. A call holds the measured rows, the parity vector of 2^(N-m)
+#: entries (half a unit at m = 1) and a few tile-sized buffers, a quarter of
+#: a unit each at N = 16: the tile, the rotated (or flipped) tile and its
+#: weights, and for a wide matrix the gathered chunk pair and one column-sum
+#: vector per ensemble. At m = 8 the peak is measure_branches' own. Reports
+#: hold no arrays, so two of them held while a curve runs (the pattern of
+#: the oracle benchmark) peak as one call does.
 PROTOCOL_PEAK_UNITS = {
-    "extracted_energy": {1: 3.52, 8: 3.02, 15: 3.02},
-    "output_energy_curve": {1: 3.51, 8: 3.02, 15: 3.01},
-    "two reports and a curve": {1: 3.52, 8: 3.02, 15: 3.02},
+    "extracted_energy": {1: 2.28, 8: 1.90, 15: 2.03},
+    "output_energy_curve": {1: 2.28, 8: 1.90, 15: 2.53},
+    "two reports and a curve": {1: 2.28, 8: 1.90, 15: 2.53},
 }
 
 
@@ -134,6 +138,108 @@ def test_protocol_calls_keep_a_fixed_set_of_arrays(m):
         units = peak / ((1 << n) * 8)
         assert units <= PROTOCOL_PEAK_UNITS[name][m], (name, units)
         assert held < 64 * 1024, (name, held)
+
+
+@pytest.mark.parametrize("m, bound", [(1, 2.2), (9, 1.8), (17, 1.8)])
+def test_calls_at_n18_hold_the_measured_rows_and_a_few_tiles(m, bound):
+    # At N = 18 a tile is 1/16 of a unit, so the peak is measure_branches'
+    # own: the rows and the butterfly's half-size temporary, or at m = 1 the
+    # integer temporaries that build the parity vector.
+    n = 18
+    p, part = _case(n, m, k=0.7)
+    runs = {
+        "extracted_energy": lambda: po.extracted_energy(p, part, 0.3, oracle_cap=n),
+        "output_energy_curve": lambda: po.output_energy_curve(
+            p, part, np.linspace(0.0, 1.5, 32), oracle_cap=n),
+    }
+    for name, run in runs.items():
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / ((1 << n) * 8) <= bound, (name, peak / ((1 << n) * 8))
+
+
+def _whole_matrix_energies(params, part, thetas, y_qubit):
+    """e_out and e_out_via_trace at each angle by the whole-matrix algorithm:
+    the rotated rows from ``apply_conditional_unitary``, one weight array of
+    the whole ensemble, and the kernels over it."""
+    branches = po.measure_branches(params, part, oracle_cap=params.n_qubits)
+    e_in, _ = po.injected_energy(branches, params, part)
+    m = part.m_outputs
+    lc, ic = local_constant(params), interaction_constant(params)
+    out = []
+    for theta in thetas:
+        rotated = po.apply_conditional_unitary(branches, part, theta, y_qubit)
+        flip = float(branches.parity @ kernels.complement_overlap(rotated))
+        w = kernels.weights(rotated).reshape(-1)
+        z_total = float(kernels.z_diagonal(w, m))
+        z, weight = kernels.z_fold(w, m)
+        e_out = -(params.h * float(z.sum()) + m * lc * weight + 2.0 * params.k * flip
+                  + ic * weight)
+        total = params.h * z_total + 2.0 * params.k * flip + params.c * weight
+        out.append((e_out, e_in - total))
+    return out
+
+
+def _error(value, ref):
+    """The error measure of ``qetsim verify``: absolute below 1, relative above."""
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
+@st.composite
+def streamed_cases(draw):
+    n = draw(st.integers(2, 18))
+    m = draw(st.integers(1, n - 1))
+    theta = draw(st.floats(0.0, math.pi / 2.0))
+    y_qubit = draw(st.sampled_from(Partition.last(n, m).output_qubits_sorted))
+    ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return n, m, theta, y_qubit, ratio
+
+
+#: (N, m) cells whose branch matrix splits into several tiles: by blocks of
+#: rows (m <= 13), by pairs of chunks (m >= 15), and into exactly one pair
+#: of adjacent chunks per row (m = 14).
+MULTI_TILE_CELLS = [(15, 1), (16, 3), (18, 9), (15, 14), (16, 15), (18, 17)]
+
+
+def test_multi_tile_cells_split_along_rows_and_columns():
+    split = {}
+    for n, m in MULTI_TILE_CELLS:
+        tiling = po._Tiling.of(1 << (n - m), 1 << m)
+        split[n, m] = ((1 << (n - m)) // tiling.block, tiling.n_chunks)
+    assert all(blocks * max(1, chunks // 2) > 1 for blocks, chunks in split.values()), split
+    assert any(blocks > 1 and chunks == 1 for blocks, chunks in split.values()), split
+    assert any(chunks >= 4 for _, chunks in split.values()), split
+
+
+@settings(max_examples=40, deadline=None)
+@example((18, 17, 0.7, 2, 0.7))   # the Y bit above a chunk, 8 pairs a row
+@example((18, 17, 0.7, 18, 30.0))  # the Y bit inside a chunk
+@example((16, 15, 1.2, 5, 0.01))
+@example((16, 15, 0.2, 3, 5.0))   # the Y bit just above a chunk
+@example((15, 14, 0.4, 3, 1.0))
+@example((16, 3, 0.9, 15, 0.05))  # several blocks of whole rows
+@example((18, 9, 0.3, 12, 70.0))
+@example((15, 1, 1.5, 15, 2.0))
+@given(streamed_cases())
+def test_streamed_sums_equal_the_whole_matrix_reduction(case):
+    # extracted_energy and the angle curve stream the rows through tiles;
+    # the reference rotates, squares and reduces the whole ensemble at once.
+    n, m, theta, y_qubit, ratio = case
+    params, part = ModelParams(n, 1.0, ratio), Partition.last(n, m)
+    thetas = [theta, 0.0, math.pi / 4.0, math.pi / 2.0]
+    want = _whole_matrix_energies(params, part, thetas, y_qubit)
+    rep = po.extracted_energy(params, part, theta, y_qubit=y_qubit, oracle_cap=n)
+    curve = po.output_energy_curve(params, part, thetas, y_qubit=y_qubit, oracle_cap=n)
+    errors = [_error(rep.e_out, want[0][0]), _error(rep.e_out_via_trace, want[0][1])]
+    errors += [_error(got, ref) for got, (ref, _) in zip(curve, want)]
+    worst = max(errors)
+    target(worst, label="worst error against the whole matrix")
+    assert worst <= 1e-10, (case, errors)
 
 
 def test_reports_hold_floats_and_branches_hold_rows_and_parity():
