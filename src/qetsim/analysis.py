@@ -95,13 +95,15 @@ def _bell_form(n: np.ndarray, sx: np.ndarray, cz: np.ndarray) -> np.ndarray:
 def _bell_plain(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
     """``_bell_form`` of the ground state, sx = 2k/c and cz = Nh/c, unchecked.
     Where 2k overflows, sx and cz are k/c' and (Nh/2)/c' with
-    c' = hypot(Nh/2, k), which does not."""
+    c' = hypot(Nh/2, k), which does not. Where c overflows otherwise, sx and
+    cz would read 0 and b 0, so b is nan there."""
     b = _bell_form(n, 2.0 * k / c, n * h / c)
     big = k > sys.float_info.max / 2.0
     if big.any():
         half_nh = n[big] * h / 2.0
         half_c = np.hypot(half_nh, k[big])
         b[big] = _bell_form(n[big], k[big] / half_c, half_nh / half_c)
+    b[~np.isfinite(c) & ~big] = np.nan
     return b
 
 
@@ -109,8 +111,9 @@ def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray,
                  ratio: np.ndarray) -> np.ndarray:
     """``_bell_plain`` at field h; a value that is not a finite float raises
     ``InvalidRange``, naming the point's ``ratio`` (its k/h). b depends on N
-    and k/h alone, so above h = 1 a point whose plain value overflowed (N h
-    or k past the float range) is evaluated at unit field from ``ratio``."""
+    and k/h alone, so above h = 1 a point whose plain value is not finite
+    (N h, k or c past the float range) is evaluated at unit field from
+    ``ratio``."""
     with np.errstate(all="ignore"):
         b = _bell_plain(n, k, h, c)
         bad = ~np.isfinite(b)
@@ -126,21 +129,24 @@ def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray,
     return b
 
 
-def bell_values(n, k, h: float = 1.0, ratio=None) -> np.ndarray:
+def bell_values(n, k, h: float = 1.0) -> np.ndarray:
     """Bell values of the ground state over paired arrays of N and k, at field h.
 
     Every point goes through the same operations as a one-point call, so the
     values do not depend on what else is in the arrays. Points are checked
     in array order and the first one that fails raises: N < 2, h or k out of
     range as ``ModelParams`` raises, N = 2 as ``BellUndefinedForN2``, and a
-    value that is not a finite float as ``InvalidRange``. ``ratio`` is k/h
-    as the caller has it, k / h by default; where k is ratio * h and
-    overflowed, the point is valid and is evaluated from ``ratio``.
+    value that is not a finite float as ``InvalidRange``.
     """
-    n = np.asarray(n, dtype=np.int64)
     k = np.asarray(k, dtype=float)
     with np.errstate(all="ignore"):
-        ratio = k / h if ratio is None else np.asarray(ratio, dtype=float)
+        return _bell_checked(n, k, h, k / h)
+
+
+def _bell_checked(n, k: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
+    """``bell_values`` with each point's k/h given as ``ratio``: where k is
+    ratio * h and overflowed, the point is valid and is evaluated from it."""
+    n = np.asarray(n, dtype=np.int64)
     finite = np.isfinite(k) | (np.isinf(k) & np.isfinite(ratio))
     bad = (n < 3) | ~(finite & (k >= 0.0))
     stop = int(np.argmax(bad)) if bad.any() else n.size
@@ -188,7 +194,7 @@ def bell_table(n_values, ratios, h: float = 1.0) -> tuple[np.ndarray, ...]:
     ratio = np.tile(np.array(ratios, dtype=float), len(n_values))
     with np.errstate(over="ignore"):
         k = ratio * h
-    b = bell_values(n, k, h, ratio)
+    b = _bell_checked(n, k, h, ratio)
     if closedform._tiny(h):
         # b depends on N and k/h alone, and here k = ratio * h can be
         # subnormal: evaluate at unit field.
@@ -414,7 +420,7 @@ def evaluate(points: Grid, h: float = 1.0) -> SweepTable:
         raise InvalidRange(f"h must be finite and > 0, got {h}")
     with np.errstate(over="ignore"):
         k = points.ratio * h
-    e = closedform.energies(points.n, points.m, k, h, points.ratio)
+    e = closedform._energies(points.n, points.m, k, h, points.ratio)
     bell = np.full(len(points), np.nan)
     if points.with_bell:
         has = points.n >= 3

@@ -28,9 +28,10 @@ E_in, E_out(max) or eta is not a finite float raises ``InvalidRange``.
 Below h of about 1.5e-154, h^2 is subnormal and the products above lose
 digits. Such a field is evaluated in units of h (h -> 1, k -> k/h), and the
 energies are scaled back by h; eta and theta are scale-free. Above h = 1 the
-same evaluation serves the points where the plain path overflows (N h, 2k,
-A or B past the float range, or k itself where it is k/h times h): a value
-is refused only where the scaled result is not finite either. Every other
+same evaluation serves the points where the plain path overflows: where c is
+not finite (N h, 2k or their hypot past the float range, or k itself where
+it is k/h times h), or where a result is not (A or B past it). A value is
+refused only where the scaled result is not finite either. Every other
 point takes the plain path, so its values keep their bits.
 """
 
@@ -85,10 +86,12 @@ def _in_units_of_h(params: ModelParams) -> ModelParams:
     return ModelParams(params.n_qubits, 1.0, params.k / params.h)
 
 
-def _rescue(h: float, value: float) -> bool:
-    """True where a one-point value at field h is to be evaluated in units
-    of h instead: h^2 is subnormal, or h > 1 and the plain value overflowed."""
-    return _tiny(h) or (h > 1.0 and not math.isfinite(value))
+def _rescue(params: ModelParams, value: float) -> bool:
+    """True where a one-point value is to be evaluated in units of h instead:
+    h^2 is subnormal, or h > 1 and c or the plain value overflowed."""
+    h = params.h
+    return _tiny(h) or (h > 1.0 and not (math.isfinite(params.c)
+                                         and math.isfinite(value)))
 
 
 def _coefficients(params: ModelParams, part: Partition) -> tuple[float, float]:
@@ -151,31 +154,36 @@ def _plain(n, m, k, h: float) -> tuple[np.ndarray, ...]:
     return c, e_in, e_out, eta
 
 
-def energies(n, m, k, h: float = 1.0, ratio=None) -> Energies:
+def energies(n, m, k, h: float = 1.0) -> Energies:
     """E_in, E_out(max) and eta over arrays of (N, m, k) at field h.
 
     ``n``, ``m`` and ``k`` are scalars or 1-d arrays, broadcast against each
     other; every returned array is 1-d. Each point goes through the same
     operations, in the same order, as a one-point call, so results do not
-    depend on what else is in the arrays. ``ratio`` is k/h as the caller
-    has it, k / h by default: a point whose plain values are not finite at
-    h > 1 is evaluated from it in units of h, and so is a point whose k is
-    ratio * h and overflowed. Raises ``InvalidRange``, naming that k/h, at
-    the first point where a value is still not finite, or where E_in or
-    E_out(max) is nonzero but subnormal.
+    depend on what else is in the arrays. Raises ``InvalidRange`` at the
+    first point where a value is not finite, or where E_in or E_out(max) is
+    nonzero but subnormal.
     """
-    n, m, k = np.broadcast_arrays(*np.atleast_1d(np.asarray(n, dtype=float),
-                                                 np.asarray(m, dtype=float),
-                                                 np.asarray(k, dtype=float)))
+    with np.errstate(all="ignore"):
+        return _energies(n, m, k, h, np.asarray(k, dtype=float) / h)
+
+
+def _energies(n, m, k, h: float, ratio) -> Energies:
+    """``energies`` with each point's k/h given as ``ratio``. At h > 1 a point
+    whose c or plain values are not finite is evaluated from it in units of
+    h, so a k = ratio * h that overflowed is valid; errors name that k/h."""
+    n, m, k, ratio = np.broadcast_arrays(*np.atleast_1d(
+        np.asarray(n, dtype=float), np.asarray(m, dtype=float),
+        np.asarray(k, dtype=float), np.asarray(ratio, dtype=float)))
     with np.errstate(all="ignore"):
         if _tiny(h):
             c, e_in, e_out, eta = _plain(n, m, k / h, 1.0)
             c, e_in, e_out = c * h, e_in * h, e_out * h
         else:
             c, e_in, e_out, eta = _plain(n, m, k, h)
-        ratio = k / h if ratio is None else np.broadcast_to(ratio, k.shape)
         if h > 1.0:
-            over = ~(np.isfinite(e_in) & np.isfinite(e_out) & np.isfinite(eta))
+            over = ~(np.isfinite(c) & np.isfinite(e_in) & np.isfinite(e_out)
+                     & np.isfinite(eta))
             if over.any():
                 unit = _plain(n[over], m[over], ratio[over], 1.0)
                 c[over], e_in[over], e_out[over] = (v * h for v in unit[:3])
@@ -204,7 +212,7 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
     a, b = _coefficients(params, part)
     s = math.sin(theta)
     value = (b * math.sin(2.0 * theta) - 2.0 * a * s * s) / params.c
-    if _rescue(params.h, value):
+    if _rescue(params, value):
         return params.h * output_energy_at_theta(_in_units_of_h(params), part, theta)
     return value
 
@@ -212,7 +220,7 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
 def optimal_theta(params: ModelParams, part: Partition) -> ThetaChoice:
     """The angle maximizing the extracted energy: tan 2theta = B / A."""
     a, b = _coefficients(params, part)
-    if _rescue(params.h, a + b):
+    if _rescue(params, a + b):
         return optimal_theta(_in_units_of_h(params), part)
     return ThetaChoice.from_components(a, b)
 

@@ -227,32 +227,52 @@ class _Tiling(NamedTuple):
         return _Tiling(block, chunk, n_chunks, (block, chunk * min(2, n_chunks)),
                        (chunk.bit_length() - 1, n_chunks.bit_length() - 1))
 
-    def tiles(self, branches: Branches, phase: int):
-        """Every tile of the measured rows: (tile, its rows' parity, its
-        chunks as a slice, the sign of its Y phase).
+    def tiles(self, branches: Branches, part: Partition, y_qubit: int | None):
+        """Every tile of the measured rows, as one ``_Tile`` that each step
+        updates and that holds the pass's buffers.
 
         A block of whole rows is a view; a chunk pair is copied into one
         buffer, which each tile reuses. The tile's signed flip takes the
         phase mask ``min(phase, chunk)``: a Y bit inside the chunk is that
-        bit of the tile, and one above it is the tile's half bit times the
-        returned sign, because the two chunk indices are complements, so
+        bit of the tile, and one above it is the tile's half bit times a
+        sign per tile, because the two chunk indices are complements, so
         that bit of one is set exactly where it is clear in the other.
         """
+        phase = _phase_mask(part, y_qubit)
         states, parity = branches.states, branches.parity
         block, chunk, n_chunks = self.block, self.chunk, self.n_chunks
+        tile = _Tile(min(phase, chunk), self.shape)
         if n_chunks > 1:
             split = states.reshape(len(states), n_chunks, chunk)
             gather = np.empty((block, 2, chunk))
         for r in range(0, len(states), block):
-            par = parity[r:r + block]
+            tile.parity = parity[r:r + block]
             for c in range((n_chunks + 1) // 2):
-                pair = slice(c, n_chunks - c, max(1, n_chunks - 1 - 2 * c))
+                tile.pair = slice(c, n_chunks - c, max(1, n_chunks - 1 - 2 * c))
                 if n_chunks == 1:
-                    tile = states[r:r + block]
+                    tile.values = states[r:r + block]
                 else:
-                    np.copyto(gather, split[r:r + block, pair])
-                    tile = gather.reshape(self.shape)
-                yield tile, par, pair, -1.0 if c & phase // chunk else 1.0
+                    np.copyto(gather, split[r:r + block, tile.pair])
+                    tile.values = gather.reshape(self.shape)
+                tile.sign = -1.0 if c & phase // chunk else 1.0
+                yield tile
+
+
+class _Tile:
+    """The current tile of a pass: its ``values``, its rows' ``parity``, its
+    chunks as the slice ``pair`` and the sign of its Y phase; and the pass's
+    tile-sized buffers, ``rows`` for the rotated rows and ``w`` for weights."""
+
+    __slots__ = ("phase", "rows", "w", "values", "parity", "pair", "sign")
+
+    def __init__(self, phase: int, shape: tuple[int, int]):
+        self.phase = phase
+        self.rows, self.w = np.empty(shape), np.empty(shape)
+
+    def flip(self, scale: float) -> np.ndarray:
+        """scale * parity_r * S of the tile's rows, into ``rows``."""
+        return _signed_flip(self.values, self.parity, self.sign * scale, self.phase,
+                            self.rows)
 
 
 class _Sums:
@@ -272,21 +292,20 @@ class _Sums:
         self.columns = None
         self.chunks = np.zeros(tiling.n_chunks) if tiling.n_chunks > 1 else None
 
-    def add(self, tile: np.ndarray, parity: np.ndarray, pair: slice,
-            w: np.ndarray) -> None:
-        """Reduce one tile. Its weights go into a new array for the first
-        tile and into the buffer ``w`` after it. A chunk pair's FlipAll
-        products all lie inside the tile."""
-        self.flip += 2.0 * float(parity @ kernels.mirror_overlap(tile))
+    def add(self, rows: np.ndarray, tile: _Tile) -> None:
+        """Reduce ``rows``, an ensemble's values at ``tile``. Their weights go
+        into a new array for the first tile and into the buffer ``tile.w``
+        after it. A chunk pair's FlipAll products all lie inside the tile."""
+        self.flip += 2.0 * float(tile.parity @ kernels.mirror_overlap(rows))
         first = self.columns is None
-        w = kernels.weights(tile, out=None if first else w)
+        w = kernels.weights(rows, out=None if first else tile.w)
         columns = w[0] if len(w) == 1 else _ONES[:len(w)] @ w
         if first:
             self.columns = columns
         else:
             self.columns += columns
         if self.tiling.n_chunks > 1:
-            self.chunks[pair] += columns.reshape(2, -1) @ _ONES
+            self.chunks[tile.pair] += columns.reshape(2, -1) @ _ONES
 
     def z_total(self) -> float:
         """Sum over the output bits of <Z>: the popcount diagonal, which only
@@ -335,16 +354,13 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     branches = measure_branches(params, part, oracle_cap)
     e_in, probability = injected_energy(branches, params, part)
 
-    phase = _phase_mask(part, y_qubit)
     tiling = _Tiling.of(*branches.states.shape)
     cos, sin = math.cos(theta), math.sin(theta)
     rotated = _Sums(tiling)
-    rows, w = np.empty(tiling.shape), np.empty(tiling.shape)
-    tile_phase = min(phase, tiling.chunk)
-    for tile, parity, pair, sign in tiling.tiles(branches, phase):
-        _signed_flip(tile, parity, sign * sin, tile_phase, rows)
-        rows += np.multiply(tile, cos, out=w)
-        rotated.add(rows, parity, pair, w)
+    for tile in tiling.tiles(branches, part, y_qubit):
+        rows = tile.flip(sin)
+        rows += np.multiply(tile.values, cos, out=tile.w)
+        rotated.add(rows, tile)
     # Total <H>: the measured qubits sit in X eigenstates and add nothing to
     # the Z sum, and FlipAll reads each row's parity on them. The diagonal
     # reads the sums before the fold overwrites them.
@@ -371,18 +387,15 @@ def _quadratic(branches: Branches, params: ModelParams, part: Partition,
     its S psi is computed, and its pi/4 rows (psi + parity S psi) / sqrt(2)
     are built in that array's place, each ensemble squared into one buffer.
     """
-    phase = _phase_mask(part, y_qubit)
     tiling = _Tiling.of(*branches.states.shape)
     sums = [_Sums(tiling) for _ in range(3)]
-    rows, w = np.empty(tiling.shape), np.empty(tiling.shape)
-    tile_phase = min(phase, tiling.chunk)
-    for tile, parity, pair, sign in tiling.tiles(branches, phase):
-        sums[0].add(tile, parity, pair, w)
-        _signed_flip(tile, parity, sign, tile_phase, rows)
-        sums[1].add(rows, parity, pair, w)
-        rows += tile
+    for tile in tiling.tiles(branches, part, y_qubit):
+        sums[0].add(tile.values, tile)
+        rows = tile.flip(1.0)
+        sums[1].add(rows, tile)
+        rows += tile.values
         rows *= math.sqrt(0.5)
-        sums[2].add(rows, parity, pair, w)
+        sums[2].add(rows, tile)
     a, b, mid = (_drained(*s.fold(), s.flip, params) for s in sums)
     return a, b, mid - 0.5 * (a + b)
 

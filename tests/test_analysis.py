@@ -90,6 +90,15 @@ def test_bell_values_raise_for_the_first_bad_point(n, k, h, error):
         an.bell_values(n, k, h)
 
 
+@pytest.mark.parametrize("h", [5.5e307, 6e307])
+def test_bell_values_where_c_overflows_match_unit_field(h):
+    # b depends on N and k/h alone: c = hypot(N h, 2k) overflowing (with
+    # N h finite at 5.5e307, and not at 6e307) must not read as b = 0.
+    rep = an.bell_value_ground_state(ModelParams(3, h, h))
+    assert rep.b_value == an.bell_values([3], [1.0])[0] == 1.1435437497937313
+    assert rep.violates
+
+
 @pytest.mark.parametrize("n", [1026, 1100, 2049, 2051, 3000])
 @pytest.mark.parametrize("ratio", [0.0, 1e-3, 1.0, 1e3, 1e8])
 def test_bell_values_past_the_power_overflow_match_mpmath(n, ratio):

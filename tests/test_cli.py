@@ -408,6 +408,18 @@ def test_large_field_bell_matches_unit_field(capsys):
         "3,1,1.1435437497937313,true,1.4142135623730951"]
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("bell", "--n", "3", "--ratio", "1", "--h", "5.5e307"), 2),
+    (("sweep", "--n", "3", "--m", "1", "--ratio", "1", "--h", "5.5e307", "--bell"), 6),
+])
+def test_bell_where_only_c_overflows_matches_unit_field(capsys, argv, field):
+    # N h = 1.65e308 and 2k = 1.1e308 are finite, c = hypot(N h, 2k) is not.
+    # Before: 2k/c = Nh/c = 0 gave b = 0 and "violates" false, with exit 0.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].split(",")[field] == "1.1435437497937313"
+
+
 def test_large_field_efficiency_is_the_unit_field_scaled_by_h(capsys):
     # Before: "e_in is not finite" with exit 2, where E_in is about 1.66e308.
     argv = ("efficiency", "--n", "3", "--m", "1", "--ratio", "1")

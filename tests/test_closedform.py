@@ -328,4 +328,14 @@ def test_only_points_that_overflow_take_the_unit_field():
     with pytest.raises(InvalidRange, match=r"e_out is not finite at N=3, m=1, k/h=1e\+300, "
                                            r"h=1e\+10"):
         with np.errstate(over="ignore"):
-            cf.energies(3.0, 1, np.array([1e300]) * 1e10, 1e10, ratio=[1e300])
+            cf._energies(3.0, 1, np.array([1e300]) * 1e10, 1e10, [1e300])
+
+
+def test_overflowed_c_takes_the_unit_field():
+    # N h and 2k are finite here but their hypot c is not; the plain path
+    # would read 2k/c = Nh/c = 0. The point is the unit-field one scaled by h.
+    h = 5.5e307
+    big, unit = cf.energies(3.0, 1, h, h), cf.energies(3.0, 1, 1.0)
+    assert big.e_in[0] == unit.e_in[0] * h and big.eta[0] == unit.eta[0]
+    p, part = ModelParams(3, h, h), Partition.last(3, 1)
+    assert cf.optimal_theta(p, part) == cf.optimal_theta(ModelParams(3, 1.0, 1.0), part)
