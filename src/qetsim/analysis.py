@@ -35,9 +35,9 @@ RATIO_DECADE_POINTS = 50
 SCAN_N_MAX = 10_000_000
 
 #: Most points a sweep or Bell grid holds. Under tracemalloc a run peaks at
-#: about 720 bytes per emitted row (a JSON sweep with Bell; ``bell --format
-#: json`` takes 550, a CSV sweep with Bell 270, ``bell`` CSV 180), so a grid
-#: at the cap peaks near 0.5 GB.
+#: about 490 bytes per emitted row (a JSON sweep with Bell; ``bell --format
+#: json`` takes 370, a CSV sweep with Bell 270, ``bell`` CSV 180), so a grid
+#: at the cap peaks near 0.35 GB.
 GRID_POINTS_MAX = 700_000
 
 
@@ -364,11 +364,22 @@ class SweepTable:
     bell: np.ndarray
 
 
+def point_params(n: int, ratio: float, h: float = 1.0) -> ModelParams:
+    """The model at N, k = ratio * h and h, validated as the model validates
+    it. Where only k = ratio * h overflows, the point is valid and the model
+    is the one the closed forms evaluate there, at unit field: k = ratio and
+    h = 1."""
+    k = ratio * h
+    if math.isinf(k) and math.isfinite(ratio) and math.isfinite(h) and h > 0.0:
+        return ModelParams(n, 1.0, ratio)
+    return ModelParams(n, h, k)
+
+
 def sweep_row(point: tuple[int, int, float, bool], h: float = 1.0) -> SweepTable:
     """One grid point (n, m, ratio, with_bell), validated as the model
     validates it, as a one-row table."""
     n, m, ratio, with_bell = point
-    ModelParams(n, h, ratio * h)  # raise on couplings or a split the model rejects
+    point_params(n, ratio, h)  # raise on couplings or a split the model rejects
     Partition.last(n, m)
     return evaluate(grid([n], [m], [ratio], with_bell), h)
 

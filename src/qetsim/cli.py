@@ -28,8 +28,8 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from . import analysis, closedform, protocol_oracle, verify
-from .errors import QetError
-from .model import DEFAULT_ORACLE_CAP, ModelParams, Partition
+from .errors import InvalidRange, QetError
+from .model import DEFAULT_ORACLE_CAP, Partition
 
 SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"  # the fields of analysis.SweepTable
 #: Rows of a CSV table laid out at a time, as one uint8 array.
@@ -59,6 +59,15 @@ def _cell(value) -> bytes:
     return b"" if value != value else _fmt(value).encode()
 
 
+def _json_cell(value) -> bytes:
+    """A float as its repr and nan as null; any other value as ``json.dumps``
+    writes it."""
+    if isinstance(value, float):
+        return b"null" if value != value else repr(value).encode()
+    import json
+    return json.dumps(value).encode()
+
+
 def _distinct_cells(column: np.ndarray, cell) -> tuple[list, np.ndarray]:
     """``cell`` of each distinct value of ``column``, and the index of each
     element's. Floats are told apart by bit pattern, so -0.0 keeps its sign."""
@@ -67,26 +76,37 @@ def _distinct_cells(column: np.ndarray, cell) -> tuple[list, np.ndarray]:
     return [cell(v) for v in values.view(column.dtype).tolist()], where
 
 
-def _csv_block(cells: list[np.ndarray]) -> np.ndarray:
-    """Rows of NUL-padded cells joined by commas, each row ending in a newline."""
+def _block(cells: list[np.ndarray], literals: list[bytes]) -> np.ndarray:
+    """Rows of NUL-padded cells, ``literals[i]`` before cell i and the last
+    literal after the last cell, as one uint8 array with the NULs dropped."""
     widths = [cell.shape[1] for cell in cells]
-    block = np.zeros((len(cells[0]), sum(widths) + len(cells)), dtype=np.uint8)
+    block = np.zeros((len(cells[0]), sum(widths) + sum(map(len, literals))), dtype=np.uint8)
     at = 0
-    for cell, width in zip(cells, widths):
-        block[:, at:at + width] = cell
-        block[:, at + width] = ord(",")
-        at += width + 1
-    block[:, -1] = ord("\n")
+    for i, literal in enumerate(literals):
+        block[:, at:at + len(literal)] = np.frombuffer(literal, dtype=np.uint8)
+        at += len(literal)
+        if i < len(cells):
+            block[:, at:at + widths[i]] = cells[i]
+            at += widths[i]
     return block[block != 0]
 
 
-def _csv_blocks(columns: Sequence[np.ndarray], keys: int) -> Iterator[np.ndarray]:
-    """The data rows as bytes, one uint8 array per ``CSV_BLOCK_ROWS`` rows."""
-    from . import floatfmt  # only commands that write a CSV table load it
+def _blocks(columns: Sequence[np.ndarray], keys: int, literals: list[bytes],
+            as_json: bool) -> Iterator[np.ndarray]:
+    """The data rows as bytes, one uint8 array per ``CSV_BLOCK_ROWS`` rows,
+    laid out by ``_block``. The first ``keys`` columns, the inputs, and
+    every column that is not float are formatted once per distinct value,
+    by ``_cell`` or ``_json_cell``; the other floats by one ``floatfmt.g17``
+    or ``floatfmt.shortest`` call a block of rows, a nan as an empty cell or
+    ``null``."""
+    from . import floatfmt  # only commands that write a table load it
+    text_of, floats, null = ((_json_cell, floatfmt.shortest, b"null") if as_json
+                             else (_cell, floatfmt.g17, b""))
+    null = np.frombuffer(null, dtype=np.uint8)
     distinct, has = {}, {}
     for i, column in enumerate(columns):
         if i < keys or column.dtype.kind != "f":
-            text, where = _distinct_cells(column, _cell)
+            text, where = _distinct_cells(column, text_of)
             text = np.array(text, dtype=bytes)
             distinct[i] = text.view(np.uint8).reshape(len(text), text.itemsize), where
         elif np.isnan(column).any():
@@ -94,9 +114,9 @@ def _csv_blocks(columns: Sequence[np.ndarray], keys: int) -> Iterator[np.ndarray
     for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
         rows = slice(start, start + CSV_BLOCK_ROWS)
         count = columns[0][rows].size
-        floats = [column[rows][has[i][rows]] if i in has else column[rows]
+        values = [column[rows][has[i][rows]] if i in has else column[rows]
                   for i, column in enumerate(columns) if i not in distinct]
-        text = floatfmt.g17(np.concatenate(floats) if floats else [])
+        text = floats(np.concatenate(values) if values else [])
         cells, at = [], 0
         for i in range(len(columns)):
             if i in distinct:
@@ -105,14 +125,28 @@ def _csv_blocks(columns: Sequence[np.ndarray], keys: int) -> Iterator[np.ndarray
                 cells.append(text[at:at + count])
                 at += count
             else:
-                # A nan cell is empty; a block of nans, a column of zero width.
+                # A block of nans is a column of nulls, or of zero width in CSV.
                 filled = has[i][rows]
                 found = np.count_nonzero(filled)
-                cell = np.zeros((count, text.shape[1] if found else 0), dtype=np.uint8)
-                cell[filled] = text[at:at + found, :cell.shape[1]]
+                width = text.shape[1] if found else 0
+                cell = np.zeros((count, max(width, null.size)), dtype=np.uint8)
+                cell[filled, :width] = text[at:at + found, :width]
+                cell[~filled, :null.size] = null
                 cells.append(cell)
                 at += found
-        yield _csv_block(cells)
+        yield _block(cells, literals)
+
+
+def _bytes(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+
+
+def _text(parts: list[np.ndarray]) -> str:
+    """The byte arrays of ``parts`` joined and read back as UTF-8, lone
+    surrogates too. Empties ``parts``, so no block outlives the join."""
+    text = np.concatenate(parts)
+    parts.clear()
+    return codecs.utf_8_decode(text, "surrogatepass", True)[0]
 
 
 def _csv(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int) -> str:
@@ -122,37 +156,31 @@ def _csv(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int)
     every column that is not float are formatted once per distinct value;
     the other floats go through one ``floatfmt.g17`` call a block of rows."""
     head = "\n".join([*(f"# {m}" for m in meta), header]) + "\n"
-    # Metadata survives UTF-8 and back, lone surrogates too; no block outlives the join.
-    text = np.concatenate([np.frombuffer(head.encode("utf-8", "surrogatepass"), np.uint8),
-                           *_csv_blocks(columns, keys)])
-    return codecs.utf_8_decode(text, "surrogatepass", True)[0]
+    literals = [b"", *[b","] * (len(columns) - 1), b"\n"]
+    return _text([_bytes(head), *_blocks(columns, keys, literals, as_json=False)])
 
 
-def _json(header: str, columns: Sequence[np.ndarray], meta: list[str]) -> str:
-    """The table as ``{"meta": meta, "rows": [...]}``. A row fills a text
-    template: an int goes in as ``%d``, a float as its repr, or ``null`` for
-    nan, and a bool or string as ``json.dumps`` of each distinct value."""
+def _json(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int = 0) -> str:
+    """The table as ``{"meta": meta, "rows": [...]}``, as ``json.dumps`` with
+    ``indent=2`` writes it: a float is its repr and nan ``null``, and an int,
+    a bool or a string is ``json.dumps`` of it. The blocks of rows are laid
+    out as ``_csv`` lays out its own, with the keys in the separators; the
+    floats go through ``floatfmt.shortest``, the rest once per distinct
+    value, and so do the first ``keys`` columns."""
     import json
     # The rows go between the brackets of the empty "rows" list, which
     # json.dumps writes last.
     head = json.dumps({"meta": meta, "rows": []}, indent=2)
     if not columns[0].size:
         return head + "\n"
-    fields, cells = [], []
-    for key, column in zip(header.split(","), columns):
-        kind = column.dtype.kind
-        if kind not in "iuf":
-            tokens, where = _distinct_cells(column, json.dumps)
-            spec, values = "%s", [tokens[i] for i in where.tolist()]
-        elif kind == "f" and np.isnan(column).any():
-            spec, values = "%s", ["null" if v != v else repr(v) for v in column.tolist()]
-        else:
-            spec, values = ("%d" if kind in "iu" else "%r"), column.tolist()
-        fields.append(f'      "{key}": {spec}')
-        cells.append(values)
-    row = "    {\n" + ",\n".join(fields) + "\n    }"
-    return (head[:-len("[]\n}")] + "[\n" + ",\n".join(map(row.__mod__, zip(*cells)))
-            + "\n  ]\n}\n")
+    fields = [f"      {json.dumps(key)}: ".encode() for key in header.split(",")]
+    literals = [b"    {\n" + fields[0], *(b",\n" + field for field in fields[1:]),
+                b"\n    },\n"]
+    parts = [_bytes(head[:-len("]\n}")] + "\n"),
+             *_blocks(columns, keys, literals, as_json=True)]
+    parts[-1] = parts[-1][:-len(",\n")]  # the last row ends the list
+    parts.append(_bytes("\n  ]\n}\n"))
+    return _text(parts)
 
 
 def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
@@ -160,7 +188,7 @@ def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
 
 
 def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
-    return _json(SWEEP_HEADER, [*vars(table).values()], meta)
+    return _json(SWEEP_HEADER, [*vars(table).values()], meta, keys=3)
 
 
 def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
@@ -359,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_efficiency(args) -> int:
     table = analysis.sweep_row((args.n, args.m, args.ratio, False), args.h)
-    params = ModelParams(args.n, args.h, args.ratio * args.h)
+    # theta_opt depends on k/h alone; where k overflows, params is at unit field.
+    params = analysis.point_params(args.n, args.ratio, args.h)
     part = Partition.last(args.n, args.m)
     theta = closedform.optimal_theta(params, part)
     meta = [f"theta_opt: {_fmt(theta.theta)}",
@@ -367,6 +396,9 @@ def _cmd_efficiency(args) -> int:
             f"sin_2theta: {_fmt(theta.sin_2theta)}"]
     extra = {}
     if args.shots is not None:
+        if params.h != args.h:
+            raise InvalidRange(f"--shots cannot sample at k/h={args.ratio:g}, h={args.h:g}: "
+                               "k = (k/h) h overflows float64 there")
         est = protocol_oracle.sample_protocol(
             params, part, theta.theta, n_shots=args.shots,
             seed=args.seed, oracle_cap=args.oracle_cap)
@@ -399,7 +431,7 @@ def _cmd_figure(args) -> int:
 
 def _emit_table(args, header: str, columns, meta: list[str], keys: int):
     _emit(_csv(header, columns, meta, keys) if args.format == "csv"
-          else _json(header, columns, meta), args.out)
+          else _json(header, columns, meta, keys), args.out)
 
 
 def _cmd_bell(args) -> int:

@@ -106,7 +106,11 @@ def measure_branches(params: ModelParams, part: Partition,
     for i in range(n_in):
         kernels.project_x(states.T, 1 << i)
     states *= 2.0 ** (-0.5 * n_in)
-    parity = 1.0 - 2.0 * (kernels.popcount(np.arange(1 << n_in)) & 1)
+    # (-1)^popcount(r) by doubling: setting bit b flips the sign.
+    parity = np.empty(1 << n_in)
+    parity[0] = 1.0
+    for b in range(n_in):
+        np.negative(parity[:1 << b], out=parity[1 << b:2 << b])
     return Branches(states, parity)
 
 

@@ -367,6 +367,20 @@ def test_sweep_rows_carry_closed_form_values():
     assert np.isnan(table.bell).all()
 
 
+def test_point_params_where_k_overflows():
+    # k = (k/h) h overflows: the point is valid, at unit field, and its row
+    # is the one the grid evaluates.
+    assert an.point_params(3, 1e150, 1e160) == ModelParams(3, 1.0, 1e150)
+    assert an.point_params(3, 0.5, 2.0) == ModelParams(3, 2.0, 1.0)
+    row = an.sweep_row((3, 1, 1e150, False), 1e160)
+    grid = an.efficiency_sweep([3], [1], [1e150], h=1e160)
+    assert [row.e_in.item(), row.e_out.item(), row.eta.item()] == [
+        grid.e_in.item(), grid.e_out.item(), grid.eta.item()]
+    for ratio, h in [(math.inf, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, 0.0), (math.nan, 2.0)]:
+        with pytest.raises(QetError):
+            an.point_params(3, ratio, h)
+
+
 def test_sweep_bell_column():
     table = an.efficiency_sweep([2, 3], [1], [1.0], with_bell=True)
     assert table.n.tolist() == [2, 3]

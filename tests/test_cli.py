@@ -435,6 +435,40 @@ def test_large_field_efficiency_is_the_unit_field_scaled_by_h(capsys):
     assert 1.66e308 < e_in < 1.67e308
 
 
+#: The row of efficiency and sweep at N=3, m=1, k/h=1e150, h=1e160, where
+#: k = (k/h) h overflows and the closed forms take the unit-field path.
+OVERFLOWING_K_ROW = "3,1,9.9999999999999998e+149,30000000000,10000000000.000002,0.33333333333333343,"
+
+
+def test_efficiency_agrees_with_sweep_where_k_overflows(capsys):
+    # Before: efficiency exited 2 with "k must be finite and >= 0, got inf",
+    # while sweep printed this row.
+    argv = ("--n", "3", "--m", "1", "--ratio", "1e150", "--h", "1e160")
+    code, point, err = run_cli(capsys, "efficiency", *argv)
+    assert code == 0 and err == ""
+    meta, _, rows = parse_csv(point)
+    assert rows == [OVERFLOWING_K_ROW]
+    assert meta == ["# theta_opt: 5.0000000000000007e-151", "# cos_2theta: 1",
+                    "# sin_2theta: 1.0000000000000001e-150"]
+    code, grid, err = run_cli(capsys, "sweep", *argv)
+    assert code == 0 and err == ""
+    assert parse_csv(grid)[2] == [OVERFLOWING_K_ROW]
+    code, doc, _ = run_cli(capsys, "efficiency", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(doc)["rows"] == [{
+        "n": 3, "m": 1, "ratio": 1e150, "h": 1e160, "e_in": 30000000000.0,
+        "e_out": 10000000000.000002, "eta": 0.3333333333333334,
+        "theta_opt": 5.000000000000001e-151}]
+
+
+def test_shots_where_k_overflows_exit_2(capsys):
+    code, out, err = run_cli(capsys, "efficiency", "--n", "3", "--m", "1", "--ratio", "1e150",
+                             "--h", "1e160", "--shots", "10")
+    assert code == 2 and out == ""
+    assert err == ("error: --shots cannot sample at k/h=1e+150, h=1e+160: "
+                   "k = (k/h) h overflows float64 there\n")
+
+
 @pytest.mark.parametrize("argv, out_line, error", [
     (("bell", "--n", "3", "--ratio", "1e300", "--h", "1e10"),
      "3,1.0000000000000001e+300,1.4142135623730951,true,1.4142135623730951", None),

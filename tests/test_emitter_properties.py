@@ -1,8 +1,8 @@
 """The table writers against the renderers they replaced.
 
-``cli._csv`` lays out blocks of rows as arrays, its floats from
-``floatfmt.g17``, and ``cli._json`` fills one text template per row;
-``cli.rows_to_csv`` and ``cli.rows_to_json`` call them for a sweep. The
+``cli._csv`` and ``cli._json`` lay out blocks of rows as arrays, their
+floats from ``floatfmt.g17`` and ``floatfmt.shortest``; ``cli.rows_to_csv``
+and ``cli.rows_to_json`` call them for a sweep. The
 references below are the earlier renderers: one ``%.17g`` row template
 over the table's columns as Python lists for the sweep CSV, the per-row
 ``_table`` and ``_fmt`` that wrote ``bell``, ``nopt`` and ``fixtures``, and
@@ -104,8 +104,7 @@ def old_json_doc(meta: list[str], rows: list[dict]) -> str:
 
 
 #: Floats of every kind a table cell can hold: nan, signed zeros,
-#: subnormals, and values of 1e16 or more, which ``g17`` sends to its
-#: fallback.
+#: subnormals, and values of 1e16 or more, the e+XX forms.
 cell_floats = st.floats(allow_infinity=False) | st.sampled_from(
     [math.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1e16, -9.999999999999999e22, 2.0 ** 50 + 0.25])
 CELLS = {
@@ -175,6 +174,7 @@ def test_every_byte_of_a_benchmark_sized_sweep(benchmark_sweep, bell):
     meta = ["dataset: sweep", f"points: {table.n.size}"]
     assert table.n.size == 180_299
     assert cli.rows_to_csv(table, meta) == reference_csv(table, meta)
+    assert cli.rows_to_json(table, meta) == reference_json(table, meta)
 
 
 def random_table(rows: int, seed: int) -> analysis.SweepTable:

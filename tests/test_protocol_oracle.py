@@ -140,11 +140,11 @@ def test_protocol_calls_keep_a_fixed_set_of_arrays(m):
         assert held < 64 * 1024, (name, held)
 
 
-@pytest.mark.parametrize("m, bound", [(1, 2.2), (9, 1.8), (17, 1.8)])
+@pytest.mark.parametrize("m, bound", [(1, 1.71), (9, 1.8), (17, 1.8)])
 def test_calls_at_n18_hold_the_measured_rows_and_a_few_tiles(m, bound):
     # At N = 18 a tile is 1/16 of a unit, so the peak is measure_branches'
-    # own: the rows and the butterfly's half-size temporary, or at m = 1 the
-    # integer temporaries that build the parity vector.
+    # own: the rows and the butterfly's half-size temporary, and at m = 1 the
+    # parity vector of half a unit. Measured at m = 1: 1.69.
     n = 18
     p, part = _case(n, m, k=0.7)
     runs = {
