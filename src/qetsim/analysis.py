@@ -70,65 +70,6 @@ class BellReport:
     saturation_value: float
 
 
-#: Largest N at which 2^(N-2) is a finite float64.
-_BELL_POWER_N_MAX = 1025
-
-
-def _bell_form(n: np.ndarray, sx: np.ndarray, cz: np.ndarray) -> np.ndarray:
-    """b = sqrt(2^(N-2) sx^2 + cz^2) over arrays of integer N >= 3; the
-    ground state has sx = 2k/c and cz = Nh/c, the GHZ angle a has
-    sx = sin 2a and cz = cos 2a. The result is not checked for range.
-
-    Past ``_BELL_POWER_N_MAX`` 2^(N-2) overflows although b need not, so
-    there b is hypot(2^((N-2)/2) sx, cz), the power applied by ldexp.
-    """
-    with np.errstate(all="ignore"):
-        b = np.sqrt(np.ldexp(1.0, n - 2) * sx * sx + cz * cz)
-        big = n > _BELL_POWER_N_MAX
-        if big.any():
-            nb = n[big]
-            odd = np.where(nb % 2 == 1, math.sqrt(2.0), 1.0)
-            b[big] = np.hypot(np.ldexp(odd * sx[big], (nb - 2) // 2), cz[big])
-    return b
-
-
-def _bell_plain(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
-    """``_bell_form`` of the ground state, sx = 2k/c and cz = Nh/c, unchecked.
-    Where 2k overflows, sx and cz are k/c' and (Nh/2)/c' with
-    c' = hypot(Nh/2, k), which does not. Where c overflows otherwise, sx and
-    cz would read 0 and b 0, so b is nan there."""
-    b = _bell_form(n, 2.0 * k / c, n * h / c)
-    big = k > sys.float_info.max / 2.0
-    if big.any():
-        half_nh = n[big] * h / 2.0
-        half_c = np.hypot(half_nh, k[big])
-        b[big] = _bell_form(n[big], k[big] / half_c, half_nh / half_c)
-    b[~np.isfinite(c) & ~big] = np.nan
-    return b
-
-
-def _bell_values(n: np.ndarray, k: np.ndarray, h: float, c: np.ndarray,
-                 ratio: np.ndarray) -> np.ndarray:
-    """``_bell_plain`` at field h; a value that is not a finite float raises
-    ``InvalidRange``, naming the point's ``ratio`` (its k/h). b depends on N
-    and k/h alone, so above h = 1 a point whose plain value is not finite
-    (N h, k or c past the float range) is evaluated at unit field from
-    ``ratio``."""
-    with np.errstate(all="ignore"):
-        b = _bell_plain(n, k, h, c)
-        bad = ~np.isfinite(b)
-        if h > 1.0 and bad.any():
-            n_bad, r_bad = n[bad], ratio[bad]
-            b[bad] = _bell_plain(n_bad, r_bad, 1.0,
-                                 closedform._hypot(n_bad * 1.0, 2.0 * r_bad))
-            bad = ~np.isfinite(b)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidRange(f"bell is not finite at N={n[i]}, k/h={ratio[i]:g}, "
-                           f"h={h:g}: float64 over- or underflows there")
-    return b
-
-
 def bell_values(n, k, h: float = 1.0) -> np.ndarray:
     """Bell values of the ground state over paired arrays of N and k, at field h.
 
@@ -152,10 +93,7 @@ def _bell_checked(n, k: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
     stop = int(np.argmax(bad)) if bad.any() else n.size
     if not (h > 0.0 and math.isfinite(h)):
         stop = 0
-    n_ok, k_ok = n[:stop], k[:stop]
-    with np.errstate(all="ignore"):
-        c = closedform._hypot(n_ok * h, 2.0 * k_ok)
-    b = _bell_values(n_ok, k_ok, h, c, ratio[:stop])
+    b = closedform._bell(n[:stop], k[:stop], h, ratio[:stop])
     if stop < n.size:
         ModelParams(int(n[stop]), h, float(k[stop]))  # N < 2, h and k raise here
         raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n[stop]}")
@@ -195,24 +133,21 @@ def bell_table(n_values, ratios, h: float = 1.0) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore"):
         k = ratio * h
     b = _bell_checked(n, k, h, ratio)
-    if closedform._tiny(h):
-        # b depends on N and k/h alone, and here k = ratio * h can be
-        # subnormal: evaluate at unit field.
-        b = bell_values(n, ratio)
     saturation = np.repeat([_bell_saturation(v) for v in n_values], len(ratios))
     return n, ratio, b, b > 1.0, saturation
 
 
 def bell_value_ghz_angle(n: int, alpha: float) -> float:
     """Bell value of cos(a)|0..0> + sin(a)|1..1> parameterized by the angle:
-    ``_bell_form`` with sx = sin 2a and cz = cos 2a, so it is finite past
-    N = 1025 wherever b is, and ``InvalidRange`` where b overflows."""
+    ``closedform._bell_form`` with sx = sin 2a and cz = cos 2a, so it is
+    finite past N = 1025 wherever b is, and ``InvalidRange`` where b
+    overflows."""
     if n < 3:
         raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n}")
     if not 0.0 <= alpha <= math.pi / 4.0 + 1e-15:
         raise AngleOutOfRange(f"alpha must lie in [0, pi/4], got {alpha}")
-    b = float(_bell_form(np.array([n]), np.array([math.sin(2.0 * alpha)]),
-                         np.array([math.cos(2.0 * alpha)]))[0])
+    b = float(closedform._bell_form(np.array([n]), np.array([math.sin(2.0 * alpha)]),
+                                    np.array([math.cos(2.0 * alpha)]))[0])
     if not math.isfinite(b):
         raise InvalidRange(f"bell is not finite at N={n}, alpha={alpha!r}: "
                            "float64 overflows there")
@@ -435,7 +370,7 @@ def evaluate(points: Grid, h: float = 1.0) -> SweepTable:
     bell = np.full(len(points), np.nan)
     if points.with_bell:
         has = points.n >= 3
-        bell[has] = _bell_values(points.n[has], k[has], h, e.c[has], points.ratio[has])
+        bell[has] = closedform._bell(points.n[has], k[has], h, points.ratio[has])
     return SweepTable(points.n, points.m, points.ratio, e.e_in, e.e_out_max, e.eta,
                       bell)
 

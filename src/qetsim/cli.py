@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("efficiency", "sweep", "figure", "bell"):
         sub.choices[name].add_argument(
             "--h", type=float, default=1.0,
-            help="field coupling; energies scale linearly with it")
+            help="field coupling; energies scale linearly with it, and eta and "
+                 "the Bell value depend on k/h alone")
     for name in ("efficiency", "verify"):
         sub.choices[name].add_argument(
             "--oracle-cap", type=_oracle_cap, default=None,
@@ -386,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_efficiency(args) -> int:
-    table = analysis.sweep_row((args.n, args.m, args.ratio, False), args.h)
     # theta_opt depends on k/h alone; where k overflows, params is at unit field.
     params = analysis.point_params(args.n, args.ratio, args.h)
     part = Partition.last(args.n, args.m)
+    table = analysis.evaluate(analysis.grid([args.n], [args.m], [args.ratio]), args.h)
     theta = closedform.optimal_theta(params, part)
     meta = [f"theta_opt: {_fmt(theta.theta)}",
             f"cos_2theta: {_fmt(theta.cos_2theta)}",

@@ -12,6 +12,7 @@ and the energy scale c = sqrt(N^2 h^2 + 4 k^2):
     E_out(theta)  = [B sin 2theta - A (1 - cos 2theta)] / c
     E_out(max)    = (sqrt(A^2 + B^2) - A) / c      at  tan 2theta = B / A
     eta           = E_out(max) / E_in
+    b             = sqrt(2^(N-2) (2k/c)^2 + (Nh/c)^2)   (ground-state Bell value)
 
 The sqrt(A^2+B^2) - A difference is evaluated cancellation-free when B << A,
 which keeps the strong-coupling tail (k/h up to 1e8 and beyond) smooth.
@@ -19,20 +20,23 @@ which keeps the strong-coupling tail (k/h up to 1e8 and beyond) smooth.
 One array path evaluates E_in, E_out(max) and eta: ``energies`` takes numpy
 arrays of (N, m, k) at a field h. The one-point functions (``input_energy``,
 ``max_output_energy``, ``efficiency``, ``report``) call it with one point, so
-a sweep row and a scalar call agree bit for bit. Every hypot, c and the
-large-r branch of sqrt(1 + r^2) - 1 alike, is ``math.hypot`` applied
-elementwise: ``np.hypot`` (the C library's) differs from it in the last bit
-on some inputs, and emitted datasets are pinned byte for byte. A point whose
-E_in, E_out(max) or eta is not a finite float raises ``InvalidRange``.
+a sweep row and a scalar call agree bit for bit. The hypot of c, of c'
+below and of the large-r branch of sqrt(1 + r^2) - 1 is ``math.hypot``,
+applied elementwise: ``np.hypot`` (the C library's) differs from it in the
+last bit on some inputs, and emitted datasets are pinned byte for byte. A
+point whose E_in, E_out(max) or eta is not a finite float raises
+``InvalidRange``. The Bell value b takes sx = 2k/c and cz = Nh/c as k/c'
+and (Nh/2)/c', with c' = hypot(Nh/2, k) = c/2, which stays finite where 2k
+overflows.
 
-Below h of about 1.5e-154, h^2 is subnormal and the products above lose
-digits. Such a field is evaluated in units of h (h -> 1, k -> k/h), and the
-energies are scaled back by h; eta and theta are scale-free. Above h = 1 the
-same evaluation serves the points where the plain path overflows: where c is
-not finite (N h, 2k or their hypot past the float range, or k itself where
-it is k/h times h), or where a result is not (A or B past it). A value is
-refused only where the scaled result is not finite either. Every other
-point takes the plain path, so its values keep their bits.
+One range rule, ``_ranged``, serves every closed form, the ground-state
+Bell value among them. A form is evaluated at (h, k), or in units of h
+(h -> 1, k -> the caller's k/h, energies scaled back by h; eta, theta and b
+are scale-free): at every point where h^2 is subnormal (about h < 1.5e-154)
+and the products above would lose digits, unless its k/h overflowed, and
+at each point above h = 1 where c or a value is not finite at (h, k). A
+value is refused only where the form is not finite in units of h either.
+Every other point keeps the (h, k) form, so its values keep their bits.
 """
 
 from __future__ import annotations
@@ -70,33 +74,6 @@ class Energies:
     e_in: np.ndarray
     e_out_max: np.ndarray
     eta: np.ndarray
-
-
-def _ab(n, m, h, k):
-    """(A, B); plain arithmetic, so it takes scalars and arrays alike."""
-    return n * m * h * h + 4.0 * k * k, 2.0 * (n - m) * h * k
-
-
-def _tiny(h: float) -> bool:
-    """True where h^2 is subnormal, so the field is evaluated in units of h."""
-    return h * h < sys.float_info.min
-
-
-def _in_units_of_h(params: ModelParams) -> ModelParams:
-    return ModelParams(params.n_qubits, 1.0, params.k / params.h)
-
-
-def _rescue(params: ModelParams, value: float) -> bool:
-    """True where a one-point value is to be evaluated in units of h instead:
-    h^2 is subnormal, or h > 1 and c or the plain value overflowed."""
-    h = params.h
-    return _tiny(h) or (h > 1.0 and not (math.isfinite(params.c)
-                                         and math.isfinite(value)))
-
-
-def _coefficients(params: ModelParams, part: Partition) -> tuple[float, float]:
-    """(A, B) for the given partition; depends only on N and m."""
-    return _ab(params.n_qubits, part.m_outputs, params.h, params.k)
 
 
 def _sqrt1pr2m1(r):
@@ -139,15 +116,54 @@ def _require_normal(n, m, ratio, h, **quantities):
                         f"{name} is subnormal", "loses digits", n, m, ratio, h)
 
 
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``math.hypot`` elementwise over two 1-d float arrays."""
+def _hypot(x, y):
+    """``math.hypot`` elementwise over two 1-d float arrays, or of two floats."""
+    if isinstance(x, float):
+        return math.hypot(x, y)
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, count=x.size)
 
 
-def _plain(n, m, k, h: float) -> tuple[np.ndarray, ...]:
+def _cab(h: float, k, n, m):
+    """(c, A, B) at field h, over arrays or floats."""
+    return _hypot(n * h, 2.0 * k), n * m * h * h + 4.0 * k * k, 2.0 * (n - m) * h * k
+
+
+def _ranged(form, h: float, k, ratio, *rest, scaled: int = 1) -> list:
+    """The one range rule: ``form(h, k, *rest)`` over 1-d arrays, or at one
+    point over floats, c first in the values it returns, and energies (c
+    among them) in the first ``scaled``. Where h^2 is subnormal, every point
+    is evaluated in units of h: ``form(1, ratio, *rest)``, its energies
+    times h. Above h = 1 only the points where a value is not finite at
+    (h, k) are. A unit field needs the caller's k/h as a float, so a point
+    whose ``ratio`` overflowed keeps (h, k)."""
+    def at(where, unit: bool) -> list:
+        args = (ratio if unit else k, *rest)
+        if where is not None:
+            args = [a[where] for a in args]
+        values = list(form(1.0 if unit else h, *args))
+        if unit:
+            values[:scaled] = [v * h for v in values[:scaled]]
+        return values
+
+    tiny = h * h < sys.float_info.min
+    out = at(None, tiny)
+    if tiny:
+        redo = ~np.isfinite(ratio)
+    elif h > 1.0:
+        redo = ~np.logical_and.reduce([np.isfinite(v) for v in out])
+    else:
+        return out
+    if redo.all():
+        return at(None, not tiny)
+    if redo.any():
+        for v, w in zip(out, at(redo, not tiny)):
+            v[redo] = w
+    return out
+
+
+def _plain(h: float, k, n, m) -> tuple[np.ndarray, ...]:
     """(c, E_in, E_out(max), eta) at field h, unchecked."""
-    c = _hypot(n * h, 2.0 * k)
-    a, b = _ab(n, m, h, k)
+    c, a, b = _cab(h, k, n, m)
     e_in = (n - m) * n * h * h / c
     e_out = np.where(b == 0.0, 0.0, a / c * _sqrt1pr2m1(b / a))
     eta = np.where(k == 0.0, 0.0, e_out / e_in)
@@ -169,28 +185,23 @@ def energies(n, m, k, h: float = 1.0) -> Energies:
 
 
 def _energies(n, m, k, h: float, ratio) -> Energies:
-    """``energies`` with each point's k/h given as ``ratio``. At h > 1 a point
-    whose c or plain values are not finite is evaluated from it in units of
-    h, so a k = ratio * h that overflowed is valid; errors name that k/h."""
+    """``energies`` with each point's k/h given as ``ratio``, which a unit
+    field reads: a k = ratio * h that overflowed is valid, and errors name
+    that k/h."""
     n, m, k, ratio = np.broadcast_arrays(*np.atleast_1d(
         np.asarray(n, dtype=float), np.asarray(m, dtype=float),
         np.asarray(k, dtype=float), np.asarray(ratio, dtype=float)))
     with np.errstate(all="ignore"):
-        if _tiny(h):
-            c, e_in, e_out, eta = _plain(n, m, k / h, 1.0)
-            c, e_in, e_out = c * h, e_in * h, e_out * h
-        else:
-            c, e_in, e_out, eta = _plain(n, m, k, h)
-        if h > 1.0:
-            over = ~(np.isfinite(c) & np.isfinite(e_in) & np.isfinite(e_out)
-                     & np.isfinite(eta))
-            if over.any():
-                unit = _plain(n[over], m[over], ratio[over], 1.0)
-                c[over], e_in[over], e_out[over] = (v * h for v in unit[:3])
-                eta[over] = unit[3]
+        c, e_in, e_out, eta = _ranged(_plain, h, k, ratio, n, m, scaled=3)
         _require_finite(n, m, ratio, h, e_in=e_in, e_out=e_out, eta=eta)
         _require_normal(n, m, ratio, h, e_in=e_in, e_out=e_out)
     return Energies(c=c, e_in=e_in, e_out_max=e_out, eta=eta)
+
+
+def _one_point(form, params: ModelParams, part: Partition, scaled: int = 1) -> list:
+    """``form``'s values at one point, as floats, through the range rule."""
+    return _ranged(form, params.h, params.k, params.ratio,
+                   float(params.n_qubits), float(part.m_outputs), scaled=scaled)
 
 
 def _at(params: ModelParams, part: Partition) -> Energies:
@@ -209,20 +220,65 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
     optimal angles of the strong-coupling regime where the difference form
     cancels.
     """
-    a, b = _coefficients(params, part)
-    s = math.sin(theta)
-    value = (b * math.sin(2.0 * theta) - 2.0 * a * s * s) / params.c
-    if _rescue(params, value):
-        return params.h * output_energy_at_theta(_in_units_of_h(params), part, theta)
-    return value
+    s, s2 = math.sin(theta), math.sin(2.0 * theta)
+
+    def form(h, k, n, m):
+        c, a, b = _cab(h, k, n, m)
+        return c, (b * s2 - 2.0 * a * s * s) / c
+
+    return _one_point(form, params, part, scaled=2)[1]
 
 
 def optimal_theta(params: ModelParams, part: Partition) -> ThetaChoice:
-    """The angle maximizing the extracted energy: tan 2theta = B / A."""
-    a, b = _coefficients(params, part)
-    if _rescue(params, a + b):
-        return optimal_theta(_in_units_of_h(params), part)
+    """The angle maximizing the extracted energy: tan 2theta = B / A. At a
+    unit field A and B are in units of h^2; the angle reads their ratio."""
+    _, a, b = _one_point(_cab, params, part)
     return ThetaChoice.from_components(a, b)
+
+
+#: Largest N at which 2^(N-2) is a finite float64.
+_BELL_POWER_N_MAX = 1025
+
+
+def _bell_form(n: np.ndarray, sx: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """b = sqrt(2^(N-2) sx^2 + cz^2) over arrays of integer N >= 3; the
+    ground state has sx = 2k/c and cz = Nh/c, the GHZ angle a has
+    sx = sin 2a and cz = cos 2a. The result is not checked for range.
+
+    Past ``_BELL_POWER_N_MAX`` 2^(N-2) overflows although b need not, so
+    there b is hypot(2^((N-2)/2) sx, cz), the power applied by ldexp.
+    """
+    with np.errstate(all="ignore"):
+        b = np.sqrt(np.ldexp(1.0, n - 2) * sx * sx + cz * cz)
+        big = n > _BELL_POWER_N_MAX
+        if big.any():
+            nb = n[big]
+            odd = np.where(nb % 2 == 1, math.sqrt(2.0), 1.0)
+            b[big] = np.hypot(np.ldexp(odd * sx[big], (nb - 2) // 2), cz[big])
+    return b
+
+
+def _bell_plain(h: float, k, n) -> tuple[np.ndarray, np.ndarray]:
+    """(c, b) of the ground state, unchecked: sx = 2k/c = k/c' and
+    cz = Nh/c = (Nh/2)/c' with c' = hypot(Nh/2, k) = c/2, which stays finite
+    where 2k overflows."""
+    half_nh = n * h / 2.0
+    half_c = _hypot(half_nh, k)
+    return 2.0 * half_c, _bell_form(n, k / half_c, half_nh / half_c)
+
+
+def _bell(n: np.ndarray, k: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
+    """Bell values of the ground state over int64 N >= 3 and valid k at field
+    h, each point's k/h given as ``ratio``; a value that is not a finite
+    float raises ``InvalidRange`` naming that k/h."""
+    with np.errstate(all="ignore"):
+        b = _ranged(_bell_plain, h, k, ratio, n)[1]
+    bad = ~np.isfinite(b)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidRange(f"bell is not finite at N={n[i]}, k/h={ratio[i]:g}, "
+                           f"h={h:g}: float64 over- or underflows there")
+    return b
 
 
 def max_output_energy(params: ModelParams, part: Partition) -> float:

@@ -19,7 +19,7 @@ Conventions used throughout:
 * qubits are numbered 1..N, qubit 1 is the most significant bit of a basis
   index (so ``|b1 b2 ... bN>`` has index ``sum b_j 2**(N-j)``);
 * bit value 0 is the Z eigenstate with eigenvalue +1;
-* all energies are in the same units as h (the CLI fixes h = 1).
+* all energies are in the same units as h (the CLI's ``--h``, default 1).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qetsim import analysis as an
 from qetsim import closedform as cf
@@ -113,6 +113,34 @@ def test_bell_values_past_the_power_overflow_match_mpmath(n, ratio):
             return
         got = an.bell_values([n], [ratio])[0]
         assert abs(mpmath.mpf(got) / want - 1) <= 4 * sys.float_info.epsilon
+
+
+def test_bell_values_keep_a_k_whose_k_over_h_overflows():
+    # k/h = 1e460 is not a float, so no unit field can be taken; at the
+    # field given, sx = 1 and cz underflows to 0, and b is the saturation.
+    assert an.bell_values([3], [1e300], 1e-160)[0] == math.sqrt(2.0)
+
+
+def binade_fields():
+    """h over every binade from 2^-997 (about 1e-300) to 2^996 (about 1e300)."""
+    return st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                     st.integers(-997, 996))
+
+
+@settings(max_examples=150, deadline=None)
+@given(binade_fields(), st.lists(st.one_of(
+    st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)), min_size=1, max_size=6))
+@example(1e-160, [0.0, 1e-3, 0.3, 1.0, 7.0, 1e4])
+@example(7e300, [0.01, 1.0, 1.4384498882876601e7, 1.5775930613623613e7, 2.5e7])
+def test_sweep_bell_column_is_the_bell_table_at_any_field(h, ratios):
+    # `sweep --bell` and `bell` print these columns. Both evaluate b from
+    # (N, k, h) and the k/h given, through one range rule, and not from the
+    # c of the energies, which a point in units of h holds as c times h.
+    # The examples are a tiny field, and one where k passes 2^1023.
+    n_values = [3, 4, 10, 39, 1100]
+    column = an.efficiency_sweep(n_values, [1], ratios, h, with_bell=True).bell
+    b = an.bell_table(n_values, ratios, h)[2]
+    assert np.array_equal(column.view(np.int64), b.view(np.int64))
 
 
 def test_bell_table_sorts_dedupes_and_types():
@@ -350,6 +378,18 @@ def test_sweep_grid_validation():
     assert zero.tolist() == [0.0, 1.0] and math.copysign(1.0, zero[0]) == 1.0
     with pytest.raises(InvalidRange):
         an.efficiency_sweep([3], [1], [1.0], h=0.0)
+
+
+@pytest.mark.parametrize("h", [1e-160, 1e-200, 1e-300])
+def test_rows_where_h_squared_is_subnormal_are_unit_field_rows_times_h(h):
+    # There every point is evaluated in units of h from the k/h given, not
+    # from (k/h * h) / h, which can differ from it in the last bit; so E_in
+    # and E_out are the h = 1 values times h, and eta and b the h = 1 ones.
+    args = (range(3, 40), [1, 2], np.logspace(-2.0, 3.0, 200).tolist())
+    tiny, unit = an.efficiency_sweep(*args, h, True), an.efficiency_sweep(*args, 1.0, True)
+    for got, want in [(tiny.e_in, unit.e_in * h), (tiny.e_out, unit.e_out * h),
+                      (tiny.eta, unit.eta), (tiny.bell, unit.bell)]:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_sweep_rows_carry_closed_form_values():

@@ -175,7 +175,7 @@ def test_strong_coupling_stability(ratio):
     assert float(abs(stable - e_out_mp) / e_out_mp) < 1e-13
     assert float(abs(cf.efficiency(p, part) - eta_mp)) < 1e-13
 
-    a, b = cf._coefficients(p, part)
+    _, a, b = cf._cab(p.h, p.k, 10, 1)
     r = b / a
     naive = (a / p.c) * (math.sqrt(1.0 + r * r) - 1.0)
     naive_err = float(abs(naive - e_out_mp) / e_out_mp)
