@@ -13,10 +13,10 @@ so outcome alpha is fully described by the unnormalised m-qubit output
 state <alpha|psi>. All outcomes are held as the rows of one real
 (2^(N-m), 2^m) branch matrix ``Branches.states``:
 
-* the ground state is laid out as (inputs, outputs); one in-place
-  ``kernels.project_x`` butterfly per input qubit (a fast Walsh-Hadamard
-  transform) and one scale by 2^(-(N-m)/2) leave row alpha holding
-  <alpha|psi>, sign included;
+* the ground state is laid out as a C-ordered (inputs, outputs) matrix;
+  one in-place ``kernels.project_x`` over all the input bits, a blocked
+  Walsh-Hadamard transform with the scale 2^(-(N-m)/2) folded into its
+  first product, leaves row alpha holding <alpha|psi>, sign included;
 * a row's squared norm is its outcome probability, so ensemble traces are
   plain sums of per-row expectations, and a zero-probability row weighs
   nothing without special-casing; the total probability is one dot product
@@ -99,13 +99,15 @@ def measure_branches(params: ModelParams, part: Partition,
     check_oracle_cap(params.n_qubits, oracle_cap)
     n_in, m = part.n_inputs, part.m_outputs
     # Axis q-1 of the (2,)*N view is qubit q; reorder to (inputs, outputs).
-    # The butterflies run in place on this call's own copy of the state.
+    # The transform runs in place on this call's own copy of the state, made
+    # C-ordered so that its flat view is a view: for an output set other than
+    # the last m qubits the reordered matrix is strided, and its flat reshape
+    # would be a copy.
     axes = [q - 1 for q in part.input_qubits + part.output_qubits_sorted]
-    states = (StateVector.ground_state(params).amplitudes.reshape((2,) * params.n_qubits)
-              .transpose(axes).reshape(1 << n_in, 1 << m))
-    for i in range(n_in):
-        kernels.project_x(states.T, 1 << i)
-    states *= 2.0 ** (-0.5 * n_in)
+    states = np.ascontiguousarray(
+        StateVector.ground_state(params).amplitudes.reshape((2,) * params.n_qubits)
+        .transpose(axes).reshape(1 << n_in, 1 << m))
+    kernels.project_x(states.reshape(-1), ((1 << n_in) - 1) << m, 2.0 ** (-0.5 * n_in))
     # (-1)^popcount(r) by doubling: setting bit b flips the sign.
     parity = np.empty(1 << n_in)
     parity[0] = 1.0
@@ -189,12 +191,9 @@ def output_term_energies(states: np.ndarray, parity: np.ndarray,
 # Ensemble sums, tile by tile
 # ---------------------------------------------------------------------------
 
-#: Elements of the branch matrix in one tile: 128 KiB of float64, so that a
-#: tile and the few buffers of its size that a pass uses stay in a core's L2
-#: cache. Timed on the oracle benchmark's cells at 2^13 to 2^16 (2-CPU Xeon
-#: VM, 2 MiB of L2 a core): 2^14 and 2^15 ran alike, 2^13 and 2^16 slower,
-#: and 2^14 keeps the buffers of an N = 16 call at a quarter of the rows each.
-TILE = 1 << 14
+#: Elements of the branch matrix in one tile, the kernels' tile (2^14): it
+#: keeps the buffers of an N = 16 call at a quarter of the rows each.
+TILE = kernels.TILE
 
 #: A product with these sums a chunk, or a tile's rows, in one BLAS call:
 #: numpy's own sum over the rows of a narrow C-ordered array runs its inner

@@ -71,6 +71,22 @@ def kron_butterfly(n_qubits: int, bit: int) -> np.ndarray:
                             for b in range(n_qubits - 1, -1, -1)])
 
 
+def butterfly_reference(amps: np.ndarray, mask: int) -> np.ndarray:
+    """The dense Kronecker butterflies of ``kron_butterfly``, applied bit by bit."""
+    n = amps.shape[-1].bit_length() - 1
+    for bit in range(n):
+        if mask >> bit & 1:
+            amps = amps @ kron_butterfly(n, bit)  # symmetric: rows times H
+    return amps
+
+
+def one_bit_butterfly(amps: np.ndarray, bit: int) -> np.ndarray:
+    """(a + b, a - b) over the pairs of one bit, in a new array."""
+    pairs = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << bit))
+    a, b = pairs[..., 0, :], pairs[..., 1, :]
+    return np.stack([a + b, a - b], axis=-2).reshape(amps.shape)
+
+
 def projector(amps: np.ndarray, mask: int, sign: int) -> np.ndarray:
     """(1 + sign X) / 2 from two butterflies: split, drop the other outcome, merge."""
     split = kernels.project_x(amps.copy(), mask)
@@ -118,7 +134,28 @@ def test_project_x_is_sqrt2_hadamard_in_place(backend, real):
     assert np.allclose(columns, want, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("mask", [0xFFFF, 0xFFFE, 0x5A5A, 0x8000, 0x00F0])
+def test_project_x_across_tiles_is_the_butterflies_bit_by_bit(mask):
+    # 2^16 amplitudes make four tiles: a block high in the index takes part
+    # of its low axis per tile, a block low in it a run of whole rows. A
+    # complex batch of two goes through a strided view.
+    n = 16
+    rng = np.random.default_rng(mask)
+    amps = rng.standard_normal(1 << n)
+    columns = rng.standard_normal((1 << (n - 1), 2)) + 1j * rng.standard_normal((1 << (n - 1), 2))
+    for work, scale in [(amps, 2.0 ** -8), (columns.T, 1.0)]:
+        want = work.copy()
+        for bit in range(work.shape[-1].bit_length() - 1):
+            if mask >> bit & 1:
+                want = one_bit_butterfly(want, bit)
+        want *= scale
+        kernels.project_x(work, mask & (work.shape[-1] - 1), scale)
+        assert np.abs(work - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_project_x_allocates_no_full_size_temporary():
+    # One product buffer of a tile, whatever the array's size: measured at
+    # 1.01 tiles, a quarter of the 2^16 array.
     n = 16
     amps = random_state(n, np.random.default_rng(31)).real.copy()
     want = amps.copy()
@@ -130,7 +167,7 @@ def test_project_x_allocates_no_full_size_temporary():
     finally:
         tracemalloc.stop()
     assert out is amps and not np.array_equal(amps, want)
-    assert peak < amps.nbytes
+    assert peak < 1.1 * kernels.TILE * amps.itemsize, peak / (kernels.TILE * amps.itemsize)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -234,6 +271,27 @@ def test_apply_pauli_signs_equals_the_gather_bit_for_bit(case):
     into = np.full(amps.shape, np.nan, dtype=amps.dtype)
     assert kernels.apply_pauli_signs(amps, flip_mask, phase_mask, into) is into
     assert into.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs(), st.data())
+def test_project_x_is_scale_times_the_butterflies(case, data):
+    # Any mask: adjacent and isolated bits, and runs longer than a block of
+    # four; a leading batch axis, and a strided last axis (the transpose of
+    # C-ordered columns), which the call must write through.
+    amps, n, mask, _ = case
+    full = (1 << n) - 1
+    mask = data.draw(st.sampled_from([mask, full, full & 0b1010101010, full & 0b1111101110,
+                                      1 << (n - 1) if n else 0]))
+    scale = data.draw(st.sampled_from([1.0, 2.0 ** (-0.5 * mask.bit_count()), 3.7]))
+    want = scale * butterfly_reference(amps, mask)
+    before = amps.copy()
+    assert kernels.project_x(amps, mask, scale) is amps
+    assert np.abs(amps - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+    if mask.bit_count() == 1 and scale == 1.0:
+        # A one-bit product adds and subtracts (its other entries are 0):
+        # the butterfly's bits.
+        assert np.array_equal(amps, one_bit_butterfly(before, mask.bit_length() - 1))
 
 
 @settings(max_examples=100, deadline=None)
