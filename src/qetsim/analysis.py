@@ -299,22 +299,14 @@ class SweepTable:
     bell: np.ndarray
 
 
-def point_params(n: int, ratio: float, h: float = 1.0) -> ModelParams:
-    """The model at N, k = ratio * h and h, validated as the model validates
-    it. Where only k = ratio * h overflows, the point is valid and the model
-    is the one the closed forms evaluate there, at unit field: k = ratio and
-    h = 1."""
-    k = ratio * h
-    if math.isinf(k) and math.isfinite(ratio) and math.isfinite(h) and h > 0.0:
-        return ModelParams(n, 1.0, ratio)
-    return ModelParams(n, h, k)
-
-
 def sweep_row(point: tuple[int, int, float, bool], h: float = 1.0) -> SweepTable:
     """One grid point (n, m, ratio, with_bell), validated as the model
-    validates it, as a one-row table."""
+    validates it, as a one-row table. Where only k = ratio * h overflows,
+    the point is valid: the model validates ratio in k's place, and the
+    closed forms evaluate it in units of h."""
     n, m, ratio, with_bell = point
-    point_params(n, ratio, h)  # raise on couplings or a split the model rejects
+    k = ratio * h
+    ModelParams(n, h, ratio if math.isinf(k) and math.isfinite(ratio) else k)
     Partition.last(n, m)
     return evaluate(grid([n], [m], [ratio], with_bell), h)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import math
 import os
 import sys
 from collections.abc import Iterator, Sequence
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import analysis, closedform, protocol_oracle, verify
 from .errors import InvalidRange, QetError
-from .model import DEFAULT_ORACLE_CAP, Partition
+from .model import DEFAULT_ORACLE_CAP, ModelParams, Partition
 
 SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"  # the fields of analysis.SweepTable
 #: Rows of a CSV table laid out at a time, as one uint8 array.
@@ -387,22 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_efficiency(args) -> int:
-    # theta_opt depends on k/h alone; where k overflows, params is at unit field.
-    params = analysis.point_params(args.n, args.ratio, args.h)
-    part = Partition.last(args.n, args.m)
-    table = analysis.evaluate(analysis.grid([args.n], [args.m], [args.ratio]), args.h)
-    theta = closedform.optimal_theta(params, part)
+    table = analysis.sweep_row((args.n, args.m, args.ratio, False), args.h)
+    # Where k = (k/h) h overflows, the range rule reads k/h, as for the row.
+    k = args.ratio * args.h
+    theta = closedform._optimal_theta(args.n, args.m, k, args.h, args.ratio)
     meta = [f"theta_opt: {_fmt(theta.theta)}",
             f"cos_2theta: {_fmt(theta.cos_2theta)}",
             f"sin_2theta: {_fmt(theta.sin_2theta)}"]
     extra = {}
     if args.shots is not None:
-        if params.h != args.h:
+        if math.isinf(k):
             raise InvalidRange(f"--shots cannot sample at k/h={args.ratio:g}, h={args.h:g}: "
                                "k = (k/h) h overflows float64 there")
         est = protocol_oracle.sample_protocol(
-            params, part, theta.theta, n_shots=args.shots,
-            seed=args.seed, oracle_cap=args.oracle_cap)
+            ModelParams(args.n, args.h, k), Partition.last(args.n, args.m), theta.theta,
+            n_shots=args.shots, seed=args.seed, oracle_cap=args.oracle_cap)
         extra = {"sampled_e_in": est.e_in, "sampled_e_out": est.e_out,
                  "shots": est.n_shots, "seed": est.seed}
         meta.extend(f"{key}: {_fmt(val)}" for key, val in extra.items())

@@ -232,7 +232,13 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
 def optimal_theta(params: ModelParams, part: Partition) -> ThetaChoice:
     """The angle maximizing the extracted energy: tan 2theta = B / A. At a
     unit field A and B are in units of h^2; the angle reads their ratio."""
-    _, a, b = _one_point(_cab, params, part)
+    return _optimal_theta(params.n_qubits, part.m_outputs, params.k, params.h, params.ratio)
+
+
+def _optimal_theta(n: int, m: int, k: float, h: float, ratio: float) -> ThetaChoice:
+    """``optimal_theta`` with the point's k/h given as ``ratio``, which a
+    unit field reads: a k = ratio * h that overflowed is valid."""
+    _, a, b = _ranged(_cab, h, k, ratio, float(n), float(m))
     return ThetaChoice.from_components(a, b)
 
 

@@ -9,9 +9,9 @@ any qubit-ordering convention.
 
 Each kernel acts along the last axis and broadcasts over any leading ones.
 The same function therefore serves a single statevector of shape ``(2**n,)``
-and a batch of them, such as a tile of rows of the protocol engine's branch
-matrix; reductions return a scalar for one vector and one value per row for
-a batch.
+and a batch of them, such as the protocol engine's branch matrix or the
+stacked column sums of its one pass; reductions return a scalar for one
+vector and one value per row for a batch.
 
 The Z and norm reductions read squared amplitudes, a weight array. The
 amplitude-first forms (``norm_sq``, ``z_expectations``, ``diag_z_total``)
@@ -40,8 +40,8 @@ def _runs(n_bits: int, mask: int) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     """Maximal runs of adjacent bits that are all in ``mask`` or all outside
     it, from the most significant bit down: the axis lengths that split an
     index into them, and a slice per run that walks it backwards where it is
-    in ``mask``. Cached: a tiled caller asks for the same few masks once per
-    tile."""
+    in ``mask``. Cached: callers ask for the same few masks again and
+    again."""
     runs: list[list] = []
     for b in range(n_bits - 1, -1, -1):
         inside = bool(mask >> b & 1)
@@ -53,24 +53,18 @@ def _runs(n_bits: int, mask: int) -> tuple[tuple[int, ...], tuple[slice, ...]]:
             tuple(slice(None, None, -1) if inside else slice(None) for _, inside in runs))
 
 
-def apply_pauli_signs(amps: np.ndarray, flip_mask: int, phase_mask: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def apply_pauli_signs(amps: np.ndarray, flip_mask: int, phase_mask: int) -> np.ndarray:
     """out[..., j] = (-1)**popcount((j ^ flip) & phase) * amps[..., j ^ flip].
 
     XOR with ``flip_mask`` reverses every run of adjacent flipped bits, so the
     gather is a view that splits the last axis into runs and walks the flipped
-    ones backwards, then one C-order copy, into ``out`` when it is given (a
-    C-ordered array of ``amps``'s shape that does not overlap it). Each phase
-    bit negates, in place, the half of the copy whose *source* index has that
-    bit set. No index array is built: the copy is the only allocation.
+    ones backwards, then one C-order copy. Each phase bit negates, in place,
+    the half of the copy whose *source* index has that bit set. No index
+    array is built: the copy is the only allocation.
     """
     lead, n_bits = amps.shape[:-1], amps.shape[-1].bit_length() - 1
     lengths, backwards = _runs(n_bits, flip_mask)
-    gather = amps.reshape(lead + lengths)[(..., *backwards)]
-    if out is None:
-        out = gather.copy(order="C").reshape(amps.shape)
-    else:
-        np.copyto(out.reshape(gather.shape), gather)
+    out = amps.reshape(lead + lengths)[(..., *backwards)].copy(order="C").reshape(amps.shape)
     for b in range(min(n_bits, phase_mask.bit_length())):
         if phase_mask >> b & 1:
             # Source bit b is output bit b, inverted where the string flips it.
@@ -308,14 +302,3 @@ def complement_overlap(amps: np.ndarray):
     """<psi| FlipAll |psi> = sum_j conj(a[j]) a[all_ones ^ j]; real for real amps."""
     return np.vecdot(amps, amps[..., ::-1])
 
-
-def mirror_overlap(amps: np.ndarray):
-    """sum_j conj(a[j]) a[all_ones ^ j] over the lower half of the index
-    range, one value per row of a batch; twice its real part is
-    ``complement_overlap``. j and its complement lie in opposite halves, and
-    the upper half's terms are the conjugates of the lower half's, so this
-    reads each pair once: the reversed operand, which numpy reads at half
-    the speed of a forward one, is half as long.
-    """
-    half = amps.shape[-1] // 2
-    return np.vecdot(amps[..., :half], amps[..., :half - 1:-1])

@@ -19,18 +19,21 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   first product, leaves row alpha holding <alpha|psi>, sign included;
 * a row's squared norm is its outcome probability, so ensemble traces are
   plain sums of per-row expectations, and a zero-probability row weighs
-  nothing without special-casing; the total probability is one dot product
-  over the whole matrix, and only the sampler, which draws rows, takes each
-  row's own;
-* the conditioned rotation is one real signed permutation of the columns,
-  scaled per row by the parity of the row index: the product of its signs;
-* every ensemble reduction is a sum over rows, so ``extracted_energy`` and
-  the angle curve stream the measured rows through tiles of ``TILE``
-  elements: each tile is rotated, its FlipAll overlap taken, squared once
-  and its weights added up, and the Z accountings run at the end on those
-  sums. A call holds the measured rows and a few tile-sized buffers, and
-  the one Python loop runs over tiles, of which a matrix of up to ``TILE``
-  elements is one;
+  nothing without special-casing; the total probability is the sum of the
+  column weights that the pass below adds up, and only the sampler, which
+  draws rows, takes each row's own;
+* the conditioned rotation takes row r to cos t psi_r + parity_r sin t
+  S psi_r, with S one real signed permutation of the columns and parity_r
+  the product of the row's outcome signs; the generator squares to one, so
+  every energy after it is x0 + x1 cos 2t + x2 sin 2t;
+* ``extracted_energy``, the angle curve and the optimizer read those
+  coefficients off one pass over the measured rows, in tiles of ``TILE``
+  elements: it adds up their column weights and parity-weighted mirror
+  products, and the Z accountings run at the end on those sums. No
+  rotated row is built: a call holds the measured rows and a few
+  tile-sized buffers, and the one Python loop runs over tiles, of which a
+  matrix of up to ``TILE`` elements is one. Only the sampler rotates the
+  rows, with ``apply_conditional_unitary``;
 * a ``ProtocolReport`` holds floats only, so no array outlives the call.
 
 The ensemble average state is never materialized as a density matrix.
@@ -116,17 +119,15 @@ def measure_branches(params: ModelParams, part: Partition,
     return Branches(states, parity)
 
 
-def injected_energy(branches: Branches, params: ModelParams,
-                    part: Partition) -> tuple[float, float]:
-    """Measurement cost, and the total probability of the measured rows.
+def injected_energy(probability: float, params: ModelParams, part: Partition) -> float:
+    """Measurement cost of measured rows whose total probability is
+    ``probability``.
 
     Each measured qubit is left in an X eigenstate, where <Z> is exactly
     zero, so its probability-weighted post-measurement energy
-    h<Z_j> + N h^2 / c is the constant times the total probability, which
-    is one dot product over the rows.
+    h<Z_j> + N h^2 / c is the constant times the total probability.
     """
-    probability = float(np.vdot(branches.states, branches.states))
-    return part.n_inputs * local_constant(params) * probability, probability
+    return part.n_inputs * local_constant(params) * probability
 
 
 def _phase_mask(part: Partition, y_qubit: int | None) -> int:
@@ -148,23 +149,14 @@ def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
     The Y factor sits on the lowest-indexed output qubit unless ``y_qubit``
     overrides it; the extracted energy does not depend on the choice.
     -i * (Y X ... X) is the real signed permutation S of the columns, so row
-    r becomes cos(theta) * psi_r + parity_r * sin(theta) * S psi_r.
+    r becomes cos(theta) * psi_r + parity_r * sin(theta) * S psi_r. S
+    reverses the columns and negates where the source column has the Y bit.
     """
-    out = _signed_flip(branches.states, branches.parity, math.sin(theta),
-                       _phase_mask(part, y_qubit))
-    out += math.cos(theta) * branches.states
-    return out
-
-
-def _signed_flip(rows: np.ndarray, parity: np.ndarray, scale: float,
-                 phase: int, out: np.ndarray | None = None) -> np.ndarray:
-    """scale * parity_r * S psi_r for every row, into ``out`` when it is
-    given; at scale 1, the rotated rows at theta = pi/2. S reverses the
-    columns and negates where the source column has the ``phase`` bit. One
-    pass applies parity and scale together: parity is +-1, so this equals
-    scaling after the parity, bit for bit."""
-    out = kernels.apply_pauli_signs(rows, rows.shape[-1] - 1, phase, out)
-    out *= scale * parity[:, None]
+    states = branches.states
+    out = kernels.apply_pauli_signs(states, states.shape[-1] - 1, _phase_mask(part, y_qubit))
+    # Parity is +-1, so one pass applies it and sin(theta) together.
+    out *= math.sin(theta) * branches.parity[:, None]
+    out += math.cos(theta) * states
     return out
 
 
@@ -188,154 +180,149 @@ def output_term_energies(states: np.ndarray, parity: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Ensemble sums, tile by tile
+# Every rotated energy from one pass over the measured rows
 # ---------------------------------------------------------------------------
 
 #: Elements of the branch matrix in one tile, the kernels' tile (2^14): it
 #: keeps the buffers of an N = 16 call at a quarter of the rows each.
 TILE = kernels.TILE
 
-#: A product with these sums a chunk, or a tile's rows, in one BLAS call:
-#: numpy's own sum over the rows of a narrow C-ordered array runs its inner
-#: loop once per row, several times slower. A tile has at most TILE // 2
-#: rows, and a chunk of a row that spans several is TILE // 2 columns long.
-_ONES = np.ones(TILE // 2)
+#: A product with these sums a tile's rows, a chunk or the column sums in
+#: one BLAS call: numpy's own sum over the rows of a narrow C-ordered array
+#: runs its inner loop once per row, several times slower.
+_ONES = np.ones(TILE)
 _ONES.flags.writeable = False
 
 
-class _Tiling(NamedTuple):
-    """How a (rows, width) branch matrix splits into tiles.
+@functools.lru_cache(maxsize=256)
+def _y_signs(length: int, phase: int) -> np.ndarray:
+    """sigma_j for j < ``length``: +1 where j has the ``phase`` bit, -1
+    where it has not (a bit at or above ``length`` is never set). Cached and
+    read-only, since every call of a cell asks for the same few."""
+    signs = kernels.apply_pauli_signs(np.full(length, -1.0), 0, phase)
+    signs.flags.writeable = False
+    return signs
 
-    S reverses a row's columns, so a tile is a block of ``block`` rows by a
-    pair of ``chunk``-column chunks, c and its mirror n_chunks - 1 - c, laid
-    side by side: S then reverses the tile's own columns. Where at least two
-    rows fit in a tile, the chunk is the whole row and a tile is a block of
-    whole rows; otherwise a tile is one row's pair of half-tile chunks.
+
+class _Terms(NamedTuple):
+    """The rotated ensemble's energies: the drained one (minus the output
+    terms and the interaction) is ``drained0 + drained`` and <H> is
+    ``total0 + total``, the parts that no rotation moves plus the parts at
+    the angles t whose (cos 2t, sin 2t) are the rows of ``angles`` (or
+    ``angles`` itself); with the measured rows' total probability."""
+
+    probability: float
+    drained0: float
+    total0: float
+    drained: np.ndarray
+    total: np.ndarray
+
+
+#: The ``angles`` whose energies are the coefficients of cos 2t and sin 2t.
+_COEFFICIENTS = np.eye(2)
+_COEFFICIENTS.flags.writeable = False
+
+
+def _terms(branches: Branches, params: ModelParams, part: Partition,
+           y_qubit: int | None, angles: np.ndarray) -> _Terms:
+    """Every rotated energy, from one pass over the measured rows psi_r.
+
+    The rotation's generator squares to one, so each energy is
+    x0 + x1 cos 2t + x2 sin 2t. S psi reads sigma_j psi_rev(j), with
+    rev(j) = 2^m - 1 - j and sigma_j = +1 where column j has the Y bit, -1
+    where it has not, so sigma_rev(j) = -sigma_j. From the column weights
+    W_j = sum_r psi_rj^2 and the mirror products
+    M_j = sum_r parity_r psi_rj psi_r,rev(j), at angle t:
+
+    * the rotated column weights are
+      cos^2 t W_j + sin^2 t W_rev(j) + sin 2t sigma_j M_j;
+    * reversal negates every Z, so each Z reduction of them is that of
+      cos 2t W + sin 2t sigma M; and sigma M, antisymmetric under reversal,
+      adds no weight: the total is sum_j W_j at every t;
+    * the parity-read FlipAll overlap is
+      cos 2t sum_j M_j + sin 2t <Z_Y>(W), both read off the sums signed by
+      sigma, since sum_j M_j = sum_j sigma_j (sigma M)_j.
+
+    The Z kernels run once, on ``angles`` times the sums of W and sigma M.
     """
-
-    block: int
-    chunk: int
-    n_chunks: int
-    #: A tile's rows, and the columns of its one or two chunks.
-    shape: tuple[int, int]
-    #: Index bits within a chunk, and above it.
-    bits: tuple[int, int]
-
-    @staticmethod
-    @functools.lru_cache(maxsize=256)
-    def of(rows: int, width: int) -> _Tiling:
-        chunk = min(width, TILE // 2)
-        n_chunks = width // chunk
-        block = min(rows, TILE // width) if n_chunks == 1 else 1
-        return _Tiling(block, chunk, n_chunks, (block, chunk * min(2, n_chunks)),
-                       (chunk.bit_length() - 1, n_chunks.bit_length() - 1))
-
-    def tiles(self, branches: Branches, part: Partition, y_qubit: int | None):
-        """Every tile of the measured rows, as one ``_Tile`` that each step
-        updates and that holds the pass's buffers.
-
-        A block of whole rows is a view; a chunk pair is copied into one
-        buffer, which each tile reuses. The tile's signed flip takes the
-        phase mask ``min(phase, chunk)``: a Y bit inside the chunk is that
-        bit of the tile, and one above it is the tile's half bit times a
-        sign per tile, because the two chunk indices are complements, so
-        that bit of one is set exactly where it is clear in the other.
-        """
-        phase = _phase_mask(part, y_qubit)
-        states, parity = branches.states, branches.parity
-        block, chunk, n_chunks = self.block, self.chunk, self.n_chunks
-        tile = _Tile(min(phase, chunk), self.shape)
-        if n_chunks > 1:
-            split = states.reshape(len(states), n_chunks, chunk)
-            gather = np.empty((block, 2, chunk))
-        for r in range(0, len(states), block):
-            tile.parity = parity[r:r + block]
-            for c in range((n_chunks + 1) // 2):
-                tile.pair = slice(c, n_chunks - c, max(1, n_chunks - 1 - 2 * c))
-                if n_chunks == 1:
-                    tile.values = states[r:r + block]
-                else:
-                    np.copyto(gather, split[r:r + block, tile.pair])
-                    tile.values = gather.reshape(self.shape)
-                tile.sign = -1.0 if c & phase // chunk else 1.0
-                yield tile
+    width = branches.states.shape[1]
+    chunk = min(width, TILE) // 2
+    n_chunks = width // chunk
+    phase = _phase_mask(part, y_qubit)
+    sigma = _y_signs(2 * chunk, min(phase, chunk))
+    sums, chunks = _mirror_sums(branches, chunk, phase, sigma)
+    probability = float(sums[0] @ _ONES[:2 * chunk])
+    # The output bits the column sums resolve: every bit for whole rows,
+    # else those within a chunk, and the chunk totals the ones above. So
+    # (sigma W, sigma sigma M) = (-<Z_Y>(W), sum M) reads the ones that
+    # resolve the Y bit.
+    lo = (chunk if chunks is not None else width).bit_length() - 1
+    minus_zy, sum_m = (chunks @ _y_signs(n_chunks, phase >> lo) if phase >> lo
+                       else sums @ sigma).tolist()
+    flip = angles @ (sum_m, -minus_zy)
+    sums = angles @ sums
+    # The diagonal reads the sums before the fold overwrites them.
+    diagonal = kernels.z_diagonal(sums, lo)
+    z = kernels.z_fold(sums, lo)[0].sum(axis=-1)
+    if chunks is not None:
+        hi = n_chunks.bit_length() - 1
+        chunks = angles @ chunks
+        diagonal += kernels.z_diagonal(chunks, hi)
+        z += kernels.z_fold(chunks, hi)[0].sum(axis=-1)
+    drained0 = -(part.m_outputs * local_constant(params) + interaction_constant(params))
+    return _Terms(probability, drained0 * probability, params.c * probability,
+                  -(params.h * z + 2.0 * params.k * flip),
+                  params.h * diagonal + 2.0 * params.k * flip)
 
 
-class _Tile:
-    """The current tile of a pass: its ``values``, its rows' ``parity``, its
-    chunks as the slice ``pair`` and the sign of its Y phase; and the pass's
-    tile-sized buffers, ``rows`` for the rotated rows and ``w`` for weights."""
+def _mirror_sums(branches: Branches, chunk: int, phase: int,
+                 sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """W over a tile's columns and sigma M there, stacked; and, where a row
+    spans more than one pair of chunks, each chunk's totals of the two.
 
-    __slots__ = ("phase", "rows", "w", "values", "parity", "pair", "sign")
-
-    def __init__(self, phase: int, shape: tuple[int, int]):
-        self.phase = phase
-        self.rows, self.w = np.empty(shape), np.empty(shape)
-
-    def flip(self, scale: float) -> np.ndarray:
-        """scale * parity_r * S of the tile's rows, into ``rows``."""
-        return _signed_flip(self.values, self.parity, self.sign * scale, self.phase,
-                            self.rows)
-
-
-class _Sums:
-    """One ensemble's reductions, added up over its tiles: the parity-read
-    FlipAll overlap, its weights summed over rows for every tile column, and,
-    where a row spans several chunks, each chunk's total weight.
-
-    Every tile holds the same output bits at the same columns, so the column
-    sums give the <Z> and popcount of the bits within a chunk (a pair's half
-    bit is a bit above them, summed over); the chunk totals give those of
-    the bits above a chunk.
+    A tile is a block of rows by a pair of ``chunk``-column chunks, c and
+    its mirror n_chunks - 1 - c: the two halves of whole rows where a row
+    fits in a tile, else one row's pair of half-tile chunks. S reverses the
+    tile's own columns, and every tile holds the same output bits at the
+    same columns. The pass adds up W over those columns and M over the
+    lower chunk's, since M_rev(j) = M_j; ``sigma`` is sigma over them. A Y
+    bit above a chunk gives each tile one sign: the two chunk indices are
+    complements, so exactly one of them has it.
     """
-
-    def __init__(self, tiling: _Tiling):
-        self.tiling = tiling
-        self.flip = 0.0
-        self.columns = None
-        self.chunks = np.zeros(tiling.n_chunks) if tiling.n_chunks > 1 else None
-
-    def add(self, rows: np.ndarray, tile: _Tile) -> None:
-        """Reduce ``rows``, an ensemble's values at ``tile``. Their weights go
-        into a new array for the first tile and into the buffer ``tile.w``
-        after it. A chunk pair's FlipAll products all lie inside the tile."""
-        self.flip += 2.0 * float(tile.parity @ kernels.mirror_overlap(rows))
-        first = self.columns is None
-        w = kernels.weights(rows, out=None if first else tile.w)
-        columns = w[0] if len(w) == 1 else _ONES[:len(w)] @ w
-        if first:
-            self.columns = columns
-        else:
-            self.columns += columns
-        if self.tiling.n_chunks > 1:
-            self.chunks[tile.pair] += columns.reshape(2, -1) @ _ONES
-
-    def z_total(self) -> float:
-        """Sum over the output bits of <Z>: the popcount diagonal, which only
-        reads the sums."""
-        lo, hi = self.tiling.bits
-        total = kernels.z_diagonal(self.columns, lo)
-        if hi:
-            total += kernels.z_diagonal(self.chunks, hi)
-        return float(total)
-
-    def fold(self) -> tuple[float, np.ndarray]:
-        """Total weight and the outputs' <Z> (ascending qubit order), from
-        the per-bit fold, which overwrites the sums."""
-        lo, hi = self.tiling.bits
-        z, weight = kernels.z_fold(self.columns, lo)
-        if hi:
-            z = np.concatenate([z, kernels.z_fold(self.chunks, hi)[0]])
-        return float(weight), z[::-1]
-
-
-def _drained(weight: float, z: np.ndarray, flip: float, params: ModelParams) -> float:
-    """Ensemble energy drained from the output terms plus the interaction,
-    from its total weight, the outputs' <Z> and the parity-read <FlipAll>:
-    ``output_term_energies`` summed over the rows."""
-    sites = params.h * z
-    sites += local_constant(params) * weight
-    return -float(sites.sum() + (2.0 * params.k * flip + interaction_constant(params) * weight))
+    states, parity = branches.states, branches.parity
+    rows, width = states.shape
+    n_chunks = width // chunk
+    block = max(1, TILE // width)
+    split = states.reshape(rows, n_chunks, chunk)
+    squares = np.empty((min(rows, block), 2, chunk))
+    products = np.empty((min(rows, block), chunk))
+    sums = np.zeros((2, 2 * chunk))
+    chunks = np.zeros((2, n_chunks)) if n_chunks > 2 else None
+    for r in range(0, rows, block):
+        p = parity[r:r + block]
+        for c in range(n_chunks // 2):
+            pair = slice(c, n_chunks - c, n_chunks - 1 - 2 * c)
+            tile = split[r:r + block, pair]
+            w = kernels.weights(tile, out=squares[:len(p)]).reshape(len(p), -1)
+            mirrored = np.multiply(tile[:, 0], tile[:, 1, ::-1], out=products[:len(p)])
+            if len(p) > 1:  # whole rows, one pair of chunks and no sign
+                sums[0] += _ONES[:len(p)] @ w
+                sums[1, :chunk] += p @ mirrored
+                continue
+            # One row, whose sums are its own values, its products signed
+            # where the Y bit lies above the chunk.
+            lower = np.multiply(mirrored[0], -p[0] if c & phase // chunk else p[0],
+                                out=mirrored[0])
+            sums[0] += w[0]
+            sums[1, :chunk] += lower
+            if chunks is not None:
+                chunks[0, pair] += w.reshape(2, -1) @ _ONES[:chunk]
+                signed = float(sigma[:chunk] @ lower)
+                chunks[1, c] += signed
+                chunks[1, n_chunks - 1 - c] -= signed
+    sums[1, :chunk] *= sigma[:chunk]
+    np.negative(sums[1, :chunk][::-1], out=sums[1, chunk:])
+    return sums, chunks
 
 
 def extracted_energy(params: ModelParams, part: Partition, theta: float,
@@ -347,90 +334,54 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     output-site terms plus the interaction term after the rotation. A second,
     independent accounting ``e_out_via_trace`` is the injected energy minus
     the total ensemble energy; the two must agree to near machine precision.
-    Both read the same rotated weight sums, total weight and FlipAll
-    overlap; their Z sums come from two kernels over those sums (the
-    popcount diagonal, which runs first, and the per-bit fold).
-
-    The rotated rows are made, squared and reduced one tile at a time, so
-    apart from the measured rows a call holds one tile's buffers.
+    Both read the same total weight and FlipAll overlap; their Z sums come
+    from two kernels over the pass's sums at this angle (the popcount
+    diagonal and the per-bit fold). Apart from the measured rows a call
+    holds a few tile-sized buffers, and no rotated row is built.
     """
     branches = measure_branches(params, part, oracle_cap)
-    e_in, probability = injected_energy(branches, params, part)
-
-    tiling = _Tiling.of(*branches.states.shape)
-    cos, sin = math.cos(theta), math.sin(theta)
-    rotated = _Sums(tiling)
-    for tile in tiling.tiles(branches, part, y_qubit):
-        rows = tile.flip(sin)
-        rows += np.multiply(tile.values, cos, out=tile.w)
-        rotated.add(rows, tile)
-    # Total <H>: the measured qubits sit in X eigenstates and add nothing to
-    # the Z sum, and FlipAll reads each row's parity on them. The diagonal
-    # reads the sums before the fold overwrites them.
-    z_total = rotated.z_total()
-    weight, z = rotated.fold()
-    e_out = _drained(weight, z, rotated.flip, params)
-    total = params.h * z_total + 2.0 * params.k * rotated.flip + params.c * weight
+    terms = _terms(branches, params, part, y_qubit,
+                   np.array([math.cos(2.0 * theta), math.sin(2.0 * theta)]))
+    e_in = injected_energy(terms.probability, params, part)
+    e_out = terms.drained0 + float(terms.drained)
+    total = terms.total0 + float(terms.total)
     return ProtocolReport(e_in=e_in, e_out=e_out, e_out_via_trace=e_in - total,
-                          eta=e_out / e_in, total_probability=probability)
+                          eta=e_out / e_in, total_probability=terms.probability)
 
 
 # ---------------------------------------------------------------------------
 # Angle sweeps and numeric optimization
 # ---------------------------------------------------------------------------
 
-def _quadratic(branches: Branches, params: ModelParams, part: Partition,
-               y_qubit: int | None) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of the ensemble drained energy
-    A cos^2 t + B sin^2 t + 2C cos t sin t.
-
-    Every rotated row is cos(t) psi + parity sin(t) S psi, so every
-    expectation is quadratic in (cos t, sin t); the drained energy at t = 0,
-    pi/2 and pi/4 fixes the three numbers. Each tile of psi is read once:
-    its S psi is computed, and its pi/4 rows (psi + parity S psi) / sqrt(2)
-    are built in that array's place, each ensemble squared into one buffer.
-    """
-    tiling = _Tiling.of(*branches.states.shape)
-    sums = [_Sums(tiling) for _ in range(3)]
-    for tile in tiling.tiles(branches, part, y_qubit):
-        sums[0].add(tile.values, tile)
-        rows = tile.flip(1.0)
-        sums[1].add(rows, tile)
-        rows += tile.values
-        rows *= math.sqrt(0.5)
-        sums[2].add(rows, tile)
-    a, b, mid = (_drained(*s.fold(), s.flip, params) for s in sums)
-    return a, b, mid - 0.5 * (a + b)
-
-
 def output_energy_curve(params: ModelParams, part: Partition, thetas,
                         y_qubit: int | None = None,
                         oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """Drained energy at every angle in ``thetas``, branches enumerated once.
 
-    Matches ``extracted_energy`` to rounding (same branch states, same
-    operator expectations), but costs one signed permutation plus O(1) per angle.
+    Matches ``extracted_energy`` to rounding (the same pass over the same
+    rows), and costs O(1) per angle: the curve is
+    d0 + d1 cos 2t + d2 sin 2t.
     """
     branches = measure_branches(params, part, oracle_cap)
-    a, b, c = _quadratic(branches, params, part, y_qubit)
-    t = np.asarray(thetas, dtype=float)
-    ct, st = np.cos(t), np.sin(t)
-    return a * ct * ct + b * st * st + 2.0 * c * ct * st
+    terms = _terms(branches, params, part, y_qubit, _COEFFICIENTS)
+    d1, d2 = terms.drained
+    t = 2.0 * np.asarray(thetas, dtype=float)
+    return terms.drained0 + d1 * np.cos(t) + d2 * np.sin(t)
 
 
 def optimize_theta_numeric(params: ModelParams, part: Partition,
                            oracle_cap: int = DEFAULT_ORACLE_CAP) -> ThetaChoice:
     """The exact maximiser of the oracle's own drained-energy curve.
 
-    The curve a cos^2 t + b sin^2 t + 2c cos t sin t is
-    (a+b)/2 + R cos(2t - phi) with phi = atan2(2c, a - b), so its maximum on
-    [0, pi/2] is at t = phi / 2, read off the three measured coefficients.
-    a - b > 0 and c >= 0 up to rounding; c is clamped at 0 so that phi lies
-    in [0, pi/2] and theta in [0, pi/4].
+    The curve d0 + d1 cos 2t + d2 sin 2t is d0 + R cos(2t - phi) with
+    phi = atan2(d2, d1), so its maximum on [0, pi/2] is at t = phi / 2,
+    read off the two measured coefficients. d1 > 0 and d2 >= 0 up to
+    rounding; d2 is clamped at 0 so that phi lies in [0, pi/2] and theta
+    in [0, pi/4].
     """
     branches = measure_branches(params, part, oracle_cap)
-    a, b, c = _quadratic(branches, params, part, None)
-    return ThetaChoice.from_components(a - b, max(0.0, 2.0 * c))
+    d1, d2 = _terms(branches, params, part, None, _COEFFICIENTS).drained.tolist()
+    return ThetaChoice.from_components(d1, max(0.0, d2))
 
 
 def simulate_with_outputs(params: ModelParams, output_set, theta: float,

@@ -407,18 +407,22 @@ def test_sweep_rows_carry_closed_form_values():
     assert np.isnan(table.bell).all()
 
 
-def test_point_params_where_k_overflows():
-    # k = (k/h) h overflows: the point is valid, at unit field, and its row
-    # is the one the grid evaluates.
-    assert an.point_params(3, 1e150, 1e160) == ModelParams(3, 1.0, 1e150)
-    assert an.point_params(3, 0.5, 2.0) == ModelParams(3, 2.0, 1.0)
-    row = an.sweep_row((3, 1, 1e150, False), 1e160)
-    grid = an.efficiency_sweep([3], [1], [1e150], h=1e160)
-    assert [row.e_in.item(), row.e_out.item(), row.eta.item()] == [
-        grid.e_in.item(), grid.e_out.item(), grid.eta.item()]
-    for ratio, h in [(math.inf, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, 0.0), (math.nan, 2.0)]:
-        with pytest.raises(QetError):
-            an.point_params(3, ratio, h)
+def test_sweep_row_where_k_overflows():
+    # k = (k/h) h overflows: the point is valid, and its row is the one the
+    # grid evaluates, as is an ordinary point's.
+    for ratio, h in [(1e150, 1e160), (0.5, 2.0)]:
+        row = an.sweep_row((3, 1, ratio, False), h)
+        grid = an.efficiency_sweep([3], [1], [ratio], h=h)
+        assert [row.e_in.item(), row.e_out.item(), row.eta.item()] == [
+            grid.e_in.item(), grid.e_out.item(), grid.eta.item()]
+    # Every other point is validated as the model validates N, k and h.
+    for ratio, h, message in [(math.inf, 1.0, "k must be finite and >= 0, got inf"),
+                              (-1.0, 2.0, "k must be finite and >= 0, got -2.0"),
+                              (1.0, math.inf, "h must be finite and > 0, got inf"),
+                              (1.0, 0.0, "h must be finite and > 0, got 0.0"),
+                              (math.nan, 2.0, "k must be finite and >= 0, got nan")]:
+        with pytest.raises(QetError, match=message):
+            an.sweep_row((3, 1, ratio, False), h)
 
 
 def test_sweep_bell_column():

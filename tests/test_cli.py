@@ -461,6 +461,19 @@ def test_efficiency_agrees_with_sweep_where_k_overflows(capsys):
         "theta_opt": 5.000000000000001e-151}]
 
 
+@pytest.mark.parametrize("ratio, h, message", [
+    ("-1", "2", "k must be finite and >= 0, got -2.0"),
+    ("1", "0", "h must be finite and > 0, got 0.0"),
+    ("nan", "2", "k must be finite and >= 0, got nan"),
+    ("1e150", "-1e160", "h must be finite and > 0, got -1e+160"),
+])
+def test_efficiency_rejects_couplings_the_model_rejects(capsys, ratio, h, message):
+    code, out, err = run_cli(capsys, "efficiency", "--n", "3", "--m", "1",
+                             f"--ratio={ratio}", f"--h={h}")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_shots_where_k_overflows_exit_2(capsys):
     code, out, err = run_cli(capsys, "efficiency", "--n", "3", "--m", "1", "--ratio", "1e150",
                              "--h", "1e160", "--shots", "10")
