@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.choices[name].add_argument(
             "--oracle-cap", type=_oracle_cap, default=None,
             help="largest N the brute-force engine will accept "
-                 "(default: QET_ORACLE_CAP env or 12)")
+                 f"(default: QET_ORACLE_CAP env or {DEFAULT_ORACLE_CAP})")
     return parser
 
 

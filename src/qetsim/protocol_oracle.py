@@ -22,10 +22,11 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   nothing without special-casing; the total probability is the sum of the
   column weights that the pass below adds up, and only the sampler, which
   draws rows, takes each row's own;
-* the conditioned rotation takes row r to cos t psi_r + parity_r sin t
-  S psi_r, with S one real signed permutation of the columns and parity_r
-  the product of the row's outcome signs; the generator squares to one, so
-  every energy after it is x0 + x1 cos 2t + x2 sin 2t;
+* the columns put the rotation's Y qubit on the top output bit, so the
+  conditioned rotation takes row r to cos t psi_r + parity_r sin t S psi_r,
+  with S the columns reversed and those from the upper half negated, and
+  parity_r the product of the row's outcome signs; the generator squares
+  to one, so every energy after it is x0 + x1 cos 2t + x2 sin 2t;
 * ``extracted_energy``, the angle curve and the optimizer read those
   coefficients off one pass over the measured rows, in tiles of ``TILE``
   elements: it adds up their column weights and parity-weighted mirror
@@ -41,7 +42,6 @@ The ensemble average state is never materialized as a density matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,8 +67,9 @@ class Branches:
     """Every X-basis outcome on the input qubits, one row each.
 
     Row r of ``states`` is the unnormalised output state <alpha|psi> of
-    outcome r, over the output qubits in ascending order (the first is the
-    most significant bit); its squared norm is the outcome's probability.
+    outcome r, over the output qubits with the Y qubit of the rotation on
+    the most significant bit and the others below it in ascending order;
+    its squared norm is the outcome's probability.
     Bit i of r, from the most significant of its N-m bits, set means the
     i-th input qubit (ascending) measured -1; ``parity[r] = (-1)**popcount(r)``
     is the product.
@@ -94,11 +95,17 @@ class ProtocolReport:
 
 
 def measure_branches(params: ModelParams, part: Partition,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> Branches:
-    """All 2^(N-m) X-basis outcomes on the input qubits, from the ground state."""
+                     oracle_cap: int = DEFAULT_ORACLE_CAP,
+                     y_qubit: int | None = None) -> Branches:
+    """All 2^(N-m) X-basis outcomes on the input qubits, from the ground
+    state, with ``y_qubit`` (by default the first output) on the top output
+    bit and the other outputs below it, ascending."""
     if part.n_qubits != params.n_qubits:
         raise InvalidPartition(
             f"partition is over {part.n_qubits} qubits, model over {params.n_qubits}")
+    if y_qubit not in (None, *part.output_qubits):
+        raise InvalidPartition(f"qubit {y_qubit} is not an output qubit")
+    outputs = sorted(part.output_qubits, key=lambda q: (q != y_qubit, q))
     check_oracle_cap(params.n_qubits, oracle_cap)
     n_in, m = part.n_inputs, part.m_outputs
     # Axis q-1 of the (2,)*N view is qubit q; reorder to (inputs, outputs).
@@ -106,7 +113,7 @@ def measure_branches(params: ModelParams, part: Partition,
     # C-ordered so that its flat view is a view: for an output set other than
     # the last m qubits the reordered matrix is strided, and its flat reshape
     # would be a copy.
-    axes = [q - 1 for q in part.input_qubits + part.output_qubits_sorted]
+    axes = [q - 1 for q in (*part.input_qubits, *outputs)]
     states = np.ascontiguousarray(
         StateVector.ground_state(params).amplitudes.reshape((2,) * params.n_qubits)
         .transpose(axes).reshape(1 << n_in, 1 << m))
@@ -130,30 +137,16 @@ def injected_energy(probability: float, params: ModelParams, part: Partition) ->
     return part.n_inputs * local_constant(params) * probability
 
 
-def _phase_mask(part: Partition, y_qubit: int | None) -> int:
-    """The Y qubit's bit in the output register: the rotation flips every
-    bit and also takes the sign of this one (the first sorted output is the
-    most significant bit)."""
-    outputs = part.output_qubits_sorted
-    if y_qubit is None:
-        y_qubit = outputs[0]
-    elif y_qubit not in part.output_qubits:
-        raise InvalidPartition(f"qubit {y_qubit} is not an output qubit")
-    return 1 << (len(outputs) - 1 - outputs.index(y_qubit))
+def apply_conditional_unitary(branches: Branches, theta: float) -> np.ndarray:
+    """Rotate every row by cos(theta) - i*parity*sin(theta) * Y X ... X.
 
-
-def apply_conditional_unitary(branches: Branches, part: Partition, theta: float,
-                              y_qubit: int | None = None) -> np.ndarray:
-    """Rotate every row by cos(theta) - i*parity*sin(theta) * Y_y X X ... X.
-
-    The Y factor sits on the lowest-indexed output qubit unless ``y_qubit``
-    overrides it; the extracted energy does not depend on the choice.
-    -i * (Y X ... X) is the real signed permutation S of the columns, so row
-    r becomes cos(theta) * psi_r + parity_r * sin(theta) * S psi_r. S
-    reverses the columns and negates where the source column has the Y bit.
+    The Y factor sits on the top output bit, where ``measure_branches``
+    puts it. -i * (Y X ... X) is the real signed permutation S of the
+    columns, so row r becomes cos(theta) * psi_r + parity_r * sin(theta) *
+    S psi_r. S reverses the columns and negates those from the upper half.
     """
     states = branches.states
-    out = kernels.apply_pauli_signs(states, states.shape[-1] - 1, _phase_mask(part, y_qubit))
+    out = kernels.apply_pauli_signs(states, states.shape[-1] - 1, states.shape[-1] >> 1)
     # Parity is +-1, so one pass applies it and sin(theta) together.
     out *= math.sin(theta) * branches.parity[:, None]
     out += math.cos(theta) * states
@@ -166,9 +159,10 @@ def output_term_energies(states: np.ndarray, parity: np.ndarray,
 
     ``states`` holds unnormalised output rows (measured or rotated), so each
     value already carries its row's probability and ensemble values are sums
-    over rows. Returns a (rows, m) array of h<Z_j> + N h^2 / c, columns in
-    ascending output-qubit order, and a (rows,) array of 2k<X...X> + 4k^2/c;
-    on the measured register of row r, X...X reads ``parity[r]``.
+    over rows. Returns a (rows, m) array of h<Z_j> + N h^2 / c, its sites in
+    the column order of the branch matrix (the output on the top bit
+    first), and a (rows,) array of 2k<X...X> + 4k^2/c; on the measured
+    register of row r, X...X reads ``parity[r]``.
     """
     m = states.shape[-1].bit_length() - 1
     # One weight array gives each row's norm and per-bit <Z>.
@@ -193,15 +187,11 @@ TILE = kernels.TILE
 _ONES = np.ones(TILE)
 _ONES.flags.writeable = False
 
-
-@functools.lru_cache(maxsize=256)
-def _y_signs(length: int, phase: int) -> np.ndarray:
-    """sigma_j for j < ``length``: +1 where j has the ``phase`` bit, -1
-    where it has not (a bit at or above ``length`` is never set). Cached and
-    read-only, since every call of a cell asks for the same few."""
-    signs = kernels.apply_pauli_signs(np.full(length, -1.0), 0, phase)
-    signs.flags.writeable = False
-    return signs
+#: Interleaved partial sums that a block of whole rows is added up in, row
+#: r into sum r mod 32: at m = 1 every row holds the same two weights, and
+#: one sequential sum lets their roundings add up. At N = 10-18, m = 1-3,
+#: |total probability - 1| peaks at 8.9e-14 with one sum, 1.6e-15 with 32.
+_LANES = 32
 
 
 class _Terms(NamedTuple):
@@ -224,15 +214,16 @@ _COEFFICIENTS.flags.writeable = False
 
 
 def _terms(branches: Branches, params: ModelParams, part: Partition,
-           y_qubit: int | None, angles: np.ndarray) -> _Terms:
+           angles: np.ndarray) -> _Terms:
     """Every rotated energy, from one pass over the measured rows psi_r.
 
     The rotation's generator squares to one, so each energy is
-    x0 + x1 cos 2t + x2 sin 2t. S psi reads sigma_j psi_rev(j), with
-    rev(j) = 2^m - 1 - j and sigma_j = +1 where column j has the Y bit, -1
-    where it has not, so sigma_rev(j) = -sigma_j. From the column weights
-    W_j = sum_r psi_rj^2 and the mirror products
-    M_j = sum_r parity_r psi_rj psi_r,rev(j), at angle t:
+    x0 + x1 cos 2t + x2 sin 2t. With the Y factor on the top output bit,
+    S psi reads sigma_j psi_rev(j), with rev(j) = 2^m - 1 - j and
+    sigma_j = +1 in the upper half of the columns, -1 in the lower, so
+    sigma_rev(j) = -sigma_j. From the column weights W_j = sum_r psi_rj^2
+    and the mirror products M_j = sum_r parity_r psi_rj psi_r,rev(j), at
+    angle t:
 
     * the rotated column weights are
       cos^2 t W_j + sin^2 t W_rev(j) + sin 2t sigma_j M_j;
@@ -240,32 +231,29 @@ def _terms(branches: Branches, params: ModelParams, part: Partition,
       cos 2t W + sin 2t sigma M; and sigma M, antisymmetric under reversal,
       adds no weight: the total is sum_j W_j at every t;
     * the parity-read FlipAll overlap is
-      cos 2t sum_j M_j + sin 2t <Z_Y>(W), both read off the sums signed by
-      sigma, since sum_j M_j = sum_j sigma_j (sigma M)_j.
+      cos 2t sum_j M_j + sin 2t <Z_Y>(W). -<Z_Y>(W) and
+      sum_j M_j = sum_j sigma_j (sigma M)_j are the upper-half totals of W
+      and sigma M minus their lower-half totals.
 
     The Z kernels run once, on ``angles`` times the sums of W and sigma M.
     """
     width = branches.states.shape[1]
     chunk = min(width, TILE) // 2
-    n_chunks = width // chunk
-    phase = _phase_mask(part, y_qubit)
-    sigma = _y_signs(2 * chunk, min(phase, chunk))
-    sums, chunks = _mirror_sums(branches, chunk, phase, sigma)
+    sums, chunks = _mirror_sums(branches, chunk)
     probability = float(sums[0] @ _ONES[:2 * chunk])
     # The output bits the column sums resolve: every bit for whole rows,
-    # else those within a chunk, and the chunk totals the ones above. So
-    # (sigma W, sigma sigma M) = (-<Z_Y>(W), sum M) reads the ones that
-    # resolve the Y bit.
+    # else those within a chunk, and the chunk totals the ones above. The
+    # top bit's halves are those of whichever holds it.
     lo = (chunk if chunks is not None else width).bit_length() - 1
-    minus_zy, sum_m = (chunks @ _y_signs(n_chunks, phase >> lo) if phase >> lo
-                       else sums @ sigma).tolist()
+    top = sums if chunks is None else chunks
+    minus_zy, sum_m = (top.reshape(2, 2, -1).sum(axis=2) @ (-1.0, 1.0)).tolist()
     flip = angles @ (sum_m, -minus_zy)
     sums = angles @ sums
     # The diagonal reads the sums before the fold overwrites them.
     diagonal = kernels.z_diagonal(sums, lo)
     z = kernels.z_fold(sums, lo)[0].sum(axis=-1)
     if chunks is not None:
-        hi = n_chunks.bit_length() - 1
+        hi = chunks.shape[1].bit_length() - 1
         chunks = angles @ chunks
         diagonal += kernels.z_diagonal(chunks, hi)
         z += kernels.z_fold(chunks, hi)[0].sum(axis=-1)
@@ -275,8 +263,7 @@ def _terms(branches: Branches, params: ModelParams, part: Partition,
                   params.h * diagonal + 2.0 * params.k * flip)
 
 
-def _mirror_sums(branches: Branches, chunk: int, phase: int,
-                 sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _mirror_sums(branches: Branches, chunk: int) -> tuple[np.ndarray, np.ndarray | None]:
     """W over a tile's columns and sigma M there, stacked; and, where a row
     spans more than one pair of chunks, each chunk's totals of the two.
 
@@ -284,10 +271,9 @@ def _mirror_sums(branches: Branches, chunk: int, phase: int,
     its mirror n_chunks - 1 - c: the two halves of whole rows where a row
     fits in a tile, else one row's pair of half-tile chunks. S reverses the
     tile's own columns, and every tile holds the same output bits at the
-    same columns. The pass adds up W over those columns and M over the
-    lower chunk's, since M_rev(j) = M_j; ``sigma`` is sigma over them. A Y
-    bit above a chunk gives each tile one sign: the two chunk indices are
-    complements, so exactly one of them has it.
+    same columns, its lower chunk in the lower half of a row: sigma is -1
+    there and +1 on the mirror. The pass adds up W over those columns and
+    M over the lower chunk's, since M_rev(j) = M_j.
     """
     states, parity = branches.states, branches.parity
     rows, width = states.shape
@@ -297,31 +283,30 @@ def _mirror_sums(branches: Branches, chunk: int, phase: int,
     squares = np.empty((min(rows, block), 2, chunk))
     products = np.empty((min(rows, block), chunk))
     sums = np.zeros((2, 2 * chunk))
+    upper = sums[1, chunk:][::-1]  # sigma M there: the lower chunk's M, reversed
     chunks = np.zeros((2, n_chunks)) if n_chunks > 2 else None
     for r in range(0, rows, block):
         p = parity[r:r + block]
         for c in range(n_chunks // 2):
             pair = slice(c, n_chunks - c, n_chunks - 1 - 2 * c)
             tile = split[r:r + block, pair]
-            w = kernels.weights(tile, out=squares[:len(p)]).reshape(len(p), -1)
+            w = kernels.weights(tile, out=squares[:len(p)])
             mirrored = np.multiply(tile[:, 0], tile[:, 1, ::-1], out=products[:len(p)])
-            if len(p) > 1:  # whole rows, one pair of chunks and no sign
-                sums[0] += _ONES[:len(p)] @ w
-                sums[1, :chunk] += p @ mirrored
+            if len(p) > 1:  # whole rows, one pair of chunks
+                lanes = min(_LANES, len(p))
+                w = _ONES[:len(p) // lanes] @ w.reshape(len(p) // lanes, -1)
+                sums[0] += _ONES[:lanes] @ w.reshape(lanes, -1)
+                upper += p @ mirrored
                 continue
-            # One row, whose sums are its own values, its products signed
-            # where the Y bit lies above the chunk.
-            lower = np.multiply(mirrored[0], -p[0] if c & phase // chunk else p[0],
-                                out=mirrored[0])
-            sums[0] += w[0]
-            sums[1, :chunk] += lower
+            mirrored *= p[0]  # one row, whose sums are its own values
+            sums[0] += w.reshape(-1)
+            upper += mirrored[0]
             if chunks is not None:
-                chunks[0, pair] += w.reshape(2, -1) @ _ONES[:chunk]
-                signed = float(sigma[:chunk] @ lower)
-                chunks[1, c] += signed
-                chunks[1, n_chunks - 1 - c] -= signed
-    sums[1, :chunk] *= sigma[:chunk]
-    np.negative(sums[1, :chunk][::-1], out=sums[1, chunk:])
+                chunks[0, pair] += w[0] @ _ONES[:chunk]
+                total = float(mirrored[0] @ _ONES[:chunk])
+                chunks[1, c] -= total
+                chunks[1, n_chunks - 1 - c] += total
+    np.negative(upper, out=sums[1, :chunk])
     return sums, chunks
 
 
@@ -339,8 +324,8 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     diagonal and the per-bit fold). Apart from the measured rows a call
     holds a few tile-sized buffers, and no rotated row is built.
     """
-    branches = measure_branches(params, part, oracle_cap)
-    terms = _terms(branches, params, part, y_qubit,
+    branches = measure_branches(params, part, oracle_cap, y_qubit)
+    terms = _terms(branches, params, part,
                    np.array([math.cos(2.0 * theta), math.sin(2.0 * theta)]))
     e_in = injected_energy(terms.probability, params, part)
     e_out = terms.drained0 + float(terms.drained)
@@ -362,8 +347,8 @@ def output_energy_curve(params: ModelParams, part: Partition, thetas,
     rows), and costs O(1) per angle: the curve is
     d0 + d1 cos 2t + d2 sin 2t.
     """
-    branches = measure_branches(params, part, oracle_cap)
-    terms = _terms(branches, params, part, y_qubit, _COEFFICIENTS)
+    branches = measure_branches(params, part, oracle_cap, y_qubit)
+    terms = _terms(branches, params, part, _COEFFICIENTS)
     d1, d2 = terms.drained
     t = 2.0 * np.asarray(thetas, dtype=float)
     return terms.drained0 + d1 * np.cos(t) + d2 * np.sin(t)
@@ -380,7 +365,7 @@ def optimize_theta_numeric(params: ModelParams, part: Partition,
     in [0, pi/4].
     """
     branches = measure_branches(params, part, oracle_cap)
-    d1, d2 = _terms(branches, params, part, None, _COEFFICIENTS).drained.tolist()
+    d1, d2 = _terms(branches, params, part, _COEFFICIENTS).drained.tolist()
     return ThetaChoice.from_components(d1, max(0.0, d2))
 
 
@@ -432,7 +417,7 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     # has nonzero probability, so dividing by it is safe. Every outcome leaves
     # the measured qubits in X eigenstates, so each shot injects the same.
     sites, interaction = output_term_energies(
-        apply_conditional_unitary(branches, part, theta), branches.parity, params)
+        apply_conditional_unitary(branches, theta), branches.parity, params)
     drained = -(sites.sum(axis=1) + interaction)
 
     rng = np.random.default_rng(np.uint64(seed))

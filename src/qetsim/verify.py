@@ -15,7 +15,8 @@ import numpy as np
 
 from . import analysis, closedform, kernels, protocol_oracle, simkernel
 from .errors import InvalidRange
-from .model import ModelParams, Partition, interaction_constant, qubit_mask
+from .model import (DEFAULT_ORACLE_CAP, ModelParams, Partition, interaction_constant,
+                    qubit_mask)
 
 GRID_RATIOS = (0.1, 1.0, 10.0)
 
@@ -32,7 +33,8 @@ def _finish(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
-def check_oracle_agreement(n_max: int = 10, oracle_cap: int = 12) -> CheckResult:
+def check_oracle_agreement(n_max: int = 10,
+                           oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckResult:
     """Brute-force protocol vs closed forms over every (N, m, ratio) cell,
     N = 3..n_max; a grid with no cell checks nothing and is refused."""
     if n_max < 3:
@@ -97,7 +99,7 @@ def _neutrality_cases(n_max: int = 8):
             yield n, m
 
 
-def check_neutrality(oracle_cap: int = 12) -> CheckResult:
+def check_neutrality(oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckResult:
     """Measurement leaves the ensemble energy of every output term at zero."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -223,7 +225,7 @@ def _commutator_is_zero(n: int, ratio: float) -> bool:
     return True
 
 
-def check_properties(oracle_cap: int = 12) -> CheckResult:
+def check_properties(oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckResult:
     """The structural property battery behind the protocol's bookkeeping."""
     t0 = time.perf_counter()
     bad = []
@@ -319,7 +321,7 @@ def check_determinism() -> CheckResult:
     return _finish("deterministic-output", passed, detail, t0)
 
 
-def run_all(n_max: int = 10, oracle_cap: int = 12) -> list[CheckResult]:
+def run_all(n_max: int = 10, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[CheckResult]:
     """Every acceptance check, in a fixed order."""
     return [
         check_oracle_agreement(n_max=n_max, oracle_cap=oracle_cap),

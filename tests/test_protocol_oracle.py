@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st, target
 from qetsim import closedform as cf
 from qetsim import kernels
 from qetsim import protocol_oracle as po
+from qetsim import simkernel
 from qetsim.errors import InvalidPartition, InvalidRange, OracleCapExceeded
 from qetsim.model import (ModelParams, Partition, ground_state_amplitudes, interaction_constant,
                           local_constant)
@@ -185,13 +186,13 @@ def _whole_matrix_energies(params, part, thetas, y_qubit):
     """e_out and e_out_via_trace at each angle by the whole-matrix algorithm:
     the rotated rows from ``apply_conditional_unitary``, one weight array of
     the whole ensemble, and the kernels over it."""
-    branches = po.measure_branches(params, part, oracle_cap=params.n_qubits)
+    branches = po.measure_branches(params, part, params.n_qubits, y_qubit)
     e_in = po.injected_energy(float(np.vdot(branches.states, branches.states)), params, part)
     m = part.m_outputs
     lc, ic = local_constant(params), interaction_constant(params)
     out = []
     for theta in thetas:
-        rotated = po.apply_conditional_unitary(branches, part, theta, y_qubit)
+        rotated = po.apply_conditional_unitary(branches, theta)
         flip = float(branches.parity @ kernels.complement_overlap(rotated))
         w = kernels.weights(rotated).reshape(-1)
         z_total = float(kernels.z_diagonal(w, m))
@@ -209,12 +210,17 @@ def _error(value, ref):
 
 
 @st.composite
-def streamed_cases(draw):
+def cells(draw):
     n = draw(st.integers(2, 18))
     m = draw(st.integers(1, n - 1))
     theta = draw(st.floats(0.0, math.pi / 2.0))
+    return n, m, theta, 10.0 ** draw(st.floats(-2.0, 2.0))
+
+
+@st.composite
+def streamed_cases(draw):
+    n, m, theta, ratio = draw(cells())
     y_qubit = draw(st.sampled_from(Partition.last(n, m).output_qubits_sorted))
-    ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
     return n, m, theta, y_qubit, ratio
 
 
@@ -249,11 +255,11 @@ def test_multi_tile_cells_split_along_rows_and_columns(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@example((18, 17, 0.7, 2, 0.7))   # the Y bit above a chunk, 8 pairs a row
-@example((18, 17, 0.7, 18, 30.0))  # the Y bit inside a chunk
+@example((18, 17, 0.7, 2, 0.7))   # 8 pairs of chunks a row
+@example((18, 17, 0.7, 18, 30.0))
 @example((16, 15, 1.2, 5, 0.01))
-@example((16, 15, 0.2, 3, 5.0))   # the Y bit just above a chunk
-@example((15, 14, 0.4, 3, 1.0))
+@example((16, 15, 0.2, 3, 5.0))
+@example((15, 14, 0.4, 3, 1.0))   # one tile per row, its two halves
 @example((16, 3, 0.9, 15, 0.05))  # several blocks of whole rows
 @example((18, 9, 0.3, 12, 70.0))
 @example((15, 1, 1.5, 15, 2.0))
@@ -276,25 +282,23 @@ def test_streamed_sums_equal_the_whole_matrix_reduction(case):
 
 @st.composite
 def dense_cases(draw):
-    return (*draw(streamed_cases()), draw(st.integers(0, 2 ** 32 - 1)))
+    return (*draw(cells()), draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @settings(max_examples=30, deadline=None)
-@example((18, 17, 0.7, 2, 0.7, 1))   # the Y bit above a chunk, 8 pairs a row
-@example((18, 17, 0.7, 18, 30.0, 2))  # the Y bit inside a chunk
-@example((16, 15, 0.2, 3, 5.0, 3))   # the Y bit just above a chunk
-@example((16, 15, 1.2, 16, 0.01, 4))
-@example((15, 14, 0.4, 3, 1.0, 5))   # one tile per row, its two halves
-@example((16, 3, 0.9, 15, 0.05, 6))  # several blocks of whole rows
-@example((18, 9, 0.3, 12, 70.0, 7))
-@example((15, 1, 1.5, 15, 2.0, 8))
+@example((18, 17, 0.7, 0.7, 1))   # 8 pairs of chunks a row
+@example((16, 15, 1.2, 0.01, 4))
+@example((15, 14, 0.4, 1.0, 5))   # one tile per row, its two halves
+@example((16, 3, 0.9, 0.05, 6))  # several blocks of whole rows
+@example((18, 9, 0.3, 70.0, 7))
+@example((15, 1, 1.5, 2.0, 8))
 @given(dense_cases())
 def test_dense_rows_equal_the_whole_matrix_reduction(case):
     # Measured ground-state rows are nonzero in columns 0 and 2^m - 1 only,
     # so they cannot show a wrong interior column: here the measured rows
     # are random and dense, with random parities, and the pass still meets
     # the whole-matrix reduction of the rotated rows.
-    n, m, theta, y_qubit, ratio, seed = case
+    n, m, theta, ratio, seed = case
     params, part = ModelParams(n, 1.0, ratio), Partition.last(n, m)
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((1 << (n - m), 1 << m))
@@ -303,9 +307,9 @@ def test_dense_rows_equal_the_whole_matrix_reduction(case):
     thetas = [theta, 0.0, math.pi / 4.0, math.pi / 2.0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(po, "measure_branches", lambda *args, **kwargs: dense)
-        want = _whole_matrix_energies(params, part, thetas, y_qubit)
-        rep = po.extracted_energy(params, part, theta, y_qubit=y_qubit, oracle_cap=n)
-        curve = po.output_energy_curve(params, part, thetas, y_qubit=y_qubit, oracle_cap=n)
+        want = _whole_matrix_energies(params, part, thetas, None)
+        rep = po.extracted_energy(params, part, theta, oracle_cap=n)
+        curve = po.output_energy_curve(params, part, thetas, oracle_cap=n)
     errors = [_error(rep.e_out, want[0][0]), _error(rep.e_out_via_trace, want[0][1])]
     errors += [_error(got, ref) for got, (ref, _) in zip(curve, want)]
     worst = max(errors)
@@ -328,7 +332,7 @@ def test_shared_weight_reductions_equal_the_amplitude_kernels(n):
     # themselves, one weight array each.
     for m in range(1, n):
         p, part = _case(n, m, k=0.7)
-        rows = po.apply_conditional_unitary(po.measure_branches(p, part), part, 0.4)
+        rows = po.apply_conditional_unitary(po.measure_branches(p, part), 0.4)
         ensemble = rows.reshape(-1)
         w = kernels.weights(ensemble)
         diag = kernels.z_diagonal(w, m)
@@ -457,7 +461,7 @@ def test_conditional_unitary_preserves_norm():
     p, part = _case(4, 2, k=0.7)
     branches = po.measure_branches(p, part)
     for theta in (0.0, 0.3, math.pi / 4.0, 1.4):
-        rotated = po.apply_conditional_unitary(branches, part, theta)
+        rotated = po.apply_conditional_unitary(branches, theta)
         assert np.allclose(np.sum(np.abs(rotated) ** 2, axis=1),
                            _row_probabilities(branches), rtol=0, atol=1e-15)
 
@@ -465,7 +469,7 @@ def test_conditional_unitary_preserves_norm():
 def test_conditional_unitary_at_zero_angle_is_identity():
     p, part = _case(3, 2)
     branches = po.measure_branches(p, part)
-    rotated = po.apply_conditional_unitary(branches, part, 0.0)
+    rotated = po.apply_conditional_unitary(branches, 0.0)
     assert np.array_equal(rotated, branches.states)
 
 
@@ -564,6 +568,92 @@ def test_rotation_axis_placement_is_irrelevant():
         assert rep.e_out == pytest.approx(base.e_out, abs=1e-12)
     with pytest.raises(InvalidPartition):
         po.extracted_energy(p, part, theta, y_qubit=1)  # qubit 1 is an input
+
+
+def _dense_ground_state(monkeypatch, seed):
+    """Make ``measure_branches`` start from a random dense state: the
+    ground state's rows are nonzero in columns 0 and 2^m - 1 only, which
+    every relabelling of the outputs keeps in place."""
+    rng = np.random.default_rng(seed)
+
+    class Dense:
+        @staticmethod
+        def ground_state(params):
+            amps = rng.standard_normal(1 << params.n_qubits)
+            return StateVector(params.n_qubits, amps / np.linalg.norm(amps))
+
+    monkeypatch.setattr(po, "StateVector", Dense)
+    return rng
+
+
+@pytest.mark.parametrize("n, outputs", [
+    (5, (3, 4, 5)), (6, (1, 3, 4)), (7, (2, 5, 6, 7)), (16, tuple(range(2, 17)))])
+def test_y_qubit_moves_its_column_bit_to_the_top(monkeypatch, n, outputs):
+    # Branch matrices for every choice of Y output are the default matrix
+    # with that output's column bit moved to the top, bit for bit.
+    rng = _dense_ground_state(monkeypatch, n)
+    p, part = ModelParams(n, 1.0, 0.7), Partition(n, frozenset(outputs))
+    m, rows = len(outputs), 1 << (n - len(outputs))
+    for q in outputs:
+        state = rng.bit_generator.state
+        default = po.measure_branches(p, part, n)
+        rng.bit_generator.state = state
+        moved = po.measure_branches(p, part, n, y_qubit=q)
+        want = np.moveaxis(default.states.reshape((rows,) + (2,) * m),
+                           1 + outputs.index(q), 1).reshape(rows, 1 << m)
+        assert np.array_equal(moved.states, want), q
+        assert np.array_equal(moved.parity, default.parity)
+    with pytest.raises(InvalidPartition):
+        po.measure_branches(p, part, n, y_qubit=min(set(range(1, n + 1)) - set(outputs)))
+
+
+@pytest.mark.parametrize("n, m", [(15, 14), (16, 15), (18, 17)])
+def test_y_placement_is_irrelevant_across_tiles(n, m):
+    # Rows wider than a tile: Y on the first, a middle and the last output
+    # leaves the single angle and the curve where the default Y puts them.
+    p, part = _case(n, m, k=0.7)
+    thetas = [0.0, 0.4, math.pi / 4.0, 1.2]
+    base = po.extracted_energy(p, part, 0.4, oracle_cap=n)
+    base_curve = po.output_energy_curve(p, part, thetas, oracle_cap=n)
+    outputs = part.output_qubits_sorted
+    for q in (outputs[0], outputs[m // 2], outputs[-1]):
+        rep = po.extracted_energy(p, part, 0.4, y_qubit=q, oracle_cap=n)
+        curve = po.output_energy_curve(p, part, thetas, y_qubit=q, oracle_cap=n)
+        for got, want in zip(dataclasses.astuple(rep), dataclasses.astuple(base)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (q, rep, base)
+        assert np.allclose(curve, base_curve, rtol=0, atol=1e-12), q
+
+
+@pytest.mark.parametrize("n", range(10, 19))
+def test_total_probability_is_one_to_a_few_roundings(n):
+    # At m = 1 every row holds the same two weights; a sequential sum over
+    # the rows of a block lets their roundings add up.
+    for m in (1, 2, 3):
+        for ratio in (0.1, 0.7, 10.0):
+            rep = po.extracted_energy(*_case(n, m, k=ratio), 0.3, oracle_cap=n)
+            assert abs(rep.total_probability - 1.0) <= 1e-14, (n, m, ratio,
+                                                               rep.total_probability)
+
+
+@pytest.mark.parametrize("n, m, y_qubit", [
+    (3, 1, None), (4, 2, None), (6, 3, 5), (7, 4, None)])
+def test_output_term_energies_are_each_rows_expectations(monkeypatch, n, m, y_qubit):
+    # Row r as a normalised m-qubit state, its qubits in the branch matrix's
+    # column order: site j is the j-th column bit from the top, and the
+    # interaction reads X...X as the row's parity times its own FlipAll.
+    _dense_ground_state(monkeypatch, n)
+    p, part = _case(n, m, k=0.7)
+    branches = po.measure_branches(p, part, y_qubit=y_qubit)
+    sites, interaction = po.output_term_energies(branches.states, branches.parity, p)
+    assert sites.shape == (1 << (n - m), m) and interaction.shape == (1 << (n - m),)
+    for r, (row, parity) in enumerate(zip(branches.states, branches.parity)):
+        weight = row @ row
+        state = StateVector(m, row / math.sqrt(weight))
+        want = [weight * simkernel.site_energy(state, p, j) for j in range(1, m + 1)]
+        assert np.allclose(sites[r], want, rtol=1e-13, atol=1e-15), r
+        flip = parity * simkernel.flip_all_expectation(state)
+        assert interaction[r] == pytest.approx(
+            weight * (2.0 * p.k * flip + interaction_constant(p)), rel=1e-13, abs=1e-15), r
 
 
 def test_simulate_with_arbitrary_output_sets():
