@@ -547,14 +547,20 @@ def specialization_fixture_check() -> list[FixtureResult]:
     result records the deviation and what the brute-force protocol run says
     the correct value is.
     """
+    # One closed-form call a field, over every fixture's (N, m, k) in turn.
+    per = len(_FIXTURE_K_GRID)
+    ns = np.repeat([f[1] for f in _FIXTURES], per)
+    ms = np.repeat([f[2] for f in _FIXTURES], per)
+    ks = np.tile(_FIXTURE_K_GRID, len(_FIXTURES))
+    general = [closedform.energies(ns, ms, ks, h) for h in _FIXTURE_H_GRID]
     results = []
-    for fid, n, m, quantity, formula, is_variant in _FIXTURES:
+    for i, (fid, n, m, quantity, formula, is_variant) in enumerate(_FIXTURES):
+        cells = slice(i * per, (i + 1) * per)
         dev = 0.0
-        for h in _FIXTURE_H_GRID:
-            general = _general_values(quantity,
-                                      closedform.energies(n, m, _FIXTURE_K_GRID, h))
+        for h, e in zip(_FIXTURE_H_GRID, general):
+            values = _general_values(quantity, e)[cells].tolist()
             dev = max(dev, *(abs(formula(h, k) - g)
-                             for k, g in zip(_FIXTURE_K_GRID, general.tolist())))
+                             for k, g in zip(_FIXTURE_K_GRID, values)))
         agrees = dev <= FIXTURE_TOL
         note = ""
         if is_variant:

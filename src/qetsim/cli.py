@@ -73,8 +73,15 @@ def _distinct_cells(column: np.ndarray, cell) -> tuple[list, np.ndarray]:
     """``cell`` of each distinct value of ``column``, and the index of each
     element's. Floats are told apart by bit pattern, so -0.0 keeps its sign."""
     values = column.view(np.int64) if column.dtype.kind == "f" else column
-    values, where = np.unique(values, return_inverse=True)
-    return [cell(v) for v in values.view(column.dtype).tolist()], where
+    # A stable sort: on a sweep's key columns, which arrive in runs, it
+    # takes about half the time of ``np.unique``'s quicksort.
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    where = np.empty(ordered.size, dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return [cell(v) for v in ordered[first].view(column.dtype).tolist()], where
 
 
 def _block(cells: list[np.ndarray], literals: list[bytes]) -> np.ndarray:

@@ -21,13 +21,19 @@ One array path evaluates E_in, E_out(max) and eta: ``energies`` takes numpy
 arrays of (N, m, k) at a field h. The one-point functions (``input_energy``,
 ``max_output_energy``, ``efficiency``, ``report``) call it with one point, so
 a sweep row and a scalar call agree bit for bit. The hypot of c, of c'
-below and of the large-r branch of sqrt(1 + r^2) - 1 is ``math.hypot``,
-applied elementwise: ``np.hypot`` (the C library's) differs from it in the
-last bit on some inputs, and emitted datasets are pinned byte for byte. A
-point whose E_in, E_out(max) or eta is not a finite float raises
-``InvalidRange``. The Bell value b takes sx = 2k/c and cz = Nh/c as k/c'
-and (Nh/2)/c', with c' = hypot(Nh/2, k) = c/2, which stays finite where 2k
-overflows.
+below and of the large-r branch of sqrt(1 + r^2) - 1 has ``math.hypot``'s
+bits: ``np.hypot`` (the C library's) differs from it in the last bit on
+some inputs (in c at 309 of the 180,299 points of the benchmark's CSV
+sweep, and in a value at 568), and emitted datasets are pinned byte for
+byte. ``_hypot`` computes those bits over an array with a port of
+CPython's ``vector_norm``, in blocks of ``HYPOT_BLOCK``. It calls
+``math.hypot`` itself on floats, on arrays shorter than ``HYPOT_PORT_MIN``,
+at inputs that are 0, subnormal, inf or nan, and wherever the port's last
+rounding lies within 2^-30 ulp of a tie, where CPython releases that
+accumulate differently could round apart. A point whose E_in, E_out(max)
+or eta is not a finite float raises ``InvalidRange``. The Bell value b
+takes sx = 2k/c and cz = Nh/c as k/c' and (Nh/2)/c', with
+c' = hypot(Nh/2, k) = c/2, which stays finite where 2k overflows.
 
 One range rule, ``_ranged``, serves every closed form, the ground-state
 Bell value among them. A form is evaluated at (h, k), or in units of h
@@ -44,7 +50,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -90,8 +95,7 @@ def _sqrt1pr2m1(r):
     out[small] = rs * rs / (np.sqrt(1.0 + rs * rs) + 1.0)
     big = ~small
     rb = r[big]
-    out[big] = np.fromiter(map(math.hypot, repeat(1.0), rb.tolist()), float,
-                           count=rb.size) - 1.0
+    out[big] = _hypot(np.ones_like(rb), rb) - 1.0
     return out[()]
 
 
@@ -116,11 +120,99 @@ def _require_normal(n, m, ratio, h, **quantities):
                         f"{name} is subnormal", "loses digits", n, m, ratio, h)
 
 
+#: Arrays shorter than this take ``math.hypot`` one element at a time. The
+#: port below costs about 34 us a block plus 0.027 us an element, and
+#: ``math.hypot`` 0.062 us an element (2-CPU Xeon VM, numpy 2.4, Python
+#: 3.11): 35 against 4.3 us at 64 elements, 62 against 64 us at 1024.
+HYPOT_PORT_MIN = 1024
+
+#: Elements the port works on at a time, so that its temporaries stay in
+#: cache. On 180,299 pairs, blocks of 8192 took 6.2 ms, of 1024 11 ms, and
+#: one block 16 ms; ``math.hypot`` took 14 ms.
+HYPOT_BLOCK = 8192
+
+#: 2^27 + 1: x * _VELTKAMP splits x into two halves of 26 bits.
+_VELTKAMP = 134217729.0
+
+
+def _hypot_each(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, count=x.size)
+
+
 def _hypot(x, y):
-    """``math.hypot`` elementwise over two 1-d float arrays, or of two floats."""
+    """``math.hypot`` of two floats, or its bits elementwise over two 1-d
+    float arrays: by ``_vector_norm`` in blocks, and by ``math.hypot`` at
+    the elements it leaves nan and in arrays shorter than ``HYPOT_PORT_MIN``."""
     if isinstance(x, float):
         return math.hypot(x, y)
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, count=x.size)
+    if x.size < HYPOT_PORT_MIN:
+        return _hypot_each(x, y)
+    out = np.empty(x.size)
+    with np.errstate(all="ignore"):
+        for start in range(0, x.size, HYPOT_BLOCK):
+            block = slice(start, start + HYPOT_BLOCK)
+            out[block] = _vector_norm(x[block], y[block])
+    redo = np.flatnonzero(np.isnan(out))
+    out[redo] = _hypot_each(x[redo], y[redo])
+    return out
+
+
+def _square(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """hi^2, 2 hi lo and lo^2, each exact, where v = hi + lo is split by
+    Veltkamp's method into two halves of 26 bits."""
+    t = v * _VELTKAMP
+    hi = t - (t - v)
+    lo = v - hi
+    return hi * hi, 2.0 * hi * lo, lo * lo
+
+
+def _add(total: np.ndarray, x: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """total + x, its rounding error added to ``frac`` (|total| >= |x|)."""
+    out = total + x
+    frac += (total - out) + x
+    return out
+
+
+def _vector_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """CPython's ``vector_norm`` for two coordinates, x first, over arrays;
+    nan where ``math.hypot`` must decide.
+
+    Scaled by 2^-e of the larger, each square is split into exact parts and
+    added to a sum that starts at 1.0, its rounding errors kept apart. The
+    root h of that sum gets one correction from d, the sum less the exact
+    square of h: the result is (h + d/2h)/scale. The accumulation may
+    differ between CPython releases, but h + d/2h lies far closer than
+    2^-30 ulp to the exact root either way, so two releases can round it
+    apart only near a tie. Those elements, within 2^-30 ulp of one, are left
+    nan, and so are those with an input that is 0, subnormal, inf or nan.
+    """
+    ax, ay = np.abs(x), np.abs(y)
+    big = np.maximum(ax, ay)
+    plain = (np.minimum(ax, ay) >= sys.float_info.min) & (big <= sys.float_info.max)
+    scale = np.ldexp(1.0, -np.frexp(big)[1])
+    total = np.ones_like(big)
+    frac1, frac2, frac3 = np.zeros_like(big), np.zeros_like(big), np.zeros_like(big)
+    for v in (ax, ay):
+        hh, hl, ll = _square(v * scale)
+        total = _add(total, hh, frac1)
+        total = _add(total, hl, frac2)
+        frac3 += ll
+    h = np.sqrt(total - 1.0 + (frac1 + frac2 + frac3))
+    hh, hl, ll = _square(h)
+    total = _add(total, -hh, frac1)
+    total = _add(total, -hl, frac2)
+    total = _add(total, -ll, frac3)
+    correction = (total - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)
+    rounded = h + correction
+    # Exactly what the addition rounded off, since |h| >= |correction|.
+    error = (h - rounded) + correction
+    # The spacing of doubles where h + correction lies, in [0.5, 2).
+    gap = np.where((rounded < 1.0) | ((rounded == 1.0) & (error < 0.0)),
+                   2.0 ** -53, 2.0 ** -52)
+    plain &= np.abs(np.abs(error) - 0.5 * gap) > gap * 2.0 ** -30
+    out = rounded / scale
+    out[~plain] = np.nan
+    return out
 
 
 def _cab(h: float, k, n, m):

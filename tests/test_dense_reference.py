@@ -32,9 +32,11 @@ def op_on(n: int, factors: dict[int, np.ndarray]) -> np.ndarray:
 
 
 class Reference:
-    """Density-matrix run of the protocol for one model and output set."""
+    """Density-matrix run of the protocol for one model and output set,
+    from ``state`` if given, else from the ground state."""
 
-    def __init__(self, n: int, h: float, k: float, outputs: frozenset[int]):
+    def __init__(self, n: int, h: float, k: float, outputs: frozenset[int],
+                 state: np.ndarray | None = None):
         self.n = n
         self.inputs = [q for q in range(1, n + 1) if q not in outputs]
         self.outputs = sorted(outputs)
@@ -45,8 +47,9 @@ class Reference:
         self.interaction = (2.0 * k * op_on(n, {q: X for q in range(1, n + 1)})
                             + (4.0 * k * k / c) * np.eye(dim))
         self.hamiltonian = sum(self.site.values()) + self.interaction
-        _, vecs = np.linalg.eigh(self.hamiltonian)
-        ground = vecs[:, :1]
+        if state is None:
+            state = np.linalg.eigh(self.hamiltonian)[1][:, 0]
+        ground = state.reshape(-1, 1)
         rho = ground @ ground.conj().T
         self.measured = []  # (sign product, unnormalised post-measurement rho)
         for alpha in itertools.product((1, -1), repeat=len(self.inputs)):

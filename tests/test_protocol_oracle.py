@@ -22,6 +22,7 @@ from qetsim.errors import InvalidPartition, InvalidRange, OracleCapExceeded
 from qetsim.model import (ModelParams, Partition, ground_state_amplitudes, interaction_constant,
                           local_constant)
 from qetsim.simkernel import StateVector
+from test_dense_reference import Reference
 
 
 def _case(n, m, h=1.0, k=1.0):
@@ -605,6 +606,30 @@ def test_y_qubit_moves_its_column_bit_to_the_top(monkeypatch, n, outputs):
         assert np.array_equal(moved.parity, default.parity)
     with pytest.raises(InvalidPartition):
         po.measure_branches(p, part, n, y_qubit=min(set(range(1, n + 1)) - set(outputs)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_y_placement_against_the_density_matrix_on_a_random_state(monkeypatch, n):
+    # On the ground state no relabelling of the outputs moves a branch row,
+    # so where Y sits cannot show there. On a random state it moves E_out,
+    # and the oracle must follow the reference with Y on each output in turn.
+    rng = _dense_ground_state(monkeypatch, n)
+    start = rng.bit_generator.state
+    amps = rng.standard_normal(1 << n)
+    state = amps / np.linalg.norm(amps)  # what every oracle call below starts from
+    theta = 0.41
+    for outputs in (frozenset({n - 1, n}), frozenset({1, n}), frozenset(range(2, n + 1))):
+        ref = Reference(n, 1.0, 0.7, outputs, state=state)
+        p, part = ModelParams(n, 1.0, 0.7), Partition(n, outputs)
+        want = {y: ref.run(theta, y)[1] for y in sorted(outputs)}
+        assert max(want.values()) - min(want.values()) > 1e-3, want
+        for y, e_out in want.items():
+            rng.bit_generator.state = start
+            assert po.extracted_energy(p, part, theta, y_qubit=y).e_out == pytest.approx(
+                e_out, abs=1e-12), (sorted(outputs), y)
+            rng.bit_generator.state = start
+            curve = po.output_energy_curve(p, part, [theta], y_qubit=y)
+            assert curve[0] == pytest.approx(e_out, abs=1e-12), (sorted(outputs), y)
 
 
 @pytest.mark.parametrize("n, m", [(15, 14), (16, 15), (18, 17)])
