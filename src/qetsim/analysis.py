@@ -75,29 +75,13 @@ def bell_values(n, k, h: float = 1.0) -> np.ndarray:
 
     Every point goes through the same operations as a one-point call, so the
     values do not depend on what else is in the arrays. Points are checked
-    in array order and the first one that fails raises: N < 2, h or k out of
-    range as ``ModelParams`` raises, N = 2 as ``BellUndefinedForN2``, and a
-    value that is not a finite float as ``InvalidRange``.
+    in array order and the first one that fails raises, as
+    ``closedform._bell`` raises.
     """
     k = np.asarray(k, dtype=float)
     with np.errstate(all="ignore"):
-        return _bell_checked(n, k, h, k / h)
-
-
-def _bell_checked(n, k: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
-    """``bell_values`` with each point's k/h given as ``ratio``: where k is
-    ratio * h and overflowed, the point is valid and is evaluated from it."""
-    n = np.asarray(n, dtype=np.int64)
-    finite = np.isfinite(k) | (np.isinf(k) & np.isfinite(ratio))
-    bad = (n < 3) | ~(finite & (k >= 0.0))
-    stop = int(np.argmax(bad)) if bad.any() else n.size
-    if not (h > 0.0 and math.isfinite(h)):
-        stop = 0
-    b = closedform._bell(n[:stop], k[:stop], h, ratio[:stop])
-    if stop < n.size:
-        ModelParams(int(n[stop]), h, float(k[stop]))  # N < 2, h and k raise here
-        raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n[stop]}")
-    return b
+        ratio = k / h
+    return closedform._bell(n, k, h, ratio)
 
 
 def _bell_saturation(n: int) -> float:
@@ -132,7 +116,7 @@ def bell_table(n_values, ratios, h: float = 1.0) -> tuple[np.ndarray, ...]:
     ratio = np.tile(np.array(ratios, dtype=float), len(n_values))
     with np.errstate(over="ignore"):
         k = ratio * h
-    b = _bell_checked(n, k, h, ratio)
+    b = closedform._bell(n, k, h, ratio)
     saturation = np.repeat([_bell_saturation(v) for v in n_values], len(ratios))
     return n, ratio, b, b > 1.0, saturation
 
@@ -463,56 +447,56 @@ class FixtureResult:
     note: str = ""
 
 
-def _gain(r: float) -> float:
-    return float(closedform._sqrt1pr2m1(r))
+#: sqrt(1 + r^2) - 1, elementwise over an array of r.
+_gain = closedform._sqrt1pr2m1
 
-
-# Each entry: id, N, m, quantity ("e_in" | "e_out" | "eta"), formula(h, k),
+# Each entry: id, N, m, quantity ("e_in" | "e_out" | "eta"), formula(h, k)
+# over a float h and an array of k,
 # and whether the formula is a known-inconsistent variant. The two variant
 # entries carry coefficients that do not follow from the general expression;
 # they are kept, flagged, and quantified instead of silently corrected.
 _FIXTURES = (
     ("three_qubit_two_outputs_injected", 3, 2, "e_in",
-     lambda h, k: 3.0 * h * h / math.sqrt(9.0 * h * h + 4.0 * k * k), False),
+     lambda h, k: 3.0 * h * h / np.sqrt(9.0 * h * h + 4.0 * k * k), False),
     ("three_qubit_two_outputs_extracted_max", 3, 2, "e_out",
      lambda h, k: 2.0 * (3.0 * h * h + 2.0 * k * k)
-     / math.sqrt(9.0 * h * h + 4.0 * k * k)
+     / np.sqrt(9.0 * h * h + 4.0 * k * k)
      * _gain(h * k / (3.0 * h * h + 2.0 * k * k)), False),
     ("three_qubit_two_outputs_efficiency", 3, 2, "eta",
      lambda h, k: 2.0 * (3.0 * h * h + 2.0 * k * k)
      * _gain(h * k / (3.0 * h * h + 2.0 * k * k)) / (3.0 * h * h), False),
     ("three_qubit_one_output_injected", 3, 1, "e_in",
-     lambda h, k: 6.0 * h * h / math.sqrt(9.0 * h * h + 4.0 * k * k), False),
+     lambda h, k: 6.0 * h * h / np.sqrt(9.0 * h * h + 4.0 * k * k), False),
     ("three_qubit_one_output_extracted_max", 3, 1, "e_out",
      lambda h, k: (3.0 * h * h + 4.0 * k * k)
-     / math.sqrt(9.0 * h * h + 4.0 * k * k)
+     / np.sqrt(9.0 * h * h + 4.0 * k * k)
      * _gain(4.0 * h * k / (3.0 * h * h + 4.0 * k * k)), False),
     ("three_qubit_one_output_efficiency", 3, 1, "eta",
      lambda h, k: (3.0 * h * h + 4.0 * k * k)
      * _gain(4.0 * h * k / (3.0 * h * h + 4.0 * k * k)) / (6.0 * h * h), False),
     ("four_qubit_three_outputs_injected", 4, 3, "e_in",
-     lambda h, k: 2.0 * h * h / math.sqrt(4.0 * h * h + k * k), False),
+     lambda h, k: 2.0 * h * h / np.sqrt(4.0 * h * h + k * k), False),
     ("four_qubit_three_outputs_extracted_max", 4, 3, "e_out",
      lambda h, k: (6.0 * h * h + 2.0 * k * k)
-     / math.sqrt(4.0 * h * h + k * k)
+     / np.sqrt(4.0 * h * h + k * k)
      * _gain(h * k / (6.0 * h * h + 2.0 * k * k)), False),
     ("four_qubit_three_outputs_efficiency", 4, 3, "eta",
      lambda h, k: (6.0 * h * h + 2.0 * k * k)
      * _gain(h * k / (6.0 * h * h + 2.0 * k * k)) / (2.0 * h * h), False),
     ("four_qubit_two_outputs_injected", 4, 2, "e_in",
-     lambda h, k: 4.0 * h * h / math.sqrt(4.0 * h * h + k * k), False),
+     lambda h, k: 4.0 * h * h / np.sqrt(4.0 * h * h + k * k), False),
     ("four_qubit_two_outputs_extracted_variant", 4, 2, "e_out",
      lambda h, k: (4.0 * h * h + 4.0 * k * k)
-     / math.sqrt(4.0 * h * h + k * k)
+     / np.sqrt(4.0 * h * h + k * k)
      * _gain(h * k / (2.0 * h * h + 2.0 * k * k)), True),
     ("four_qubit_two_outputs_efficiency_variant", 4, 2, "eta",
      lambda h, k: (4.0 * h * h + 4.0 * k * k)
      * _gain(h * k / (2.0 * h * h + 2.0 * k * k)) / (4.0 * h * h), True),
     ("four_qubit_one_output_injected", 4, 1, "e_in",
-     lambda h, k: 6.0 * h * h / math.sqrt(4.0 * h * h + k * k), False),
+     lambda h, k: 6.0 * h * h / np.sqrt(4.0 * h * h + k * k), False),
     ("four_qubit_one_output_extracted_max", 4, 1, "e_out",
      lambda h, k: (2.0 * h * h + 2.0 * k * k)
-     / math.sqrt(4.0 * h * h + k * k)
+     / np.sqrt(4.0 * h * h + k * k)
      * _gain(3.0 * h * k / (2.0 * h * h + 2.0 * k * k)), False),
     ("four_qubit_one_output_efficiency", 4, 1, "eta",
      lambda h, k: (2.0 * h * h + 2.0 * k * k)
@@ -527,16 +511,18 @@ def _general_values(quantity: str, e: closedform.Energies) -> np.ndarray:
     return {"e_in": e.e_in, "e_out": e.e_out_max, "eta": e.eta}[quantity]
 
 
-def _variant_note(quantity: str) -> str:
-    """Quantify how far the inconsistent variant sits from both references."""
-    params = ModelParams(4, 1.0, 1.0)
-    part = Partition.last(4, 2)
-    general = float(_general_values(quantity, closedform.energies(4, 2, 1.0))[0])
-    theta = closedform.optimal_theta(params, part).theta
-    report = protocol_oracle.extracted_energy(params, part, theta)
-    brute = report.e_out if quantity == "e_out" else report.e_out / report.e_in
-    return (f"at h=k=1: general {general:.6f}, brute force {brute:.6f}; "
-            "the variant coefficients follow neither")
+def _variant_notes() -> dict[str, str]:
+    """How far the inconsistent variants, both at (N, m) = (4, 2), sit from
+    both references at h = k = 1; one brute-force run serves both."""
+    params, part = ModelParams(4, 1.0, 1.0), Partition.last(4, 2)
+    general = closedform.energies(4, 2, 1.0)
+    report = protocol_oracle.extracted_energy(
+        params, part, closedform.optimal_theta(params, part).theta)
+    pairs = {"e_out": (general.e_out_max[0], report.e_out),
+             "eta": (general.eta[0], report.e_out / report.e_in)}
+    return {quantity: f"at h=k=1: general {g:.6f}, brute force {b:.6f}; "
+                      "the variant coefficients follow neither"
+            for quantity, (g, b) in pairs.items()}
 
 
 def specialization_fixture_check() -> list[FixtureResult]:
@@ -547,27 +533,24 @@ def specialization_fixture_check() -> list[FixtureResult]:
     result records the deviation and what the brute-force protocol run says
     the correct value is.
     """
-    # One closed-form call a field, over every fixture's (N, m, k) in turn.
+    # One closed-form call a field, over every fixture's (N, m, k) in turn,
+    # and one call of each formula a field, over the k grid.
     per = len(_FIXTURE_K_GRID)
     ns = np.repeat([f[1] for f in _FIXTURES], per)
     ms = np.repeat([f[2] for f in _FIXTURES], per)
-    ks = np.tile(_FIXTURE_K_GRID, len(_FIXTURES))
-    general = [closedform.energies(ns, ms, ks, h) for h in _FIXTURE_H_GRID]
+    k = np.array(_FIXTURE_K_GRID)
+    general = [closedform.energies(ns, ms, np.tile(k, len(_FIXTURES)), h)
+               for h in _FIXTURE_H_GRID]
+    notes = _variant_notes()
     results = []
     for i, (fid, n, m, quantity, formula, is_variant) in enumerate(_FIXTURES):
         cells = slice(i * per, (i + 1) * per)
-        dev = 0.0
-        for h, e in zip(_FIXTURE_H_GRID, general):
-            values = _general_values(quantity, e)[cells].tolist()
-            dev = max(dev, *(abs(formula(h, k) - g)
-                             for k, g in zip(_FIXTURE_K_GRID, values)))
-        agrees = dev <= FIXTURE_TOL
-        note = ""
-        if is_variant:
-            note = _variant_note(quantity)
+        dev = max(float(np.max(np.abs(formula(h, k) - _general_values(quantity, e)[cells])))
+                  for h, e in zip(_FIXTURE_H_GRID, general))
         results.append(FixtureResult(
             fixture_id=fid, n_qubits=n, m_outputs=m,
             max_deviation=dev, tolerance=FIXTURE_TOL,
-            expected_mismatch=is_variant, agrees=agrees, note=note,
+            expected_mismatch=is_variant, agrees=dev <= FIXTURE_TOL,
+            note=notes[quantity] if is_variant else "",
         ))
     return results

@@ -31,9 +31,10 @@ CPython's ``vector_norm``, in blocks of ``HYPOT_BLOCK``. It calls
 at inputs that are 0, subnormal, inf or nan, and wherever the port's last
 rounding lies within 2^-30 ulp of a tie, where CPython releases that
 accumulate differently could round apart. A point whose E_in, E_out(max)
-or eta is not a finite float raises ``InvalidRange``. The Bell value b
-takes sx = 2k/c and cz = Nh/c as k/c' and (Nh/2)/c', with
-c' = hypot(Nh/2, k) = c/2, which stays finite where 2k overflows.
+or eta is not a finite float raises ``InvalidRange``. The Bell value b,
+whose one entry ``_bell`` checks N, k and h point by point, takes
+sx = 2k/c and cz = Nh/c as k/c' and (Nh/2)/c', with c' = hypot(Nh/2, k)
+= c/2, which stays finite where 2k overflows.
 
 One range rule, ``_ranged``, serves every closed form, the ground-state
 Bell value among them. A form is evaluated at (h, k), or in units of h
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRange
+from .errors import BellUndefinedForN2, InvalidRange
 from .model import ModelParams, Partition, ThetaChoice
 
 #: Below this B/A the difference form sqrt(1+r^2)-1 cancels digits; use the
@@ -365,17 +366,28 @@ def _bell_plain(h: float, k, n) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * half_c, _bell_form(n, k / half_c, half_nh / half_c)
 
 
-def _bell(n: np.ndarray, k: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
-    """Bell values of the ground state over int64 N >= 3 and valid k at field
-    h, each point's k/h given as ``ratio``; a value that is not a finite
-    float raises ``InvalidRange`` naming that k/h."""
+def _bell(n, k: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
+    """Bell values of the ground state over paired 1-d arrays of N and k at
+    field h, each point's k/h given as ``ratio`` (a k = ratio * h that
+    overflowed is valid). The first point in array order that fails raises:
+    a b that is not a finite float as ``InvalidRange`` naming its k/h, N < 2,
+    h or k as ``ModelParams`` raises, N = 2 as ``BellUndefinedForN2``."""
+    n = np.asarray(n, dtype=np.int64)
+    finite = np.isfinite(k) | (np.isinf(k) & np.isfinite(ratio))
+    bad = (n < 3) | ~(finite & (k >= 0.0))
+    stop = int(np.argmax(bad)) if bad.any() else n.size
+    if not (h > 0.0 and math.isfinite(h)):
+        stop = 0
     with np.errstate(all="ignore"):
-        b = _ranged(_bell_plain, h, k, ratio, n)[1]
+        b = _ranged(_bell_plain, h, k[:stop], ratio[:stop], n[:stop])[1]
     bad = ~np.isfinite(b)
     if bad.any():
         i = int(np.argmax(bad))
         raise InvalidRange(f"bell is not finite at N={n[i]}, k/h={ratio[i]:g}, "
                            f"h={h:g}: float64 over- or underflows there")
+    if stop < n.size:
+        ModelParams(int(n[stop]), h, float(k[stop]))  # N < 2, h and k raise here
+        raise BellUndefinedForN2(f"Bell value needs N >= 3, got N={n[stop]}")
     return b
 
 

@@ -415,7 +415,8 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     probs = row_probs / np.sum(row_probs)
     # Per-outcome energies of the normalized branch states; a drawn outcome
     # has nonzero probability, so dividing by it is safe. Every outcome leaves
-    # the measured qubits in X eigenstates, so each shot injects the same.
+    # the measured qubits in X eigenstates, so each shot injects what rows of
+    # total probability 1 do.
     sites, interaction = output_term_energies(
         apply_conditional_unitary(branches, theta), branches.parity, params)
     drained = -(sites.sum(axis=1) + interaction)
@@ -423,7 +424,7 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
     rng = np.random.default_rng(np.uint64(seed))
     draws = rng.choice(len(probs), size=n_shots, p=probs)
     return SampleEstimate(
-        e_in=part.n_inputs * local_constant(params),
+        e_in=injected_energy(1.0, params, part),
         e_out=float(np.mean(drained[draws] / row_probs[draws])),
         n_shots=n_shots,
         seed=seed,

@@ -186,7 +186,7 @@ def check_bell() -> CheckResult:
             bad.append(f"N={n}: k=0 value {flat!r} != 1")
         if np.min(np.diff(sweep)) < -1e-12:
             bad.append(f"N={n}: decreasing step {np.min(np.diff(sweep)):.2e}")
-        gap = abs(top - 2.0 ** ((n - 2) / 2.0))
+        gap = abs(top - analysis._bell_saturation(n))
         if gap > 1e-6:
             bad.append(f"N={n}: saturation gap {gap:.2e}")
     return _finish("bell-value", not bad,

@@ -121,6 +121,16 @@ def test_bell_values_keep_a_k_whose_k_over_h_overflows():
     assert an.bell_values([3], [1e300], 1e-160)[0] == math.sqrt(2.0)
 
 
+def test_a_bell_column_checks_its_points_as_bell_values_does():
+    # ``grid`` does not validate; the Bell column of an unchecked grid is
+    # refused at its first bad point, with the error ``bell_values`` raises.
+    points = an.grid([3, 4], [1], [1.0, -1.0], with_bell=True)
+    with pytest.raises(QetError, match="k must be finite and >= 0, got -1.0"):
+        an.evaluate(points)
+    with pytest.raises(QetError, match="k must be finite and >= 0, got -1.0"):
+        an.bell_values(points.n, points.ratio)
+
+
 def binade_fields():
     """h over every binade from 2^-997 (about 1e-300) to 2^996 (about 1e300)."""
     return st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
@@ -510,6 +520,18 @@ def test_fixture_inventory():
         "four_qubit_two_outputs_efficiency_variant",
     }
     assert all((r.n_qubits, r.m_outputs) == (4, 2) for r in variants)
+
+
+@pytest.mark.parametrize("fixture", an._FIXTURES, ids=lambda f: f[0])
+def test_fixture_formulas_over_an_array_of_k_keep_each_floats_bits(fixture):
+    # The check evaluates each formula once a field over its whole k grid;
+    # every element must be what the formula gives on that k as a float.
+    formula = fixture[4]
+    k = np.concatenate(([0.0], an._FIXTURE_K_GRID,
+                        10.0 ** np.random.default_rng(5).uniform(-4.0, 4.0, 40)))
+    for h in (*an._FIXTURE_H_GRID, 1e-3, 1e3):
+        one_by_one = np.array([float(formula(h, x)) for x in k.tolist()])
+        assert np.array_equal(formula(h, k).view(np.int64), one_by_one.view(np.int64))
 
 
 def test_consistent_fixtures_match_closed_form():
