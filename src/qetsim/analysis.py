@@ -451,10 +451,10 @@ class FixtureResult:
 _gain = closedform._sqrt1pr2m1
 
 # Each entry: id, N, m, quantity ("e_in" | "e_out" | "eta"), formula(h, k)
-# over a float h and an array of k,
-# and whether the formula is a known-inconsistent variant. The two variant
-# entries carry coefficients that do not follow from the general expression;
-# they are kept, flagged, and quantified instead of silently corrected.
+# over a float h and an array of k, and whether the formula is a
+# known-inconsistent variant. The two variant entries carry coefficients
+# that do not follow from the general expression; they are kept, flagged,
+# and quantified instead of silently corrected.
 _FIXTURES = (
     ("three_qubit_two_outputs_injected", 3, 2, "e_in",
      lambda h, k: 3.0 * h * h / np.sqrt(9.0 * h * h + 4.0 * k * k), False),
