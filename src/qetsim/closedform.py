@@ -269,12 +269,18 @@ def energies(n, m, k, h: float = 1.0) -> Energies:
     ``n``, ``m`` and ``k`` are scalars or 1-d arrays, broadcast against each
     other; every returned array is 1-d. Each point goes through the same
     operations, in the same order, as a one-point call, so results do not
-    depend on what else is in the arrays. Raises ``InvalidRange`` at the
-    first point where a value is not finite, or where E_in or E_out(max) is
-    nonzero but subnormal.
+    depend on what else is in the arrays. Before evaluating, raises what
+    ``ModelParams`` raises at the first point whose k is negative, nan or
+    inf; then ``InvalidRange`` at the first point where a value is not
+    finite, or where E_in or E_out(max) is nonzero but subnormal.
     """
     with np.errstate(all="ignore"):
         return _energies(n, m, k, h, np.asarray(k, dtype=float) / h)
+
+
+def _bad_coupling(k: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Where k is negative or nan, or infinite but not from a finite k/h."""
+    return ~((k >= 0.0) & (np.isfinite(k) | np.isfinite(ratio)))
 
 
 def _energies(n, m, k, h: float, ratio) -> Energies:
@@ -284,6 +290,9 @@ def _energies(n, m, k, h: float, ratio) -> Energies:
     n, m, k, ratio = np.broadcast_arrays(*np.atleast_1d(
         np.asarray(n, dtype=float), np.asarray(m, dtype=float),
         np.asarray(k, dtype=float), np.asarray(ratio, dtype=float)))
+    bad = np.flatnonzero(_bad_coupling(k, ratio))  # no mask held while evaluating
+    if bad.size:  # N plays no part: ModelParams raises for this h or k
+        ModelParams(2, h, float(k[bad[0]]))
     with np.errstate(all="ignore"):
         c, e_in, e_out, eta = _ranged(_plain, h, k, ratio, n, m, scaled=3)
         _require_finite(n, m, ratio, h, e_in=e_in, e_out=e_out, eta=eta)
@@ -373,11 +382,8 @@ def _bell(n, k: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
     a b that is not a finite float as ``InvalidRange`` naming its k/h, N < 2,
     h or k as ``ModelParams`` raises, N = 2 as ``BellUndefinedForN2``."""
     n = np.asarray(n, dtype=np.int64)
-    finite = np.isfinite(k) | (np.isinf(k) & np.isfinite(ratio))
-    bad = (n < 3) | ~(finite & (k >= 0.0))
+    bad = (n < 3) | _bad_coupling(k, ratio) | (not (h > 0.0 and math.isfinite(h)))
     stop = int(np.argmax(bad)) if bad.any() else n.size
-    if not (h > 0.0 and math.isfinite(h)):
-        stop = 0
     with np.errstate(all="ignore"):
         b = _ranged(_bell_plain, h, k[:stop], ratio[:stop], n[:stop])[1]
     bad = ~np.isfinite(b)

@@ -30,11 +30,6 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def popcount(idx):
-    """Per-element popcount of a nonnegative integer array."""
-    return np.bitwise_count(idx).astype(np.int64)
-
-
 @functools.lru_cache(maxsize=256)
 def _runs(n_bits: int, mask: int) -> tuple[tuple[int, ...], tuple[slice, ...]]:
     """Maximal runs of adjacent bits that are all in ``mask`` or all outside
@@ -247,7 +242,7 @@ def _z_table(width: int, n_bits: int) -> np.ndarray:
     the lower half less 2 for a Z bit (b < n_bits), unchanged for a bit above.
     Built once per (width, n_bits) and read-only, since every caller shares
     it; ``z_diagonal`` asks for widths of about half a statevector's bits,
-    so the cache holds a few small tables.
+    so the cache holds a few small tables; the solvers' full one is not cached.
     """
     table = np.empty(1 << width)
     table[0] = min(width, n_bits)

@@ -12,14 +12,14 @@ it lies:
   reversal of the basis index. Pass 1 keeps only the tridiagonal
   coefficients and stops at a rounding-level Ritz residual, after about
   N + 2 steps here; pass 2 replays the recurrence and adds up the Ritz
-  vector. No Krylov basis is stored: the peak stays below eight 2**N
-  float64 vectors;
+  vector. No Krylov basis is stored: the peak holds five 2**N float64
+  arrays, the field, v, w, one product of the matvec and the Ritz vector;
 * ``dense``: ``numpy.linalg.eigh`` of the full real symmetric Hamiltonian
   (``build_hamiltonian``, the one 2**N x 2**N matrix here), kept as a
   small-N reference.
 
-Both hold 2**N amplitudes, so both refuse N above ``oracle_cap`` through
-``model.check_oracle_cap`` before they allocate anything.
+Both read H - c from ``_h_minus_c``, which refuses N above ``oracle_cap``
+through ``model.check_oracle_cap`` before anything is allocated.
 
 Qubit convention (shared with ``model``): qubit 1 is the most significant
 bit; bit value 0 is the Z eigenvalue +1 state.
@@ -132,8 +132,16 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Dense Hamiltonian, the input of the dense solver
+# H - c, read by both solvers, and the dense Hamiltonian
 # ---------------------------------------------------------------------------
+
+def _h_minus_c(params: ModelParams, oracle_cap: int) -> tuple[np.ndarray, float]:
+    """H - c = diag(h * sum_j Z_j) + 2k X_1 ... X_N as (field diagonal, 2k); c
+    stays out, so the k = 0 ground level is exactly 0 and sets no scale."""
+    check_oracle_cap(params.n_qubits, oracle_cap)
+    n = params.n_qubits
+    return params.h * kernels._z_table.__wrapped__(n, n), 2.0 * params.k
+
 
 def build_hamiltonian(params: ModelParams,
                       oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
@@ -142,13 +150,9 @@ def build_hamiltonian(params: ModelParams,
     The additive constants of the individual terms sum to exactly c, so
     H = diag(h * sum_j Z_j + c) + 2k * FlipAll.
     """
-    check_oracle_cap(params.n_qubits, oracle_cap)
-    n = params.n_qubits
-    idx = np.arange(1 << n, dtype=np.int64)
-    zsum = n - 2 * kernels.popcount(idx)
-    mat = np.zeros((1 << n, 1 << n))
-    np.fill_diagonal(mat[:, ::-1], 2.0 * params.k)
-    mat[np.diag_indices(1 << n)] += params.h * zsum + params.c
+    zfield, flip = _h_minus_c(params, oracle_cap)
+    mat = np.diag(zfield + params.c)
+    np.fill_diagonal(mat[:, ::-1], flip)  # 2**N is even: no entry is on both
     return mat
 
 
@@ -222,12 +226,8 @@ def _krylov(zfield: np.ndarray, flip: float, alphas: list, betas: list):
 
 
 def _lanczos_ground_state(params: ModelParams, oracle_cap: int):
-    check_oracle_cap(params.n_qubits, oracle_cap)
-    n, dim = params.n_qubits, 1 << params.n_qubits
-    # c stays out: with it, the k = 0 ground level is exactly 0 and sets no scale.
-    zfield = params.h * (n - 2 * kernels.popcount(np.arange(dim, dtype=np.int64)))
-    flip = 2.0 * params.k
-    rounding = np.sqrt(dim) * np.finfo(np.float64).eps  # of a 2**N-term sum
+    zfield, flip = _h_minus_c(params, oracle_cap)
+    rounding = np.sqrt(zfield.size) * np.finfo(np.float64).eps  # of a 2**N-term sum
     alphas, betas = [], []
     for v in _krylov(zfield, flip, alphas, betas):
         # eigh reads the lower triangle, so the betas go below the diagonal.
@@ -235,17 +235,17 @@ def _lanczos_ground_state(params: ModelParams, oracle_cap: int):
         if betas[-1] * abs(y[-1, 0]) <= rounding * np.max(np.abs(theta)):
             break
     else:
-        raise NoConvergence(
-            f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps at N={n}")
+        raise NoConvergence(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps "
+                            f"at N={params.n_qubits}")
     del v  # pass 1's last buffer, freed before pass 2 allocates
-    vec = np.zeros(dim)
+    vec = np.zeros_like(zfield)
     # y comes first, so zip stops without advancing the recurrence past v_j.
     for coef, v in zip(y[:, 0], _krylov(zfield, flip, alphas, betas)):
         vec += coef * v
     vec /= np.linalg.norm(vec)
     if vec[-1] > 0:  # sign convention: amplitude on the all-ones state <= 0
         vec = -vec
-    return float(theta[0]) + params.c, StateVector(n, vec)
+    return float(theta[0]) + params.c, StateVector(params.n_qubits, vec)
 
 
 def exact_ground_state(params: ModelParams, method: str = "dense", *,

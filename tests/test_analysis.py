@@ -17,6 +17,7 @@ from qetsim.errors import (
     AngleOutOfRange,
     BellUndefinedForN2,
     InvalidRange,
+    NonPositiveCoupling,
     NonPositiveRatio,
     QetError,
     UnknownFigure,
@@ -129,6 +130,36 @@ def test_a_bell_column_checks_its_points_as_bell_values_does():
         an.evaluate(points)
     with pytest.raises(QetError, match="k must be finite and >= 0, got -1.0"):
         an.bell_values(points.n, points.ratio)
+
+
+@pytest.mark.parametrize("ratios, first", [([1.0, -1.0, -2.0], "-1.0"),
+                                           ([0.5, math.nan, -1.0], "nan")])
+def test_energies_refuse_a_k_that_is_no_coupling_before_evaluating(monkeypatch, ratios,
+                                                                   first):
+    # A negative k/h once gave the k/h = +1 row, and a nan one "e_in is not
+    # finite". Both raise what ModelParams raises, at the first bad point,
+    # before any closed form runs.
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated a refused point")
+
+    monkeypatch.setattr(cf, "_ranged", no_evaluation)
+    message = f"k must be finite and >= 0, got {first}$"
+    with pytest.raises(NonPositiveCoupling, match=message):
+        cf.energies(3, 1, ratios)
+    with pytest.raises(NonPositiveCoupling, match=message):
+        an.evaluate(an.grid([3, 4], [1], ratios))
+
+
+def test_energies_take_an_infinite_k_only_from_a_finite_k_over_h():
+    with pytest.raises(NonPositiveCoupling, match="got inf$"):
+        cf.energies(3, 1, [1.0, math.inf])
+    with pytest.raises(NonPositiveCoupling, match="got -inf$"):
+        cf.energies(3, 1, -math.inf)
+    # k = 1e10 * 1e300 overflows, from a finite k/h: read in units of h.
+    table = an.evaluate(an.grid([3, 5], [1, 2], [1e10]), h=1e300)
+    unit = cf.energies(table.n, table.m, 1e10)
+    assert np.array_equal(table.eta, unit.eta)
+    assert np.array_equal(table.e_in, unit.e_in * 1e300)
 
 
 def binade_fields():
