@@ -34,10 +34,11 @@ RATIO_DECADE_POINTS = 50
 #: peak near 1 GB.
 SCAN_N_MAX = 10_000_000
 
-#: Most points a sweep or Bell grid holds. Under tracemalloc a run peaks at
-#: about 490 bytes per emitted row (a JSON sweep with Bell; ``bell --format
-#: json`` takes 370, a CSV sweep with Bell 270, ``bell`` CSV 180), so a grid
-#: at the cap peaks near 0.35 GB.
+#: Most points a sweep or Bell grid holds. Under tracemalloc a run to a file
+#: peaks at about 170 bytes per row (a sweep with Bell, CSV or JSON; 125
+#: without Bell, ``bell`` 85), set by evaluating the table, since each block
+#: of rows is written as it is laid out; so a grid at the cap peaks near
+#: 0.12 GB.
 GRID_POINTS_MAX = 700_000
 
 

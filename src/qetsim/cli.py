@@ -10,9 +10,15 @@ nopt        optimal qubit count at fixed k/h
 fixtures    the specialization fixture report
 verify      the full verification suite (exit 1 on any failure)
 
-Every table goes out through one CSV writer and one JSON writer, `_csv` and
-`_json`, whose docstrings give the format. Identical configurations always
-produce identical bytes; `tests/test_output_bytes.py` pins them.
+Every table goes out through one CSV writer and one JSON writer,
+`_csv_blocks` and `_json_blocks`, whose docstrings give the format. They
+yield the table as blocks of UTF-8 bytes, the head first and then a block
+per `CSV_BLOCK_ROWS` rows, and a command writes each block to its
+destination as soon as it is laid out (`_emit`), so no whole text is ever
+held. The functions that return a table as a `str` (`rows_to_csv`,
+`rows_to_json`, `render_sweep`, `render_figure`) join the same blocks
+(`_text`). Identical configurations always produce identical bytes;
+`tests/test_output_bytes.py` pins them.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 """
@@ -24,7 +30,7 @@ import codecs
 import math
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,12 +50,32 @@ def _fmt(value) -> str:
     return str(value) if isinstance(value, int) else "%.17g" % value
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def _emit(blocks: Iterable[np.ndarray], out: str | None):
+    """Write each UTF-8 block of ``blocks`` as soon as it is made: to the
+    file ``out``, opened only now, or to standard output's binary buffer,
+    after its text layer is flushed. A stream with no buffer (a
+    ``StringIO``, say) gets each block decoded. Where the reader of a pipe
+    leaves early (``| head``), the rest is dropped without an error."""
+    if out is not None:
+        with open(out, "wb") as fh:
+            for block in blocks:
+                fh.write(block)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        for block in blocks:
+            sys.stdout.write(_decode(block))
+        return
+    try:
+        sys.stdout.flush()
+        for block in blocks:
+            buffer.write(block)
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so the flush at exit
+        # raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cell(value) -> bytes:
@@ -149,46 +175,71 @@ def _bytes(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
 
 
-def _text(parts: list[np.ndarray]) -> str:
-    """The byte arrays of ``parts`` joined and read back as UTF-8, lone
-    surrogates too. Empties ``parts``, so no block outlives the join."""
-    text = np.concatenate(parts)
-    parts.clear()
-    return codecs.utf_8_decode(text, "surrogatepass", True)[0]
+def _decode(block: np.ndarray) -> str:
+    """A block of UTF-8 bytes as text, lone surrogates too."""
+    return codecs.utf_8_decode(block, "surrogatepass", True)[0]
 
 
-def _csv(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int) -> str:
-    """The table as CSV: ``meta`` as ``#`` lines, the header, a line a row. A
-    float is ``%.17g`` and nan an empty cell, an int decimal, a bool true or
-    false and a string itself. The first ``keys`` columns, the inputs, and
-    every column that is not float are formatted once per distinct value;
-    the other floats go through one ``floatfmt.g17`` call a block of rows."""
-    head = "\n".join([*(f"# {m}" for m in meta), header]) + "\n"
+def _text(blocks: Iterable[np.ndarray]) -> str:
+    """The blocks joined and decoded; no block outlives the join."""
+    return _decode(np.concatenate(list(blocks)))
+
+
+def _csv_blocks(header: str, columns: Sequence[np.ndarray], meta: list[str],
+                keys: int) -> Iterator[np.ndarray]:
+    """The table as CSV, one UTF-8 block at a time: ``meta`` as ``#`` lines
+    and the header, then a block of ``CSV_BLOCK_ROWS`` rows, a line a row.
+    A float is ``%.17g`` and nan an empty cell, an int decimal, a bool true
+    or false and a string itself. The first ``keys`` columns, the inputs,
+    and every column that is not float are formatted once per distinct
+    value; the other floats go through one ``floatfmt.g17`` call a block."""
+    yield _bytes("\n".join([*(f"# {m}" for m in meta), header]) + "\n")
     literals = [b"", *[b","] * (len(columns) - 1), b"\n"]
-    return _text([_bytes(head), *_blocks(columns, keys, literals, as_json=False)])
+    yield from _blocks(columns, keys, literals, as_json=False)
 
 
-def _json(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int = 0) -> str:
+def _json_blocks(header: str, columns: Sequence[np.ndarray], meta: list[str],
+                 keys: int = 0) -> Iterator[np.ndarray]:
     """The table as ``{"meta": meta, "rows": [...]}``, as ``json.dumps`` with
-    ``indent=2`` writes it: a float is its repr and nan ``null``, and an int,
-    a bool or a string is ``json.dumps`` of it. The blocks of rows are laid
-    out as ``_csv`` lays out its own, with the keys in the separators; the
-    floats go through ``floatfmt.shortest``, the rest once per distinct
-    value, and so do the first ``keys`` columns."""
+    ``indent=2`` writes it, one UTF-8 block at a time: a float is its repr
+    and nan ``null``, and an int, a bool or a string is ``json.dumps`` of
+    it. The blocks of rows are laid out as ``_csv_blocks`` lays out its
+    own, with the keys in the separators; the floats go through
+    ``floatfmt.shortest``, the rest once per distinct value, and so do the
+    first ``keys`` columns. One block is held back, so that the last row's
+    ``,\\n`` is cut."""
     import json
     # The rows go between the brackets of the empty "rows" list, which
     # json.dumps writes last.
     head = json.dumps({"meta": meta, "rows": []}, indent=2)
     if not columns[0].size:
-        return head + "\n"
+        yield _bytes(head + "\n")
+        return
+    yield _bytes(head[:-len("]\n}")] + "\n")
     fields = [f"      {json.dumps(key)}: ".encode() for key in header.split(",")]
     literals = [b"    {\n" + fields[0], *(b",\n" + field for field in fields[1:]),
                 b"\n    },\n"]
-    parts = [_bytes(head[:-len("]\n}")] + "\n"),
-             *_blocks(columns, keys, literals, as_json=True)]
-    parts[-1] = parts[-1][:-len(",\n")]  # the last row ends the list
-    parts.append(_bytes("\n  ]\n}\n"))
-    return _text(parts)
+    blocks = _blocks(columns, keys, literals, as_json=True)
+    last = next(blocks)
+    for block in blocks:
+        yield last
+        last = block
+    yield last[:-len(",\n")]  # the last row ends the list
+    yield _bytes("\n  ]\n}\n")
+
+
+def _csv(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int) -> str:
+    return _text(_csv_blocks(header, columns, meta, keys))
+
+
+def _json(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int = 0) -> str:
+    return _text(_json_blocks(header, columns, meta, keys))
+
+
+def _sweep_blocks(table: analysis.SweepTable, meta: list[str],
+                  fmt: str) -> Iterator[np.ndarray]:
+    return (_csv_blocks if fmt == "csv" else _json_blocks)(
+        SWEEP_HEADER, [*vars(table).values()], meta, 3)
 
 
 def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
@@ -199,19 +250,30 @@ def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
     return _json(SWEEP_HEADER, [*vars(table).values()], meta, keys=3)
 
 
-def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
-                 h: float = 1.0, fmt: str = "csv") -> str:
+def _sweep(n_values, m_values, ratios, with_bell: bool, h: float,
+           fmt: str) -> Iterator[np.ndarray]:
+    """The sweep's blocks; the table is evaluated, and validated, here."""
     table = analysis.efficiency_sweep(n_values, m_values, ratios, h, with_bell)
     meta = ["dataset: sweep", f"h: {_fmt(h)}", f"points: {table.n.size}"]
-    return rows_to_csv(table, meta) if fmt == "csv" else rows_to_json(table, meta)
+    return _sweep_blocks(table, meta, fmt)
 
 
-def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
+def _figure(name: str, h: float, fmt: str) -> Iterator[np.ndarray]:
+    """The figure's blocks; the table is evaluated here."""
     table = analysis.figure_dataset(name, h)
     meta = [f"dataset: {name}", f"h: {_fmt(h)}",
             "ratio grids: log-spaced, 50 points per decade",
             f"points: {table.n.size}"]
-    return rows_to_csv(table, meta) if fmt == "csv" else rows_to_json(table, meta)
+    return _sweep_blocks(table, meta, fmt)
+
+
+def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
+                 h: float = 1.0, fmt: str = "csv") -> str:
+    return _text(_sweep(n_values, m_values, ratios, with_bell, h, fmt))
+
+
+def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
+    return _text(_figure(name, h, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -414,32 +476,29 @@ def _cmd_efficiency(args) -> int:
                  "shots": est.n_shots, "seed": est.seed}
         meta.extend(f"{key}: {_fmt(val)}" for key, val in extra.items())
     if args.format == "csv":
-        text = rows_to_csv(table, meta)
+        blocks = _sweep_blocks(table, meta, "csv")
     else:
         doc = {"n": args.n, "m": args.m, "ratio": args.ratio, "h": args.h,
                "e_in": table.e_in.item(), "e_out": table.e_out.item(),
                "eta": table.eta.item(), "theta_opt": theta.theta, **extra}
-        text = _json(",".join(doc), [np.array([v]) for v in doc.values()], [])
-    _emit(text, args.out)
+        blocks = _json_blocks(",".join(doc), [np.array([v]) for v in doc.values()], [])
+    _emit(blocks, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    text = render_sweep(args.n, args.m, args.ratio, with_bell=args.bell,
-                        h=args.h, fmt=args.format)
-    _emit(text, args.out)
+    _emit(_sweep(args.n, args.m, args.ratio, args.bell, args.h, args.format), args.out)
     return 0
 
 
 def _cmd_figure(args) -> int:
-    text = render_figure(args.name, h=args.h, fmt=args.format)
-    _emit(text, args.out)
+    _emit(_figure(args.name, args.h, args.format), args.out)
     return 0
 
 
 def _emit_table(args, header: str, columns, meta: list[str], keys: int):
-    _emit(_csv(header, columns, meta, keys) if args.format == "csv"
-          else _json(header, columns, meta, keys), args.out)
+    writer = _csv_blocks if args.format == "csv" else _json_blocks
+    _emit(writer(header, columns, meta, keys), args.out)
 
 
 def _cmd_bell(args) -> int:
@@ -481,10 +540,10 @@ def _cmd_verify(args) -> int:
     n_fail = sum(1 for r in results if not r.passed)
     if args.format == "json":
         import json
-        _emit(json.dumps({
+        _emit([_bytes(json.dumps({
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
                         "seconds": r.seconds} for r in results],
-            "passed": len(results) - n_fail, "total": len(results)}, indent=2) + "\n",
+            "passed": len(results) - n_fail, "total": len(results)}, indent=2) + "\n")],
             args.out)
         return 0 if n_fail == 0 else 1
     lines = []
@@ -492,7 +551,7 @@ def _cmd_verify(args) -> int:
         tag = "PASS" if r.passed else "FAIL"
         lines.append(f"[{tag}] {r.name}: {r.detail} ({r.seconds:.2f} s)")
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit([_bytes("\n".join(lines) + "\n")], args.out)
     return 0 if n_fail == 0 else 1
 
 

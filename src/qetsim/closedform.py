@@ -270,9 +270,10 @@ def energies(n, m, k, h: float = 1.0) -> Energies:
     other; every returned array is 1-d. Each point goes through the same
     operations, in the same order, as a one-point call, so results do not
     depend on what else is in the arrays. Before evaluating, raises what
-    ``ModelParams`` raises at the first point whose k is negative, nan or
-    inf; then ``InvalidRange`` at the first point where a value is not
-    finite, or where E_in or E_out(max) is nonzero but subnormal.
+    ``ModelParams`` raises where h is not finite and > 0, or at the first
+    point whose k is negative, nan or inf; then ``InvalidRange`` at the
+    first point where a value is not finite, or where E_in or E_out(max) is
+    nonzero but subnormal.
     """
     with np.errstate(all="ignore"):
         return _energies(n, m, k, h, np.asarray(k, dtype=float) / h)
@@ -291,8 +292,9 @@ def _energies(n, m, k, h: float, ratio) -> Energies:
         np.asarray(n, dtype=float), np.asarray(m, dtype=float),
         np.asarray(k, dtype=float), np.asarray(ratio, dtype=float)))
     bad = np.flatnonzero(_bad_coupling(k, ratio))  # no mask held while evaluating
-    if bad.size:  # N plays no part: ModelParams raises for this h or k
-        ModelParams(2, h, float(k[bad[0]]))
+    if bad.size or not (h > 0.0 and math.isfinite(h)):
+        # N plays no part: ModelParams raises for this h, then this k.
+        ModelParams(2, h, float(k[bad[0]]) if bad.size else 0.0)
     with np.errstate(all="ignore"):
         c, e_in, e_out, eta = _ranged(_plain, h, k, ratio, n, m, scaled=3)
         _require_finite(n, m, ratio, h, e_in=e_in, e_out=e_out, eta=eta)

@@ -150,6 +150,20 @@ def test_energies_refuse_a_k_that_is_no_coupling_before_evaluating(monkeypatch, 
         an.evaluate(an.grid([3, 4], [1], ratios))
 
 
+@pytest.mark.parametrize("h", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_energies_refuse_a_field_that_is_no_coupling_before_evaluating(monkeypatch, h):
+    # h = -1 once gave the h = +1 row, and 0, nan and inf an InvalidRange
+    # that blamed over- or underflow; now ModelParams's error, before any
+    # closed form runs, and ahead of a bad k.
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated a refused point")
+
+    monkeypatch.setattr(cf, "_ranged", no_evaluation)
+    for k in (1.0, [1.0, -1.0]):
+        with pytest.raises(NonPositiveCoupling, match=f"h must be finite and > 0, got {h}$"):
+            cf.energies(3, 1, k, h)
+
+
 def test_energies_take_an_infinite_k_only_from_a_finite_k_over_h():
     with pytest.raises(NonPositiveCoupling, match="got inf$"):
         cf.energies(3, 1, [1.0, math.inf])
