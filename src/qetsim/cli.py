@@ -10,23 +10,25 @@ nopt        optimal qubit count at fixed k/h
 fixtures    the specialization fixture report
 verify      the full verification suite (exit 1 on any failure)
 
-Every table goes out through one CSV writer and one JSON writer,
-`_csv_blocks` and `_json_blocks`, whose docstrings give the format. They
-yield the table as blocks of UTF-8 bytes, the head first and then a block
-per `CSV_BLOCK_ROWS` rows, and a command writes each block to its
-destination as soon as it is laid out (`_emit`), so no whole text is ever
-held. The functions that return a table as a `str` (`rows_to_csv`,
-`rows_to_json`, `render_sweep`, `render_figure`) join the same blocks
-(`_text`). Identical configurations always produce identical bytes;
-`tests/test_output_bytes.py` pins them.
+Every table goes out through one writer, `_table`, whose docstring gives
+the CSV and JSON formats. It yields the table as blocks of UTF-8 bytes, the
+head, a block per `CSV_BLOCK_ROWS` rows and the tail, and a command writes
+each block to its destination as soon as it is laid out (`_emit`), so no
+whole text is ever held. The functions that return a table as a `str`
+(`rows_to_csv`, `rows_to_json`, `render_sweep`, `render_figure`) join the
+same blocks (`_text`). Identical configurations always produce identical
+bytes; `tests/test_output_bytes.py` pins them.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+or output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -38,7 +40,7 @@ from . import analysis, closedform, protocol_oracle, verify
 from .errors import InvalidRange, QetError
 from .model import DEFAULT_ORACLE_CAP, ModelParams, Partition
 
-SWEEP_HEADER = "n,m,ratio,e_in,e_out,eta,bell"  # the fields of analysis.SweepTable
+SWEEP_HEADER = ",".join(field.name for field in dataclasses.fields(analysis.SweepTable))
 #: Rows of a CSV table laid out at a time, as one uint8 array.
 CSV_BLOCK_ROWS = 4096
 
@@ -55,27 +57,33 @@ def _emit(blocks: Iterable[np.ndarray], out: str | None):
     file ``out``, opened only now, or to standard output's binary buffer,
     after its text layer is flushed. A stream with no buffer (a
     ``StringIO``, say) gets each block decoded. Where the reader of a pipe
-    leaves early (``| head``), the rest is dropped without an error."""
-    if out is not None:
-        with open(out, "wb") as fh:
-            for block in blocks:
-                fh.write(block)
-        return
+    leaves early (``| head``), the rest is dropped without an error; any
+    other failed write is a ``QetError``."""
+    if out is None and sys.stdout is None:  # started with descriptor 1 closed
+        raise QetError("cannot write standard output: it is closed")
     buffer = getattr(sys.stdout, "buffer", None)
-    if buffer is None:
+    if out is None and buffer is None:
         for block in blocks:
             sys.stdout.write(_decode(block))
         return
     try:
-        sys.stdout.flush()
-        for block in blocks:
-            buffer.write(block)
-    except BrokenPipeError:
-        # What is still buffered goes to devnull, so the flush at exit
-        # raises nothing either.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if out is None:
+            sys.stdout.flush()
+        with open(out, "wb") if out is not None else contextlib.nullcontext(buffer) as fh:
+            for block in blocks:
+                fh.write(block)
+            fh.flush()
+    except OSError as exc:
+        if out is None:
+            # What is still buffered goes to devnull, so the flush at exit
+            # raises nothing.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                return
+        dest = "standard output" if out is None else out
+        raise QetError(f"cannot write {dest}: {exc.strerror or exc}") from None
 
 
 def _cell(value) -> bytes:
@@ -185,69 +193,47 @@ def _text(blocks: Iterable[np.ndarray]) -> str:
     return _decode(np.concatenate(list(blocks)))
 
 
-def _csv_blocks(header: str, columns: Sequence[np.ndarray], meta: list[str],
-                keys: int) -> Iterator[np.ndarray]:
-    """The table as CSV, one UTF-8 block at a time: ``meta`` as ``#`` lines
-    and the header, then a block of ``CSV_BLOCK_ROWS`` rows, a line a row.
-    A float is ``%.17g`` and nan an empty cell, an int decimal, a bool true
-    or false and a string itself. The first ``keys`` columns, the inputs,
-    and every column that is not float are formatted once per distinct
-    value; the other floats go through one ``floatfmt.g17`` call a block."""
-    yield _bytes("\n".join([*(f"# {m}" for m in meta), header]) + "\n")
-    literals = [b"", *[b","] * (len(columns) - 1), b"\n"]
-    yield from _blocks(columns, keys, literals, as_json=False)
+def _table(fmt: str, header: str, columns: Sequence[np.ndarray], meta: list[str],
+           keys: int = 0) -> Iterator[np.ndarray]:
+    """The table as ``fmt``, one UTF-8 block at a time: its head, then a
+    ``_blocks`` block per ``CSV_BLOCK_ROWS`` rows, then its tail. The first
+    ``keys`` columns, the inputs, are formatted once per distinct value.
 
-
-def _json_blocks(header: str, columns: Sequence[np.ndarray], meta: list[str],
-                 keys: int = 0) -> Iterator[np.ndarray]:
-    """The table as ``{"meta": meta, "rows": [...]}``, as ``json.dumps`` with
-    ``indent=2`` writes it, one UTF-8 block at a time: a float is its repr
-    and nan ``null``, and an int, a bool or a string is ``json.dumps`` of
-    it. The blocks of rows are laid out as ``_csv_blocks`` lays out its
-    own, with the keys in the separators; the floats go through
-    ``floatfmt.shortest``, the rest once per distinct value, and so do the
-    first ``keys`` columns. One block is held back, so that the last row's
-    ``,\\n`` is cut."""
-    import json
-    # The rows go between the brackets of the empty "rows" list, which
-    # json.dumps writes last.
-    head = json.dumps({"meta": meta, "rows": []}, indent=2)
-    if not columns[0].size:
-        yield _bytes(head + "\n")
-        return
-    yield _bytes(head[:-len("]\n}")] + "\n")
-    fields = [f"      {json.dumps(key)}: ".encode() for key in header.split(",")]
-    literals = [b"    {\n" + fields[0], *(b",\n" + field for field in fields[1:]),
-                b"\n    },\n"]
-    blocks = _blocks(columns, keys, literals, as_json=True)
-    last = next(blocks)
-    for block in blocks:
-        yield last
-        last = block
-    yield last[:-len(",\n")]  # the last row ends the list
-    yield _bytes("\n  ]\n}\n")
-
-
-def _csv(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int) -> str:
-    return _text(_csv_blocks(header, columns, meta, keys))
-
-
-def _json(header: str, columns: Sequence[np.ndarray], meta: list[str], keys: int = 0) -> str:
-    return _text(_json_blocks(header, columns, meta, keys))
+    CSV is ``meta`` as ``#`` lines and the header, then a line a row: a
+    float is ``%.17g`` and nan an empty cell, an int decimal, a bool true or
+    false and a string itself. JSON is ``{"meta": meta, "rows": [...]}`` as
+    ``json.dumps`` with ``indent=2`` writes it: a float is its repr and nan
+    ``null``, and an int, a bool or a string is ``json.dumps`` of it. Each
+    JSON row carries its ``,`` in front, cut from the first row."""
+    if fmt == "csv":
+        head, tail, lead = "\n".join([*(f"# {m}" for m in meta), header]) + "\n", "", 0
+        literals = [b"", *[b","] * (len(columns) - 1), b"\n"]
+    else:
+        import json
+        # The rows go between the brackets of the empty "rows" list, which
+        # json.dumps writes last.
+        head = json.dumps({"meta": meta, "rows": []}, indent=2)[:-len("]\n}")]
+        tail, lead = ("\n  " if columns[0].size else "") + "]\n}\n", len(b",")
+        fields = [f"      {json.dumps(key)}: ".encode() for key in header.split(",")]
+        literals = [b",\n    {\n" + fields[0], *(b",\n" + field for field in fields[1:]),
+                    b"\n    }"]
+    yield _bytes(head)
+    for i, block in enumerate(_blocks(columns, keys, literals, fmt == "json")):
+        yield block[0 if i else lead:]
+    yield _bytes(tail)
 
 
 def _sweep_blocks(table: analysis.SweepTable, meta: list[str],
                   fmt: str) -> Iterator[np.ndarray]:
-    return (_csv_blocks if fmt == "csv" else _json_blocks)(
-        SWEEP_HEADER, [*vars(table).values()], meta, 3)
+    return _table(fmt, SWEEP_HEADER, [*vars(table).values()], meta, keys=3)
 
 
 def rows_to_csv(table: analysis.SweepTable, meta: list[str]) -> str:
-    return _csv(SWEEP_HEADER, [*vars(table).values()], meta, keys=3)
+    return _text(_sweep_blocks(table, meta, "csv"))
 
 
 def rows_to_json(table: analysis.SweepTable, meta: list[str]) -> str:
-    return _json(SWEEP_HEADER, [*vars(table).values()], meta, keys=3)
+    return _text(_sweep_blocks(table, meta, "json"))
 
 
 def _sweep(n_values, m_values, ratios, with_bell: bool, h: float,
@@ -481,7 +467,7 @@ def _cmd_efficiency(args) -> int:
         doc = {"n": args.n, "m": args.m, "ratio": args.ratio, "h": args.h,
                "e_in": table.e_in.item(), "e_out": table.e_out.item(),
                "eta": table.eta.item(), "theta_opt": theta.theta, **extra}
-        blocks = _json_blocks(",".join(doc), [np.array([v]) for v in doc.values()], [])
+        blocks = _table("json", ",".join(doc), [np.array([v]) for v in doc.values()], [])
     _emit(blocks, args.out)
     return 0
 
@@ -496,15 +482,10 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _emit_table(args, header: str, columns, meta: list[str], keys: int):
-    writer = _csv_blocks if args.format == "csv" else _json_blocks
-    _emit(writer(header, columns, meta, keys), args.out)
-
-
 def _cmd_bell(args) -> int:
     columns = analysis.bell_table(args.n, args.ratio, args.h)
-    _emit_table(args, "n,ratio,b_value,violates,saturation", columns,
-                ["dataset: bell"], keys=2)
+    _emit(_table(args.format, "n,ratio,b_value,violates,saturation", columns,
+                 ["dataset: bell"], keys=2), args.out)
     return 0
 
 
@@ -519,7 +500,8 @@ def _cmd_nopt(args) -> int:
         if args.scan:
             row.extend(analysis.n_opt_scan(x, n_max=args.n_max))
         rows.append(row)
-    _emit_table(args, header, [*map(np.array, zip(*rows))], ["dataset: nopt"], keys=1)
+    _emit(_table(args.format, header, [*map(np.array, zip(*rows))], ["dataset: nopt"],
+                 keys=1), args.out)
     return 0
 
 
@@ -529,7 +511,8 @@ def _cmd_fixtures(args) -> int:
     rows = [[r.fixture_id, r.n_qubits, r.m_outputs, r.max_deviation,
              r.tolerance, r.expected_mismatch, r.agrees,
              r.note.replace(",", ";")] for r in results]
-    _emit_table(args, header, [*map(np.array, zip(*rows))], ["dataset: fixtures"], keys=3)
+    _emit(_table(args.format, header, [*map(np.array, zip(*rows))], ["dataset: fixtures"],
+                 keys=3), args.out)
     behaved = all(r.agrees != r.expected_mismatch for r in results)
     return 0 if behaved else 1
 

@@ -1,12 +1,12 @@
 """Tables streamed to their destination block by block.
 
-A command writes each block of ``cli._csv_blocks`` or ``cli._json_blocks``
-as soon as it is laid out: to ``--out``, opened in binary mode once the
-table is evaluated, or to standard output's binary buffer, or decoded to a
-stream that has none. These tests hold the three destinations to the bytes
-of ``rows_to_csv`` and ``rows_to_json`` at row counts around the block
-size, check that a refused input leaves no file behind (and an existing
-one as it was), and bound the memory of a benchmark-sized sweep.
+A command writes each block of ``cli._table`` as soon as it is laid out:
+to ``--out``, opened in binary mode once the table is evaluated, or to
+standard output's binary buffer, or decoded to a stream that has none.
+These tests hold the three destinations to the bytes of ``rows_to_csv``
+and ``rows_to_json`` at row counts around the block size, check that a
+refused input leaves no file behind (and an existing one as it was), and
+bound the memory of a benchmark-sized sweep.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ def reference(rows: int, fmt: str) -> str:
     return (cli.rows_to_csv if fmt == "csv" else cli.rows_to_json)(table, meta)
 
 
-# 2B rows in JSON: the held-back last block is full, so the trailing ",\n"
-# is cut from a block that follows another full one.
+# 2B rows in JSON: the last block is full, and its rows carry their ","
+# in front as the rows of the full block before it do.
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1])
 def test_every_destination_gets_the_bytes_of_the_str_writers(tmp_path, capsysbinary,
                                                               rows, fmt):
     want = reference(rows, fmt)
-    if fmt == "json":  # the last row's comma is cut, also from a full block
+    if fmt == "json":  # only the first row's comma is cut, also from a full block
         assert json.dumps(json.loads(want), indent=2) + "\n" == want
     else:
         assert want.count("\n") == 4 + rows  # three # lines and the header

@@ -1,12 +1,13 @@
-"""The table writers against the renderers they replaced.
+"""The table writer against the renderers it replaced.
 
-``cli._csv`` and ``cli._json`` lay out blocks of rows as arrays, their
-floats from ``floatfmt.g17`` and ``floatfmt.shortest``; ``cli.rows_to_csv``
-and ``cli.rows_to_json`` call them for a sweep. The
-references below are the earlier renderers: one ``%.17g`` row template
-over the table's columns as Python lists for the sweep CSV, the per-row
-``_table`` and ``_fmt`` that wrote ``bell``, ``nopt`` and ``fixtures``, and
-row dicts through ``json.dumps(indent=2)`` for JSON. Hypothesis draws
+``cli._table`` lays out blocks of rows as arrays, in CSV or JSON, their
+floats from ``floatfmt.g17`` and ``floatfmt.shortest``; ``cli._text`` joins
+the blocks into the ``str`` compared here, and ``cli.rows_to_csv`` and
+``cli.rows_to_json`` do so for a sweep. The references below are the
+earlier renderers: one ``%.17g`` row template over the table's columns as
+Python lists for the sweep CSV, the earlier per-row ``_table`` and ``_fmt``
+that wrote ``bell``, ``nopt`` and ``fixtures``, and row dicts through
+``json.dumps(indent=2)`` for JSON. Hypothesis draws
 sweeps with ratios repeated from a small pool, floats of either sign from
 the subnormals and 1e-300 to 1e300, and bell cells that are nan or finite;
 and tables of int, float, bool and string columns, with nans, signed zeros,
@@ -147,9 +148,10 @@ def test_table_writers_equal_the_per_row_writers(table, meta):
     columns, keys = table
     header = ",".join(f"c{i}" for i in range(len(columns)))
     rows = reference_rows(columns)
-    assert cli._csv(header, columns, meta, keys) == old_table(header, rows, meta)
+    assert cli._text(cli._table("csv", header, columns, meta, keys)) == old_table(
+        header, rows, meta)
     names = header.split(",")
-    assert cli._json(header, columns, meta) == old_json_doc(
+    assert cli._text(cli._table("json", header, columns, meta)) == old_json_doc(
         meta, [dict(zip(names, row)) for row in rows])
 
 
