@@ -253,13 +253,12 @@ def _figure(name: str, h: float, fmt: str) -> Iterator[np.ndarray]:
     return _sweep_blocks(table, meta, fmt)
 
 
-def render_sweep(n_values, m_values, ratios, with_bell: bool = False,
-                 h: float = 1.0, fmt: str = "csv") -> str:
-    return _text(_sweep(n_values, m_values, ratios, with_bell, h, fmt))
+def render_sweep(n_values, m_values, ratios, h: float = 1.0) -> str:
+    return _text(_sweep(n_values, m_values, ratios, False, h, "csv"))
 
 
-def render_figure(name: str, h: float = 1.0, fmt: str = "csv") -> str:
-    return _text(_figure(name, h, fmt))
+def render_figure(name: str) -> str:
+    return _text(_figure(name, 1.0, "csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BellUndefinedForN2, InvalidRange
-from .model import ModelParams, Partition, ThetaChoice
+from .model import ModelParams, Partition, ThetaChoice, check_angles
 
 #: Below this B/A the difference form sqrt(1+r^2)-1 cancels digits; use the
 #: quotient form there and the overflow-safe hypot form above.
@@ -324,6 +324,7 @@ def output_energy_at_theta(params: ModelParams, part: Partition, theta: float) -
     optimal angles of the strong-coupling regime where the difference form
     cancels.
     """
+    check_angles(theta)
     s, s2 = math.sin(theta), math.sin(2.0 * theta)
 
     def form(h, k, n, m):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InvalidPartition,
+    InvalidRange,
     NonPositiveCoupling,
     OracleCapExceeded,
     TooFewQubits,
@@ -44,6 +45,15 @@ def check_oracle_cap(n_qubits: int, oracle_cap: int):
     if n_qubits > oracle_cap:
         raise OracleCapExceeded(
             f"N={n_qubits} exceeds the statevector cap of {oracle_cap} qubits")
+
+
+def check_angles(*thetas: float):
+    """The one angle guard: every entry that takes rotation angles from its
+    caller calls it before it measures any branch. Every energy reads 2t,
+    so an angle whose double is not finite (nan, inf) is refused."""
+    for t in thetas:
+        if not abs(t) < 2.0 ** 1023:
+            raise InvalidRange(f"a rotation angle must be finite, below 2**1023 in size, got {t}")
 
 
 @dataclass(frozen=True)

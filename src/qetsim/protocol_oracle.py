@@ -22,11 +22,13 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   nothing without special-casing; the total probability is the sum of the
   column weights that the pass below adds up, and only the sampler, which
   draws rows, takes each row's own;
-* the columns put the rotation's Y qubit on the top output bit, so the
-  conditioned rotation takes row r to cos t psi_r + parity_r sin t S psi_r,
-  with S the columns reversed and those from the upper half negated, and
-  parity_r the product of the row's outcome signs; the generator squares
-  to one, so every energy after it is x0 + x1 cos 2t + x2 sin 2t;
+* the columns hold the outputs ascending, so the first output carries the
+  rotation's Y on the top bit (H commutes with every qubit permutation, so
+  which output does moves no ground-state energy), and the conditioned
+  rotation takes row r to cos t psi_r + parity_r sin t S psi_r, with S the
+  columns reversed and those from the upper half negated, and parity_r the
+  product of the row's outcome signs; the generator squares to one, so
+  every energy after it is x0 + x1 cos 2t + x2 sin 2t;
 * ``extracted_energy``, the angle curve and the optimizer read those
   coefficients off one pass over the measured rows, in tiles of ``TILE``
   elements: it adds up their column weights and parity-weighted mirror
@@ -55,6 +57,7 @@ from .model import (
     ModelParams,
     Partition,
     ThetaChoice,
+    check_angles,
     check_oracle_cap,
     interaction_constant,
     local_constant,
@@ -67,9 +70,9 @@ class Branches:
     """Every X-basis outcome on the input qubits, one row each.
 
     Row r of ``states`` is the unnormalised output state <alpha|psi> of
-    outcome r, over the output qubits with the Y qubit of the rotation on
-    the most significant bit and the others below it in ascending order;
-    its squared norm is the outcome's probability.
+    outcome r, over the output qubits in ascending order from the most
+    significant bit, so the first output, which carries the rotation's Y,
+    is the top bit; its squared norm is the outcome's probability.
     Bit i of r, from the most significant of its N-m bits, set means the
     i-th input qubit (ascending) measured -1; ``parity[r] = (-1)**popcount(r)``
     is the product.
@@ -95,17 +98,12 @@ class ProtocolReport:
 
 
 def measure_branches(params: ModelParams, part: Partition,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP,
-                     y_qubit: int | None = None) -> Branches:
+                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> Branches:
     """All 2^(N-m) X-basis outcomes on the input qubits, from the ground
-    state, with ``y_qubit`` (by default the first output) on the top output
-    bit and the other outputs below it, ascending."""
+    state, the outputs ascending from the top output bit."""
     if part.n_qubits != params.n_qubits:
         raise InvalidPartition(
             f"partition is over {part.n_qubits} qubits, model over {params.n_qubits}")
-    if y_qubit not in (None, *part.output_qubits):
-        raise InvalidPartition(f"qubit {y_qubit} is not an output qubit")
-    outputs = sorted(part.output_qubits, key=lambda q: (q != y_qubit, q))
     check_oracle_cap(params.n_qubits, oracle_cap)
     n_in, m = part.n_inputs, part.m_outputs
     # Axis q-1 of the (2,)*N view is qubit q; reorder to (inputs, outputs).
@@ -113,7 +111,7 @@ def measure_branches(params: ModelParams, part: Partition,
     # C-ordered so that its flat view is a view: for an output set other than
     # the last m qubits the reordered matrix is strided, and its flat reshape
     # would be a copy.
-    axes = [q - 1 for q in (*part.input_qubits, *outputs)]
+    axes = [q - 1 for q in (*part.input_qubits, *part.output_qubits_sorted)]
     states = np.ascontiguousarray(
         StateVector.ground_state(params).amplitudes.reshape((2,) * params.n_qubits)
         .transpose(axes).reshape(1 << n_in, 1 << m))
@@ -140,11 +138,12 @@ def injected_energy(probability: float, params: ModelParams, part: Partition) ->
 def apply_conditional_unitary(branches: Branches, theta: float) -> np.ndarray:
     """Rotate every row by cos(theta) - i*parity*sin(theta) * Y X ... X.
 
-    The Y factor sits on the top output bit, where ``measure_branches``
-    puts it. -i * (Y X ... X) is the real signed permutation S of the
-    columns, so row r becomes cos(theta) * psi_r + parity_r * sin(theta) *
-    S psi_r. S reverses the columns and negates those from the upper half.
+    The Y factor sits on the top output bit, the first output. -i * (Y X
+    ... X) is the real signed permutation S of the columns, so row r becomes
+    cos(theta) * psi_r + parity_r * sin(theta) * S psi_r. S reverses the
+    columns and negates those from the upper half.
     """
+    check_angles(theta)
     states = branches.states
     out = kernels.apply_pauli_signs(states, states.shape[-1] - 1, states.shape[-1] >> 1)
     # Parity is +-1, so one pass applies it and sin(theta) together.
@@ -311,7 +310,6 @@ def _mirror_sums(branches: Branches, chunk: int) -> tuple[np.ndarray, np.ndarray
 
 
 def extracted_energy(params: ModelParams, part: Partition, theta: float,
-                     y_qubit: int | None = None,
                      oracle_cap: int = DEFAULT_ORACLE_CAP) -> ProtocolReport:
     """Run the whole protocol at a fixed angle and account every energy flow.
 
@@ -324,7 +322,8 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
     diagonal and the per-bit fold). Apart from the measured rows a call
     holds a few tile-sized buffers, and no rotated row is built.
     """
-    branches = measure_branches(params, part, oracle_cap, y_qubit)
+    check_angles(theta)
+    branches = measure_branches(params, part, oracle_cap)
     terms = _terms(branches, params, part,
                    np.array([math.cos(2.0 * theta), math.sin(2.0 * theta)]))
     e_in = injected_energy(terms.probability, params, part)
@@ -339,7 +338,6 @@ def extracted_energy(params: ModelParams, part: Partition, theta: float,
 # ---------------------------------------------------------------------------
 
 def output_energy_curve(params: ModelParams, part: Partition, thetas,
-                        y_qubit: int | None = None,
                         oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """Drained energy at every angle in ``thetas``, branches enumerated once.
 
@@ -347,10 +345,12 @@ def output_energy_curve(params: ModelParams, part: Partition, thetas,
     rows), and costs O(1) per angle: the curve is
     d0 + d1 cos 2t + d2 sin 2t.
     """
-    branches = measure_branches(params, part, oracle_cap, y_qubit)
+    t = np.asarray(thetas, dtype=float)
+    check_angles(*t.ravel().tolist())
+    branches = measure_branches(params, part, oracle_cap)
     terms = _terms(branches, params, part, _COEFFICIENTS)
     d1, d2 = terms.drained
-    t = 2.0 * np.asarray(thetas, dtype=float)
+    t = 2.0 * t
     return terms.drained0 + d1 * np.cos(t) + d2 * np.sin(t)
 
 
@@ -410,6 +410,7 @@ def sample_protocol(params: ModelParams, part: Partition, theta: float,
         raise InvalidRange(f"need 1 to {MAX_SHOTS} shots, got {n_shots}")
     if not 0 <= seed < 1 << 64:
         raise InvalidRange(f"seed must lie in [0, 2**64), got {seed}")
+    check_angles(theta)  # before the rows are measured
     branches = measure_branches(params, part, oracle_cap)
     row_probs = np.einsum("ij,ij->i", branches.states, branches.states)
     probs = row_probs / np.sum(row_probs)

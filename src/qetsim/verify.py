@@ -251,22 +251,6 @@ def check_properties(oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckResult:
     if worst_part > 1e-12:
         bad.append(f"partition invariance off by {worst_part:.2e}")
 
-    worst_y = 0.0
-    for n, m in ((4, 2), (5, 3), (6, 4)):
-        params = ModelParams(n, 1.0, 1.0)
-        part = Partition.last(n, m)
-        outs = part.output_qubits_sorted
-        base = protocol_oracle.extracted_energy(params, part, theta_probe,
-                                                y_qubit=outs[0],
-                                                oracle_cap=oracle_cap).e_out
-        for y in outs[1:]:
-            alt = protocol_oracle.extracted_energy(params, part, theta_probe,
-                                                   y_qubit=y,
-                                                   oracle_cap=oracle_cap).e_out
-            worst_y = max(worst_y, abs(alt - base))
-    if worst_y > 1e-12:
-        bad.append(f"rotation-placement invariance off by {worst_y:.2e}")
-
     # The oracle's curve at its own exact argmax against the closed-form angle.
     worst_opt = 0.0
     for n, m, ratio in ((3, 1, 1.0), (4, 3, 0.1), (5, 2, 1.0), (6, 1, 10.0)):
@@ -303,7 +287,7 @@ def check_properties(oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckResult:
 
     detail = ("; ".join(bad) if bad else
               f"{commutator_note}; partition {worst_part:.1e}; "
-              f"placement {worst_y:.1e}; optimality margin {worst_opt:.1e}; "
+              f"optimality margin {worst_opt:.1e}; "
               f"accounting {worst_acct:.1e}; probs {worst_prob:.1e}")
     return _finish("property-suite", not bad, detail, t0)
 

@@ -3,9 +3,9 @@ and against the closed forms.
 
 The reference is ``tests/test_dense_reference.py``'s ``Reference``: explicit
 Kronecker operators, a dense eigensolve, projectors on a density matrix and
-traces. Here Hypothesis draws the model, the output set, the angle and the
-qubit that carries the Y factor of the rotation. The closed forms are
-checked at N up to 12 and at fields across the float range.
+traces. Here Hypothesis draws the model, the output set and the angle.
+The closed forms are checked at N up to 12 and at fields across the float
+range.
 """
 
 from __future__ import annotations
@@ -28,18 +28,17 @@ def protocol_cases(draw):
                                       max_size=n - 1, unique=True)))
     ratio = 10.0 ** draw(st.floats(-2.0, 2.0))
     theta = draw(st.floats(0.0, math.pi / 2.0))
-    y_qubit = draw(st.sampled_from(sorted(outputs)))
-    return n, outputs, ratio, theta, y_qubit
+    return n, outputs, ratio, theta
 
 
 @settings(max_examples=80, deadline=None)
 @given(protocol_cases())
 def test_oracle_matches_density_matrix_reference_anywhere(case):
-    n, outputs, ratio, theta, y_qubit = case
-    want_in, want_out, want_trace = Reference(n, 1.0, ratio, outputs).run(theta, y_qubit)
+    n, outputs, ratio, theta = case
+    want_in, want_out, want_trace = Reference(n, 1.0, ratio, outputs).run(theta)
     params, part = ModelParams(n, 1.0, ratio), Partition(n, outputs)
-    rep = po.extracted_energy(params, part, theta, y_qubit=y_qubit)
-    curve = po.output_energy_curve(params, part, [theta], y_qubit=y_qubit)
+    rep = po.extracted_energy(params, part, theta)
+    curve = po.output_energy_curve(params, part, [theta])
     assert abs(rep.e_in - want_in) <= 1e-12
     assert abs(rep.e_out - want_out) <= 1e-12
     assert abs(rep.e_out_via_trace - want_trace) <= 1e-12

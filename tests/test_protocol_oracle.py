@@ -17,12 +17,11 @@ from hypothesis import example, given, settings, strategies as st, target
 from qetsim import closedform as cf
 from qetsim import kernels
 from qetsim import protocol_oracle as po
-from qetsim import simkernel
 from qetsim.errors import InvalidPartition, InvalidRange, OracleCapExceeded
 from qetsim.model import (ModelParams, Partition, ground_state_amplitudes, interaction_constant,
                           local_constant)
 from qetsim.simkernel import StateVector
-from test_dense_reference import Reference
+from test_dense_reference import X, Z, Reference, op_on
 
 
 def _case(n, m, h=1.0, k=1.0):
@@ -183,11 +182,11 @@ def test_calls_at_n18_hold_the_measured_rows_and_a_few_tiles(m):
         assert peak / ((1 << n) * 8) <= bound, (name, peak / ((1 << n) * 8))
 
 
-def _whole_matrix_energies(params, part, thetas, y_qubit):
+def _whole_matrix_energies(params, part, thetas):
     """e_out and e_out_via_trace at each angle by the whole-matrix algorithm:
     the rotated rows from ``apply_conditional_unitary``, one weight array of
     the whole ensemble, and the kernels over it."""
-    branches = po.measure_branches(params, part, params.n_qubits, y_qubit)
+    branches = po.measure_branches(params, part, params.n_qubits)
     e_in = po.injected_energy(float(np.vdot(branches.states, branches.states)), params, part)
     m = part.m_outputs
     lc, ic = local_constant(params), interaction_constant(params)
@@ -216,13 +215,6 @@ def cells(draw):
     m = draw(st.integers(1, n - 1))
     theta = draw(st.floats(0.0, math.pi / 2.0))
     return n, m, theta, 10.0 ** draw(st.floats(-2.0, 2.0))
-
-
-@st.composite
-def streamed_cases(draw):
-    n, m, theta, ratio = draw(cells())
-    y_qubit = draw(st.sampled_from(Partition.last(n, m).output_qubits_sorted))
-    return n, m, theta, y_qubit, ratio
 
 
 #: (N, m) cells whose branch matrix splits into several tiles: by blocks of
@@ -256,24 +248,24 @@ def test_multi_tile_cells_split_along_rows_and_columns(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@example((18, 17, 0.7, 2, 0.7))   # 8 pairs of chunks a row
-@example((18, 17, 0.7, 18, 30.0))
-@example((16, 15, 1.2, 5, 0.01))
-@example((16, 15, 0.2, 3, 5.0))
-@example((15, 14, 0.4, 3, 1.0))   # one tile per row, its two halves
-@example((16, 3, 0.9, 15, 0.05))  # several blocks of whole rows
-@example((18, 9, 0.3, 12, 70.0))
-@example((15, 1, 1.5, 15, 2.0))
-@given(streamed_cases())
+@example((18, 17, 0.7, 0.7))   # 8 pairs of chunks a row
+@example((18, 17, 0.7, 30.0))
+@example((16, 15, 1.2, 0.01))
+@example((16, 15, 0.2, 5.0))
+@example((15, 14, 0.4, 1.0))   # one tile per row, its two halves
+@example((16, 3, 0.9, 0.05))  # several blocks of whole rows
+@example((18, 9, 0.3, 70.0))
+@example((15, 1, 1.5, 2.0))
+@given(cells())
 def test_streamed_sums_equal_the_whole_matrix_reduction(case):
     # extracted_energy and the angle curve stream the rows through tiles;
     # the reference rotates, squares and reduces the whole ensemble at once.
-    n, m, theta, y_qubit, ratio = case
+    n, m, theta, ratio = case
     params, part = ModelParams(n, 1.0, ratio), Partition.last(n, m)
     thetas = [theta, 0.0, math.pi / 4.0, math.pi / 2.0]
-    want = _whole_matrix_energies(params, part, thetas, y_qubit)
-    rep = po.extracted_energy(params, part, theta, y_qubit=y_qubit, oracle_cap=n)
-    curve = po.output_energy_curve(params, part, thetas, y_qubit=y_qubit, oracle_cap=n)
+    want = _whole_matrix_energies(params, part, thetas)
+    rep = po.extracted_energy(params, part, theta, oracle_cap=n)
+    curve = po.output_energy_curve(params, part, thetas, oracle_cap=n)
     errors = [_error(rep.e_out, want[0][0]), _error(rep.e_out_via_trace, want[0][1])]
     errors += [_error(got, ref) for got, (ref, _) in zip(curve, want)]
     worst = max(errors)
@@ -308,7 +300,7 @@ def test_dense_rows_equal_the_whole_matrix_reduction(case):
     thetas = [theta, 0.0, math.pi / 4.0, math.pi / 2.0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(po, "measure_branches", lambda *args, **kwargs: dense)
-        want = _whole_matrix_energies(params, part, thetas, None)
+        want = _whole_matrix_energies(params, part, thetas)
         rep = po.extracted_energy(params, part, theta, oracle_cap=n)
         curve = po.output_energy_curve(params, part, thetas, oracle_cap=n)
     errors = [_error(rep.e_out, want[0][0]), _error(rep.e_out_via_trace, want[0][1])]
@@ -561,20 +553,21 @@ def test_numeric_theta_extracts_the_closed_form_maximum():
 
 
 def test_rotation_axis_placement_is_irrelevant():
+    # The rotation's Y sits on the first output, so each 3-output set of five
+    # qubits puts it on another qubit. The ground state is invariant under
+    # every qubit permutation, so E_out is the last three's at every one.
     p, part = _case(5, 3, k=2.0)
     theta = 0.41
     base = po.extracted_energy(p, part, theta)
-    for q in part.output_qubits_sorted:
-        rep = po.extracted_energy(p, part, theta, y_qubit=q)
-        assert rep.e_out == pytest.approx(base.e_out, abs=1e-12)
-    with pytest.raises(InvalidPartition):
-        po.extracted_energy(p, part, theta, y_qubit=1)  # qubit 1 is an input
+    for outputs in itertools.combinations(range(1, 6), 3):
+        rep = po.extracted_energy(p, Partition(5, frozenset(outputs)), theta)
+        assert rep.e_out == pytest.approx(base.e_out, abs=1e-12), outputs
 
 
 def _dense_ground_state(monkeypatch, seed):
     """Make ``measure_branches`` start from a random dense state: the
     ground state's rows are nonzero in columns 0 and 2^m - 1 only, which
-    every relabelling of the outputs keeps in place."""
+    every relabelling of the qubits keeps in place."""
     rng = np.random.default_rng(seed)
 
     class Dense:
@@ -587,66 +580,51 @@ def _dense_ground_state(monkeypatch, seed):
     return rng
 
 
-@pytest.mark.parametrize("n, outputs", [
-    (5, (3, 4, 5)), (6, (1, 3, 4)), (7, (2, 5, 6, 7)), (16, tuple(range(2, 17)))])
-def test_y_qubit_moves_its_column_bit_to_the_top(monkeypatch, n, outputs):
-    # Branch matrices for every choice of Y output are the default matrix
-    # with that output's column bit moved to the top, bit for bit.
-    rng = _dense_ground_state(monkeypatch, n)
-    p, part = ModelParams(n, 1.0, 0.7), Partition(n, frozenset(outputs))
-    m, rows = len(outputs), 1 << (n - len(outputs))
-    for q in outputs:
-        state = rng.bit_generator.state
-        default = po.measure_branches(p, part, n)
-        rng.bit_generator.state = state
-        moved = po.measure_branches(p, part, n, y_qubit=q)
-        want = np.moveaxis(default.states.reshape((rows,) + (2,) * m),
-                           1 + outputs.index(q), 1).reshape(rows, 1 << m)
-        assert np.array_equal(moved.states, want), q
-        assert np.array_equal(moved.parity, default.parity)
-    with pytest.raises(InvalidPartition):
-        po.measure_branches(p, part, n, y_qubit=min(set(range(1, n + 1)) - set(outputs)))
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_y_placement_against_the_density_matrix_on_a_random_state(monkeypatch, n):
-    # On the ground state no relabelling of the outputs moves a branch row,
-    # so where Y sits cannot show there. On a random state it moves E_out,
-    # and the oracle must follow the reference with Y on each output in turn.
+    # The ground state is invariant under every qubit permutation, so which
+    # qubits are laid out as outputs, and in which order, cannot show on it.
+    # On a random state each output set that is not the last m qubits moves
+    # E_out away from the last m's, and the oracle must follow the reference.
     rng = _dense_ground_state(monkeypatch, n)
     start = rng.bit_generator.state
     amps = rng.standard_normal(1 << n)
     state = amps / np.linalg.norm(amps)  # what every oracle call below starts from
     theta = 0.41
-    for outputs in (frozenset({n - 1, n}), frozenset({1, n}), frozenset(range(2, n + 1))):
-        ref = Reference(n, 1.0, 0.7, outputs, state=state)
-        p, part = ModelParams(n, 1.0, 0.7), Partition(n, outputs)
-        want = {y: ref.run(theta, y)[1] for y in sorted(outputs)}
-        assert max(want.values()) - min(want.values()) > 1e-3, want
-        for y, e_out in want.items():
-            rng.bit_generator.state = start
-            assert po.extracted_energy(p, part, theta, y_qubit=y).e_out == pytest.approx(
-                e_out, abs=1e-12), (sorted(outputs), y)
-            rng.bit_generator.state = start
-            curve = po.output_energy_curve(p, part, [theta], y_qubit=y)
-            assert curve[0] == pytest.approx(e_out, abs=1e-12), (sorted(outputs), y)
+    p = ModelParams(n, 1.0, 0.7)
+    for outputs in (frozenset({1, n}), frozenset({1, 2}), frozenset(range(1, n)),
+                    frozenset({2})):
+        part = Partition(n, outputs)
+        _, e_out, e_trace = Reference(n, 1.0, 0.7, outputs, state=state).run(theta)
+        last = Reference(n, 1.0, 0.7, Partition.last(n, len(outputs)).output_qubits,
+                         state=state).run(theta)[1]
+        assert abs(e_out - last) > 1e-3, (sorted(outputs), e_out, last)
+        rng.bit_generator.state = start
+        rep = po.extracted_energy(p, part, theta)
+        assert rep.e_out == pytest.approx(e_out, abs=1e-12), sorted(outputs)
+        assert rep.e_out_via_trace == pytest.approx(e_trace, abs=1e-12), sorted(outputs)
+        rng.bit_generator.state = start
+        curve = po.output_energy_curve(p, part, [theta])
+        assert curve[0] == pytest.approx(e_out, abs=1e-12), sorted(outputs)
 
 
 @pytest.mark.parametrize("n, m", [(15, 14), (16, 15), (18, 17)])
 def test_y_placement_is_irrelevant_across_tiles(n, m):
-    # Rows wider than a tile: Y on the first, a middle and the last output
-    # leaves the single angle and the curve where the default Y puts them.
+    # Rows wider than a tile: leaving out qubit 2, a middle qubit or the last
+    # one puts the Y of the rotation on qubit 1, and every other output set
+    # lays out its columns in another order. The single angle and the curve
+    # stay where the last m outputs put them.
     p, part = _case(n, m, k=0.7)
     thetas = [0.0, 0.4, math.pi / 4.0, 1.2]
     base = po.extracted_energy(p, part, 0.4, oracle_cap=n)
     base_curve = po.output_energy_curve(p, part, thetas, oracle_cap=n)
-    outputs = part.output_qubits_sorted
-    for q in (outputs[0], outputs[m // 2], outputs[-1]):
-        rep = po.extracted_energy(p, part, 0.4, y_qubit=q, oracle_cap=n)
-        curve = po.output_energy_curve(p, part, thetas, y_qubit=q, oracle_cap=n)
+    for left_out in (2, n // 2, n):
+        moved = Partition(n, frozenset(range(1, n + 1)) - {left_out})
+        rep = po.extracted_energy(p, moved, 0.4, oracle_cap=n)
+        curve = po.output_energy_curve(p, moved, thetas, oracle_cap=n)
         for got, want in zip(dataclasses.astuple(rep), dataclasses.astuple(base)):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (q, rep, base)
-        assert np.allclose(curve, base_curve, rtol=0, atol=1e-12), q
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (left_out, rep, base)
+        assert np.allclose(curve, base_curve, rtol=0, atol=1e-12), left_out
 
 
 @pytest.mark.parametrize("n", range(10, 19))
@@ -660,23 +638,25 @@ def test_total_probability_is_one_to_a_few_roundings(n):
                                                                rep.total_probability)
 
 
-@pytest.mark.parametrize("n, m, y_qubit", [
-    (3, 1, None), (4, 2, None), (6, 3, 5), (7, 4, None)])
-def test_output_term_energies_are_each_rows_expectations(monkeypatch, n, m, y_qubit):
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 2), (6, 3), (7, 4)])
+def test_output_term_energies_are_each_rows_expectations(monkeypatch, n, m):
     # Row r as a normalised m-qubit state, its qubits in the branch matrix's
     # column order: site j is the j-th column bit from the top, and the
-    # interaction reads X...X as the row's parity times its own FlipAll.
+    # interaction reads X...X as the row's parity times the row's own
+    # <X...X>. The references are explicit Kronecker operators.
     _dense_ground_state(monkeypatch, n)
     p, part = _case(n, m, k=0.7)
-    branches = po.measure_branches(p, part, y_qubit=y_qubit)
+    branches = po.measure_branches(p, part)
     sites, interaction = po.output_term_energies(branches.states, branches.parity, p)
     assert sites.shape == (1 << (n - m), m) and interaction.shape == (1 << (n - m),)
+    z_ops = [op_on(m, {j: Z}).real for j in range(1, m + 1)]
+    flip_op = op_on(m, {j: X for j in range(1, m + 1)}).real
     for r, (row, parity) in enumerate(zip(branches.states, branches.parity)):
         weight = row @ row
-        state = StateVector(m, row / math.sqrt(weight))
-        want = [weight * simkernel.site_energy(state, p, j) for j in range(1, m + 1)]
+        state = row / math.sqrt(weight)
+        want = [weight * (p.h * (state @ z @ state) + local_constant(p)) for z in z_ops]
         assert np.allclose(sites[r], want, rtol=1e-13, atol=1e-15), r
-        flip = parity * simkernel.flip_all_expectation(state)
+        flip = parity * (state @ flip_op @ state)
         assert interaction[r] == pytest.approx(
             weight * (2.0 * p.k * flip + interaction_constant(p)), rel=1e-13, abs=1e-15), r
 
@@ -738,6 +718,33 @@ def test_sampling_refuses_shots_past_the_cap_before_allocating(monkeypatch):
     for shots in (po.MAX_SHOTS + 1, 2_000_000_000):
         with pytest.raises(InvalidRange, match="shots"):
             po.sample_protocol(p, part, 0.3, n_shots=shots)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -2.0 ** 1023])
+def test_an_angle_whose_double_is_not_finite_is_refused_before_any_branch(monkeypatch,
+                                                                          theta):
+    # Every energy reads 2 theta, so an angle whose double is not finite
+    # names no rotation: each entry refuses it before it measures a branch.
+    def no_branches(*args, **kwargs):
+        raise AssertionError("measured a branch")
+
+    monkeypatch.setattr(po, "measure_branches", no_branches)
+    p, part = _case(3, 1)
+    entries = {
+        "extracted_energy": lambda: po.extracted_energy(p, part, theta),
+        "output_energy_curve": lambda: po.output_energy_curve(p, part, [0.3, theta]),
+        "sample_protocol": lambda: po.sample_protocol(p, part, theta),
+        "apply_conditional_unitary": lambda: po.apply_conditional_unitary(
+            po.Branches(np.ones((2, 2)), np.ones(2)), theta),
+        "simulate_with_outputs": lambda: po.simulate_with_outputs(p, {1}, theta),
+        "output_energy_at_theta": lambda: cf.output_energy_at_theta(p, part, theta),
+    }
+    for name, run in entries.items():
+        with pytest.raises(InvalidRange, match="rotation angle"):
+            run()
+    # The largest angle whose double is finite still gives a finite energy.
+    largest = math.nextafter(2.0 ** 1023, 0.0)
+    assert math.isfinite(cf.output_energy_at_theta(p, part, largest))
 
 
 def test_engine_modules_import_nothing_from_the_closed_form_side():
