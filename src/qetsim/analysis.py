@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform, protocol_oracle
+from . import closedform, kernels, protocol_oracle
 from .errors import (
     AngleOutOfRange,
     BellUndefinedForN2,
@@ -200,23 +200,42 @@ def _near_maximal(n: np.ndarray, x: float) -> np.ndarray | None:
     r^2 / (sqrt(1 + r^2) + 1) for sqrt(1 + r^2) - 1 at every r = B/A; r^2
     is at most N, so it cannot overflow. Each value is within a few ulps of
     its ``closedform.energies`` counterpart.
+
+    The counts go through in blocks of ``kernels.TILE``, each computed in
+    place in the same five block-sized buffers, so that they stay in cache
+    and no temporary is allocated per block; only eta is kept for every
+    count. The operations are elementwise, so each value has the bits it
+    would have over the whole range, and the first block out of range
+    returns None.
     """
-    with np.errstate(all="ignore"):
-        c = np.hypot(n, 2.0 * x)
-        e_in = (n - 1.0) * n / c
-        a = n + 4.0 * x * x
-        r2 = np.square((n - 1.0) * (2.0 * x) / a)
-        gain = r2 / (np.sqrt(r2 + 1.0) + 1.0)
-        del r2
-        e_out = a / c * gain
-        del a, c
-        eta = e_out / e_in
     # A four-fold margin on either side: where the rough values lie in
     # range, the exact ones are finite and normal too, and raise nowhere.
     lo, hi = 4.0 * sys.float_info.min, sys.float_info.max / 4.0
-    for values in (gain, e_in, e_out, eta):
-        if not (values.min() >= lo and values.max() <= hi):  # nan fails both
-            return None
+    eta = np.empty_like(n)
+    buffers = np.empty((5, min(n.size, kernels.TILE)))
+    for start in range(0, n.size, kernels.TILE):
+        block = n[start:start + kernels.TILE]
+        c, e_in, e_out, r2, gain = buffers[:, :block.size]
+        with np.errstate(all="ignore"):
+            np.hypot(block, 2.0 * x, out=c)
+            np.subtract(block, 1.0, out=e_in)  # (n - 1) n / c
+            e_in *= block
+            e_in /= c
+            np.add(block, 4.0 * x * x, out=e_out)  # a = n + 4 x^2, until E_out
+            np.subtract(block, 1.0, out=r2)  # ((n - 1) 2x / a)^2
+            r2 *= 2.0 * x
+            r2 /= e_out
+            np.square(r2, out=r2)
+            np.add(r2, 1.0, out=gain)  # r2 / (sqrt(r2 + 1) + 1)
+            np.sqrt(gain, out=gain)
+            gain += 1.0
+            np.divide(r2, gain, out=gain)
+            e_out /= c  # a / c * gain
+            e_out *= gain
+            ratio = np.divide(e_out, e_in, out=eta[start:start + kernels.TILE])
+        for values in (gain, e_in, e_out, ratio):
+            if not (values.min() >= lo and values.max() <= hi):  # nan fails both
+                return None
     return eta >= eta.max() * (1.0 - _SCAN_MARGIN)
 
 

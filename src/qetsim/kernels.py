@@ -15,9 +15,23 @@ vector and one value per row for a batch.
 
 The Z and norm reductions read squared amplitudes, a weight array. The
 amplitude-first forms (``norm_sq``, ``z_expectations``, ``diag_z_total``)
-square their input themselves; the weight-input forms (``z_fold``,
-``z_diagonal``) take a weight array from ``weights``, so that a caller that
-reduces one ensemble several ways squares it once, into a buffer of its own.
+square their input themselves; the weight-input forms take a weight array
+from ``weights``, so that a caller that reduces one ensemble several ways
+squares it once, into a buffer of its own. There are three of those:
+
+* ``z_fold``, per-bit <Z> and the total weight by a top-down fold that
+  overwrites the weights: one pass a bit, a Python loop over the bits. It
+  serves ``z_expectations`` and ``protocol_oracle.output_term_energies``,
+  whose per-row values the shot sampler averages. It keeps its loop: the
+  sampler's values, and so the bytes ``efficiency --shots`` prints, follow
+  its rounding, and a table-driven fold moves their last digits.
+* ``z_per_bit``, per-bit <Z> from cached +-1 sign tables over a low and a
+  high part of the index, the weights only read: a few products, whatever
+  the number of bits. The protocol pass's E_out reads it.
+* ``z_diagonal``, the Z sum over the bits from popcount tables split the
+  same way, the weights only read. The protocol pass's trace accounting
+  and ``diag_z_total`` read it. The two accountings reach <Z> through
+  different tables, so an error in one moves that accounting alone.
 """
 
 from __future__ import annotations
@@ -197,8 +211,8 @@ def weights(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The weight array is what the reductions below read. A caller that needs
     several of them for one ensemble squares its amplitudes once, into a
-    buffer it reuses, and runs ``z_diagonal`` before ``z_fold``, which
-    overwrites the weights.
+    buffer it reuses, and runs ``z_fold``, which overwrites the weights,
+    last.
     """
     if np.iscomplexobj(amps):
         return np.add(np.square(amps.real), np.square(amps.imag), out=out)
@@ -228,10 +242,18 @@ def z_fold(w: np.ndarray, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     return out, w[..., 0].copy()
 
 
-#: Fewest index bits ``z_diagonal``'s low table spans, where the last axis
-#: has that many: its matrix-vector product then runs over rows of 256
-#: weights, and its output is at most 1/256 of the weight array.
+#: Fewest index bits the low tables of ``z_diagonal`` and ``z_per_bit``
+#: span, where the last axis has that many: their products then run over
+#: rows of 256 weights, and their outputs are small beside the weights.
 _LOW_BITS = 8
+
+
+def _split(w: np.ndarray, n_bits: int) -> tuple[int, int]:
+    """(lo, hi): the index bits a low table spans, half the ``n_bits`` Z
+    bits but at least ``_LOW_BITS`` where the last axis of ``w`` has them,
+    and the Z bits left above them for a high table."""
+    lo = min(w.shape[-1].bit_length() - 1, max(n_bits - n_bits // 2, _LOW_BITS))
+    return lo, max(0, n_bits - lo)
 
 
 @functools.lru_cache(maxsize=None)
@@ -264,8 +286,7 @@ def z_diagonal(w: np.ndarray, n_bits: int):
     both tables have about 2**(n_bits / 2) entries or 256; none is
     2**n_bits long.
     """
-    lo = min(w.shape[-1].bit_length() - 1, max(n_bits - n_bits // 2, _LOW_BITS))
-    hi = max(0, n_bits - lo)
+    lo, hi = _split(w, n_bits)
     lead = w.shape[:-1]
     runs = w.reshape(-1, 1 << lo)
     total = (runs @ _z_table(lo, n_bits)).reshape(lead + (-1,)).sum(axis=-1)
@@ -273,6 +294,53 @@ def z_diagonal(w: np.ndarray, n_bits: int):
         run_sums = runs.sum(axis=-1).reshape(-1, 1 << hi)
         total += (run_sums @ _z_table(hi, hi)).reshape(lead + (-1,)).sum(axis=-1)
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_table(width: int, n_bits: int) -> np.ndarray:
+    """The (2**width, min(width, n_bits)) table whose entry (j, b) is the Z
+    eigenvalue of bit b of j: +1 where the bit is clear, -1 where it is set.
+
+    Built by doubling, with no index array: the upper half of the table is
+    the lower half with column b (the bit just added) set to -1. Built once
+    per (width, n_bits) and read-only, like ``_z_table``: ``z_per_bit``
+    splits the index as ``z_diagonal`` does, so the cache holds a few small
+    tables.
+    """
+    bits = min(width, n_bits)
+    table = np.empty((1 << width, bits))
+    table[0] = 1.0
+    for b in range(width):
+        upper = table[1 << b:2 << b]
+        upper[...] = table[:1 << b]
+        if b < bits:
+            upper[:, b] = -1.0
+    table.flags.writeable = False
+    return table
+
+
+def z_per_bit(w: np.ndarray, n_bits: int) -> np.ndarray:
+    """Per-bit <Z> of the lowest ``n_bits`` index bits, from a weight array
+    that is only read: ``z_fold``'s first result, by products with tables.
+
+    Split the index bits as ``z_diagonal`` does. A low sign table turns
+    every run of 2**lo weights into that run's <Z> of each low bit, and the
+    runs' values are summed; a high sign table does the same for the bits
+    above, on the runs' sums. Each table has about 2**(n_bits / 2) rows, or
+    256, and the call costs a few products, not a pass per bit. The sums
+    run in BLAS's order, so the result agrees with the fold's to a few ulps
+    of the total weight, not bit for bit.
+    """
+    lo, hi = _split(w, n_bits)
+    lead, runs_per_row = w.shape[:-1], w.shape[-1] >> lo
+    runs = w.reshape(-1, 1 << lo)
+    low = runs @ _sign_table(lo, n_bits)
+    z = low.reshape(lead + (runs_per_row, low.shape[-1])).sum(axis=-2)
+    if not hi:
+        return z
+    run_sums = runs.sum(axis=-1).reshape(-1, 1 << hi)
+    high = (run_sums @ _sign_table(hi, hi)).reshape(lead + (-1, hi)).sum(axis=-2)
+    return np.concatenate((z, high), axis=-1)
 
 
 def norm_sq(amps: np.ndarray):

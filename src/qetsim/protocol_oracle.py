@@ -29,14 +29,18 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   columns reversed and those from the upper half negated, and parity_r the
   product of the row's outcome signs; the generator squares to one, so
   every energy after it is x0 + x1 cos 2t + x2 sin 2t;
-* ``extracted_energy``, the angle curve and the optimizer read those
-  coefficients off one pass over the measured rows, in tiles of ``TILE``
-  elements: it adds up their column weights and parity-weighted mirror
-  products, and the Z accountings run at the end on those sums. No
-  rotated row is built: a call holds the measured rows and a few
-  tile-sized buffers, and the one Python loop runs over tiles, of which a
-  matrix of up to ``TILE`` elements is one. Only the sampler rotates the
-  rows, with ``apply_conditional_unitary``;
+* ``extracted_energies`` (and its one-angle case ``extracted_energy``),
+  the angle curve and the optimizer read those coefficients off one pass
+  over the measured rows, in tiles of ``TILE`` elements: it adds up their
+  column weights and parity-weighted mirror products, and the Z
+  accountings run at the end on those sums, at every angle asked for at
+  once. E_out reads its per-bit <Z> through ``kernels.z_per_bit``'s sign
+  tables and the trace accounting through ``kernels.z_diagonal``'s
+  popcount tables, so the two stay independent. No rotated row is built:
+  a call holds the measured rows and a few tile-sized buffers, and the one
+  Python loop runs over tiles, of which a matrix of up to ``TILE``
+  elements is one. Only the sampler rotates the rows, with
+  ``apply_conditional_unitary``, and reads them through ``kernels.z_fold``;
 * a ``ProtocolReport`` holds floats only, so no array outlives the call.
 
 The ensemble average state is never materialized as a density matrix.
@@ -234,7 +238,8 @@ def _terms(branches: Branches, params: ModelParams, part: Partition,
       sum_j M_j = sum_j sigma_j (sigma M)_j are the upper-half totals of W
       and sigma M minus their lower-half totals.
 
-    The Z kernels run once, on ``angles`` times the sums of W and sigma M.
+    The Z kernels run once, on ``angles`` times the sums of W and sigma M,
+    for every angle together.
     """
     width = branches.states.shape[1]
     chunk = min(width, TILE) // 2
@@ -248,14 +253,15 @@ def _terms(branches: Branches, params: ModelParams, part: Partition,
     minus_zy, sum_m = (top.reshape(2, 2, -1).sum(axis=2) @ (-1.0, 1.0)).tolist()
     flip = angles @ (sum_m, -minus_zy)
     sums = angles @ sums
-    # The diagonal reads the sums before the fold overwrites them.
+    # Two table reductions, which only read the sums: the popcount diagonal
+    # for the trace accounting, the per-bit signs for E_out.
     diagonal = kernels.z_diagonal(sums, lo)
-    z = kernels.z_fold(sums, lo)[0].sum(axis=-1)
+    z = kernels.z_per_bit(sums, lo).sum(axis=-1)
     if chunks is not None:
         hi = chunks.shape[1].bit_length() - 1
         chunks = angles @ chunks
         diagonal += kernels.z_diagonal(chunks, hi)
-        z += kernels.z_fold(chunks, hi)[0].sum(axis=-1)
+        z += kernels.z_per_bit(chunks, hi).sum(axis=-1)
     drained0 = -(part.m_outputs * local_constant(params) + interaction_constant(params))
     return _Terms(probability, drained0 * probability, params.c * probability,
                   -(params.h * z + 2.0 * params.k * flip),
@@ -309,28 +315,44 @@ def _mirror_sums(branches: Branches, chunk: int) -> tuple[np.ndarray, np.ndarray
     return sums, chunks
 
 
-def extracted_energy(params: ModelParams, part: Partition, theta: float,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> ProtocolReport:
-    """Run the whole protocol at a fixed angle and account every energy flow.
+def extracted_energies(params: ModelParams, part: Partition, thetas,
+                       oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[ProtocolReport]:
+    """Run the whole protocol at every angle in ``thetas`` and account every
+    energy flow: one report per angle, in order, from one measurement and
+    one pass over the measured rows.
 
     The headline number ``e_out`` is minus the ensemble expectation of the
     output-site terms plus the interaction term after the rotation. A second,
     independent accounting ``e_out_via_trace`` is the injected energy minus
     the total ensemble energy; the two must agree to near machine precision.
     Both read the same total weight and FlipAll overlap; their Z sums come
-    from two kernels over the pass's sums at this angle (the popcount
-    diagonal and the per-bit fold). Apart from the measured rows a call
-    holds a few tile-sized buffers, and no rotated row is built.
+    from two kernels over the pass's sums at each angle (the popcount
+    diagonal and the per-bit sign tables). Every angle is refused, if its
+    double is not finite, before any branch is measured; no angle measures
+    nothing. Apart from the measured rows a call holds a few tile-sized
+    buffers and a few values per angle, and no rotated row is built.
     """
-    check_angles(theta)
+    thetas = [float(t) for t in thetas]
+    check_angles(*thetas)
+    if not thetas:
+        return []
     branches = measure_branches(params, part, oracle_cap)
-    terms = _terms(branches, params, part,
-                   np.array([math.cos(2.0 * theta), math.sin(2.0 * theta)]))
+    angles = np.array([(math.cos(2.0 * t), math.sin(2.0 * t)) for t in thetas])
+    terms = _terms(branches, params, part, angles)
     e_in = injected_energy(terms.probability, params, part)
-    e_out = terms.drained0 + float(terms.drained)
-    total = terms.total0 + float(terms.total)
-    return ProtocolReport(e_in=e_in, e_out=e_out, e_out_via_trace=e_in - total,
-                          eta=e_out / e_in, total_probability=terms.probability)
+    reports = []
+    for drained, total in zip(terms.drained.tolist(), terms.total.tolist()):
+        e_out = terms.drained0 + drained
+        reports.append(ProtocolReport(
+            e_in=e_in, e_out=e_out, e_out_via_trace=e_in - (terms.total0 + total),
+            eta=e_out / e_in, total_probability=terms.probability))
+    return reports
+
+
+def extracted_energy(params: ModelParams, part: Partition, theta: float,
+                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> ProtocolReport:
+    """``extracted_energies`` at the one angle ``theta``."""
+    return extracted_energies(params, part, (theta,), oracle_cap)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,8 @@ def check_properties(oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckResult:
         for ratio in GRID_RATIOS:
             params = ModelParams(n, 1.0, ratio)
             theta = closedform.optimal_theta(params, part).theta
-            for t in (0.2, theta):
-                rep = protocol_oracle.extracted_energy(params, part, t,
-                                                       oracle_cap=oracle_cap)
+            for rep in protocol_oracle.extracted_energies(params, part, (0.2, theta),
+                                                          oracle_cap=oracle_cap):
                 worst_acct = max(worst_acct, abs(rep.e_out - rep.e_out_via_trace))
                 worst_prob = max(worst_prob, abs(rep.total_probability - 1.0))
                 if rep.e_out > rep.e_in + 1e-10:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qetsim import analysis as an
 from qetsim import closedform as cf
+from qetsim import kernels
 from qetsim.errors import (
     AngleOutOfRange,
     BellUndefinedForN2,
@@ -327,6 +328,37 @@ def test_screened_scan_equals_the_exhaustive_scan_at_the_default_bound(x):
 def test_screen_keeps_the_counts_near_a_flat_peak():
     keep = an._near_maximal(np.arange(2, 100_001, dtype=float), 3e5)
     assert (np.flatnonzero(keep) + 2).tolist() == [8963, 8964]
+
+
+def _whole_array_screen(n, x):
+    """The screen as one expression per value over the whole range, each
+    allocating its own temporaries: the reference for the blocked screen."""
+    with np.errstate(all="ignore"):
+        c = np.hypot(n, 2.0 * x)
+        e_in = (n - 1.0) * n / c
+        a = n + 4.0 * x * x
+        r2 = np.square((n - 1.0) * (2.0 * x) / a)
+        gain = r2 / (np.sqrt(r2 + 1.0) + 1.0)
+        e_out = a / c * gain
+        eta = e_out / e_in
+    lo, hi = 4.0 * sys.float_info.min, sys.float_info.max / 4.0
+    for values in (gain, e_in, e_out, eta):
+        if not (values.min() >= lo and values.max() <= hi):
+            return None
+    return eta >= eta.max() * (1.0 - an._SCAN_MARGIN)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, kernels.TILE + 1, 100_000, 10 ** 6])
+@pytest.mark.parametrize("x", [1e-3, 0.5, 10.0, 1e3, 3e5, 1e100, 1e160])
+def test_blocked_screen_equals_the_whole_array_screen(x, n_max):
+    # The same elementwise operations in blocks and in place: the same mask
+    # bit for bit, and None (rough values out of range, at 1e160) at the
+    # same points.
+    n = np.arange(2, n_max + 1, dtype=float)
+    blocked, whole = an._near_maximal(n, x), _whole_array_screen(n, x)
+    assert (blocked is None) == (whole is None)
+    if whole is not None:
+        assert np.array_equal(blocked, whole)
 
 
 #: tracemalloc peak of one ``n_opt_scan`` per count, at 10^6 counts. Before

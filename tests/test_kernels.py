@@ -318,6 +318,39 @@ def test_z_tables_are_cached_read_only_and_equal_a_fresh_build(width, n_bits):
         table[0] = 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.sampled_from([(), (2,), (3, 2)]), st.data())
+def test_sign_tables_give_the_fold_per_bit(width, lead, data):
+    # The protocol pass's per-bit <Z> against the fold's first result, on
+    # signed values like the pass's cos 2t W + sin 2t sigma M: the two sum
+    # in different orders, so they agree to a few ulps of each row's total
+    # (at most 6 ulps in 9000 seeded draws of these shapes).
+    n_bits = data.draw(st.sampled_from(sorted({max(width - 1, 0), width})))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.standard_normal(lead + (1 << width,)) * rng.uniform(0.0, 1.0, 1 << width) ** 8
+    before = w.copy()
+    want, _ = kernels.z_fold(w.copy(), n_bits)
+    got = kernels.z_per_bit(w, n_bits)
+    assert np.array_equal(w, before)  # only read
+    assert got.shape == want.shape == lead + (n_bits,)
+    scale = 16.0 * np.finfo(float).eps * np.abs(w).sum(axis=-1)
+    assert np.all(np.abs(got - want) <= scale[..., None])
+
+
+@pytest.mark.parametrize("width, n_bits", [(0, 0), (1, 1), (3, 5), (8, 8), (8, 3), (9, 12)])
+def test_sign_tables_are_cached_read_only_and_equal_a_fresh_build(width, n_bits):
+    table = kernels._sign_table(width, n_bits)
+    assert kernels._sign_table(width, n_bits) is table
+    fresh = kernels._sign_table.__wrapped__(width, n_bits)
+    assert fresh is not table and table.tobytes() == fresh.tobytes()
+    bits = min(width, n_bits)
+    assert table.shape == (1 << width, bits)
+    assert table.tolist() == [[-1.0 if j >> b & 1 else 1.0 for b in range(bits)]
+                              for j in range(1 << width)]
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, ...] = 0.0
+
+
 @pytest.mark.parametrize("name, bound", [("apply_pauli_signs", 1.1), ("z_expectations", 1.13)])
 def test_kernel_peak_memory_on_one_vector(name, bound):
     # The signed permutation allocates its output and nothing else; the

@@ -58,28 +58,41 @@ def test_branch_enumeration_order_and_weights():
         1.0, abs=1e-13)
 
 
-def test_branch_rows_are_output_states_of_the_projected_ground_state():
+def test_branch_rows_are_output_states_of_the_projected_ground_state(monkeypatch):
     # Row alpha is <alpha|psi>: the full projected state (kernels-free, built
     # from explicit |+>, |-> vectors) factors as |alpha> (x) row, for every
     # output set at N = 4 and 5. Reordered to (inputs, outputs), the ground
     # state is a strided view for most of them, one whose flat reshape is a
     # copy (at N = 4, outputs {1, 2}): the transform must reach the rows.
+    # Every qubit permutation leaves the ground state as it is, so the order
+    # of the output columns shows only on the random dense states that
+    # ``measure_branches`` starts from in the second round.
     kets = {1: np.array([1.0, 1.0]) / math.sqrt(2.0), -1: np.array([1.0, -1.0]) / math.sqrt(2.0)}
-    for n in (4, 5):
-        p = ModelParams(n, 1.0, 0.7)
-        psi = StateVector.ground_state(p).amplitudes.reshape((2,) * n)
-        for m in range(1, n):
-            for outputs in itertools.combinations(range(1, n + 1), m):
-                part = Partition(n, frozenset(outputs))
-                branches = po.measure_branches(p, part)
-                for r, row in enumerate(branches.states):
-                    # Contract the inputs from the last, so that the axes of
-                    # the ones left keep their numbers; the outputs remain.
-                    expected = psi
-                    for q, sign in reversed(list(zip(part.input_qubits,
-                                                     _signs(r, n - m)))):
-                        expected = np.tensordot(expected, kets[sign], axes=(q - 1, 0))
-                    assert np.allclose(row, expected.reshape(-1), rtol=0, atol=1e-15), outputs
+    for dense in (False, True):
+        rng = _dense_ground_state(monkeypatch, 45) if dense else None
+        for n in (4, 5):
+            p = ModelParams(n, 1.0, 0.7)
+            for m in range(1, n):
+                for outputs in itertools.combinations(range(1, n + 1), m):
+                    if dense:
+                        start = rng.bit_generator.state
+                        amps = rng.standard_normal(1 << n)
+                        psi = amps / np.linalg.norm(amps)  # what the call starts from
+                        rng.bit_generator.state = start
+                    else:
+                        psi = StateVector.ground_state(p).amplitudes
+                    part = Partition(n, frozenset(outputs))
+                    branches = po.measure_branches(p, part)
+                    for r, row in enumerate(branches.states):
+                        # Contract the inputs from the last, so that the axes
+                        # of the ones left keep their numbers; the outputs
+                        # remain.
+                        expected = psi.reshape((2,) * n)
+                        for q, sign in reversed(list(zip(part.input_qubits,
+                                                         _signs(r, n - m)))):
+                            expected = np.tensordot(expected, kets[sign], axes=(q - 1, 0))
+                        assert np.allclose(row, expected.reshape(-1), rtol=0, atol=1e-15), \
+                            (dense, outputs)
 
 
 @pytest.mark.parametrize("m", [1, 8, 15])
@@ -357,6 +370,9 @@ def test_each_ensemble_is_squared_once(monkeypatch):
     po.extracted_energy(p, part, 0.3)
     assert squared == [(8, 2, 2)]
     squared.clear()
+    po.extracted_energies(p, part, [0.1, 0.3, 0.7])
+    assert squared == [(8, 2, 2)]
+    squared.clear()
     po.output_energy_curve(p, part, [0.1, 0.2])
     assert squared == [(8, 2, 2)]
     squared.clear()
@@ -367,30 +383,44 @@ def test_each_ensemble_is_squared_once(monkeypatch):
     assert squared == [(8, 4)]
 
 
-@pytest.mark.parametrize("kernel", ["z_fold", "z_diagonal"])
+@pytest.mark.parametrize("kernel", ["z_per_bit", "z_diagonal"])
 def test_the_two_accountings_read_independent_z_reductions(monkeypatch, kernel):
-    # e_out reads the per-bit fold and e_out_via_trace the popcount diagonal.
-    # An error of 1e-6 in one of them moves that accounting alone, so the
-    # two disagree: the shared weight array did not merge the reductions.
+    # e_out reads the per-bit sign tables and e_out_via_trace the popcount
+    # diagonal. An error of 1e-6 in one of them moves that accounting alone,
+    # so the two disagree: the shared sums did not merge the reductions.
     p, part = _case(6, 3, k=0.7)
     theta = cf.optimal_theta(p, part).theta
     exact = po.extracted_energy(p, part, theta)
     assert abs(exact.e_out - exact.e_out_via_trace) <= 1e-13
     reduction = getattr(kernels, kernel)
-    if kernel == "z_fold":
-        def off(w, n_bits):
-            z, weight = reduction(w, n_bits)
-            return z + 1e-6, weight
-    else:
-        def off(w, n_bits):
-            return reduction(w, n_bits) + 1e-6
+
+    def off(w, n_bits):
+        return reduction(w, n_bits) + 1e-6
+
     monkeypatch.setattr(kernels, kernel, off)
     rep = po.extracted_energy(p, part, theta)
     assert abs(rep.e_out - rep.e_out_via_trace) > 1e-7
-    moved, kept = (("e_out", "e_out_via_trace") if kernel == "z_fold"
+    moved, kept = (("e_out", "e_out_via_trace") if kernel == "z_per_bit"
                    else ("e_out_via_trace", "e_out"))
     assert getattr(rep, kept) == getattr(exact, kept)
     assert getattr(rep, moved) != getattr(exact, moved)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (6, 3), (10, 9), (12, 1), (16, 15), (16, 3)])
+def test_one_pass_for_several_angles_matches_each_angle_alone(n, m):
+    # (16, 15) splits each row into chunk pairs, and (16, 3) the rows into
+    # blocks: the chunk totals and the block sums go through the same pass.
+    p, part = _case(n, m, k=0.7)
+    thetas = [0.0, 0.2, cf.optimal_theta(p, part).theta, 1.3, -0.7]
+    reports = po.extracted_energies(p, part, thetas, oracle_cap=n)
+    assert len(reports) == len(thetas)
+    for theta, rep in zip(thetas, reports):
+        alone = po.extracted_energy(p, part, theta, oracle_cap=n)
+        assert rep.e_in == alone.e_in
+        assert rep.total_probability == alone.total_probability
+        for field in ("e_out", "e_out_via_trace", "eta"):
+            assert abs(getattr(rep, field) - getattr(alone, field)) <= 1e-14, (theta, field)
+    assert po.extracted_energies(p, part, []) == []
 
 
 def test_measured_qubits_end_in_x_eigenstates():
@@ -732,6 +762,7 @@ def test_an_angle_whose_double_is_not_finite_is_refused_before_any_branch(monkey
     p, part = _case(3, 1)
     entries = {
         "extracted_energy": lambda: po.extracted_energy(p, part, theta),
+        "extracted_energies": lambda: po.extracted_energies(p, part, [0.3, theta]),
         "output_energy_curve": lambda: po.output_energy_curve(p, part, [0.3, theta]),
         "sample_protocol": lambda: po.sample_protocol(p, part, theta),
         "apply_conditional_unitary": lambda: po.apply_conditional_unitary(
