@@ -29,7 +29,7 @@ FIXTURE_TOL = 1e-12
 #: Points per decade on the logarithmic ratio grids of the figure datasets.
 RATIO_DECADE_POINTS = 50
 
-#: Largest ``n_opt_scan`` bound: under tracemalloc the scan peaks at 56
+#: Largest ``n_opt_scan`` bound: under tracemalloc the scan peaks at 18
 #: bytes per count, and at 98 where its screen is skipped, so 10**7 counts
 #: peak near 1 GB.
 SCAN_N_MAX = 10_000_000

@@ -29,18 +29,20 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   columns reversed and those from the upper half negated, and parity_r the
   product of the row's outcome signs; the generator squares to one, so
   every energy after it is x0 + x1 cos 2t + x2 sin 2t;
-* ``extracted_energies`` (and its one-angle case ``extracted_energy``),
-  the angle curve and the optimizer read those coefficients off one pass
-  over the measured rows, in tiles of ``TILE`` elements: it adds up their
-  column weights and parity-weighted mirror products, and the Z
-  accountings run at the end on those sums, at every angle asked for at
-  once. E_out reads its per-bit <Z> through ``kernels.z_per_bit``'s sign
-  tables and the trace accounting through ``kernels.z_diagonal``'s
-  popcount tables, so the two stay independent. No rotated row is built:
-  a call holds the measured rows and a few tile-sized buffers, and the one
-  Python loop runs over tiles, of which a matrix of up to ``TILE``
-  elements is one. Only the sampler rotates the rows, with
-  ``apply_conditional_unitary``, and reads them through ``kernels.z_fold``;
+* one pass over the measured rows, in tiles of ``TILE`` elements, adds up
+  their column weights and parity-weighted mirror products, and the Z
+  accountings run once at the end on those sums: ``_terms`` measures the
+  rows and returns the coefficients of both accountings, and
+  ``_angle_form`` reads every angle off them, for ``extracted_energies``
+  (and its one-angle case ``extracted_energy``) and the angle curve alike;
+  the optimizer reads the coefficients themselves. E_out reads its per-bit
+  <Z> through ``kernels.z_per_bit``'s sign tables and the trace accounting
+  through ``kernels.z_diagonal``'s popcount tables, so the two stay
+  independent. No rotated row is built: a call holds the measured rows and
+  a few tile-sized buffers, and the one Python loop runs over tiles, of
+  which a matrix of up to ``TILE`` elements is one. Only the sampler
+  rotates the rows, with ``apply_conditional_unitary``, and reads them
+  through ``kernels.z_fold``;
 * a ``ProtocolReport`` holds floats only, so no array outlives the call.
 
 The ensemble average state is never materialized as a density matrix.
@@ -198,27 +200,19 @@ _LANES = 32
 
 
 class _Terms(NamedTuple):
-    """The rotated ensemble's energies: the drained one (minus the output
-    terms and the interaction) is ``drained0 + drained`` and <H> is
-    ``total0 + total``, the parts that no rotation moves plus the parts at
-    the angles t whose (cos 2t, sin 2t) are the rows of ``angles`` (or
-    ``angles`` itself); with the measured rows' total probability."""
+    """The measured rows' total probability, and the coefficients
+    (x0, x1, x2) of x0 + x1 cos 2t + x2 sin 2t, the rotated ensemble's
+    energy at angle t: the drained one (minus the output terms and the
+    interaction) and <H>."""
 
     probability: float
-    drained0: float
-    total0: float
-    drained: np.ndarray
-    total: np.ndarray
+    drained: tuple[float, float, float]
+    total: tuple[float, float, float]
 
 
-#: The ``angles`` whose energies are the coefficients of cos 2t and sin 2t.
-_COEFFICIENTS = np.eye(2)
-_COEFFICIENTS.flags.writeable = False
-
-
-def _terms(branches: Branches, params: ModelParams, part: Partition,
-           angles: np.ndarray) -> _Terms:
-    """Every rotated energy, from one pass over the measured rows psi_r.
+def _terms(params: ModelParams, part: Partition, oracle_cap: int) -> _Terms:
+    """The coefficients of every rotated energy, from one measurement and
+    one pass over the measured rows psi_r.
 
     The rotation's generator squares to one, so each energy is
     x0 + x1 cos 2t + x2 sin 2t. With the Y factor on the top output bit,
@@ -238,12 +232,12 @@ def _terms(branches: Branches, params: ModelParams, part: Partition,
       sum_j M_j = sum_j sigma_j (sigma M)_j are the upper-half totals of W
       and sigma M minus their lower-half totals.
 
-    The Z kernels run once, on ``angles`` times the sums of W and sigma M,
-    for every angle together.
+    The Z kernels run once, on the sums of W and sigma M stacked, so x1
+    reads W's reductions and x2 sigma M's.
     """
-    width = branches.states.shape[1]
+    width = 1 << part.m_outputs
     chunk = min(width, TILE) // 2
-    sums, chunks = _mirror_sums(branches, chunk)
+    sums, chunks = _mirror_sums(measure_branches(params, part, oracle_cap), chunk)
     probability = float(sums[0] @ _ONES[:2 * chunk])
     # The output bits the column sums resolve: every bit for whole rows,
     # else those within a chunk, and the chunk totals the ones above. The
@@ -251,21 +245,27 @@ def _terms(branches: Branches, params: ModelParams, part: Partition,
     lo = (chunk if chunks is not None else width).bit_length() - 1
     top = sums if chunks is None else chunks
     minus_zy, sum_m = (top.reshape(2, 2, -1).sum(axis=2) @ (-1.0, 1.0)).tolist()
-    flip = angles @ (sum_m, -minus_zy)
-    sums = angles @ sums
+    flip = np.array((sum_m, -minus_zy))
     # Two table reductions, which only read the sums: the popcount diagonal
     # for the trace accounting, the per-bit signs for E_out.
     diagonal = kernels.z_diagonal(sums, lo)
     z = kernels.z_per_bit(sums, lo).sum(axis=-1)
     if chunks is not None:
         hi = chunks.shape[1].bit_length() - 1
-        chunks = angles @ chunks
         diagonal += kernels.z_diagonal(chunks, hi)
         z += kernels.z_per_bit(chunks, hi).sum(axis=-1)
     drained0 = -(part.m_outputs * local_constant(params) + interaction_constant(params))
-    return _Terms(probability, drained0 * probability, params.c * probability,
-                  -(params.h * z + 2.0 * params.k * flip),
-                  params.h * diagonal + 2.0 * params.k * flip)
+    drained = -(params.h * z + 2.0 * params.k * flip)
+    total = params.h * diagonal + 2.0 * params.k * flip
+    return _Terms(probability, (drained0 * probability, *drained.tolist()),
+                  (params.c * probability, *total.tolist()))
+
+
+def _angle_form(x, thetas) -> np.ndarray:
+    """x0 + x1 cos 2t + x2 sin 2t at every angle t of ``thetas``: each
+    energy the protocol reports, read off the coefficients ``x``."""
+    t = 2.0 * np.asarray(thetas, dtype=float)
+    return x[0] + x[1] * np.cos(t) + x[2] * np.sin(t)
 
 
 def _mirror_sums(branches: Branches, chunk: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -326,27 +326,23 @@ def extracted_energies(params: ModelParams, part: Partition, thetas,
     independent accounting ``e_out_via_trace`` is the injected energy minus
     the total ensemble energy; the two must agree to near machine precision.
     Both read the same total weight and FlipAll overlap; their Z sums come
-    from two kernels over the pass's sums at each angle (the popcount
-    diagonal and the per-bit sign tables). Every angle is refused, if its
-    double is not finite, before any branch is measured; no angle measures
-    nothing. Apart from the measured rows a call holds a few tile-sized
-    buffers and a few values per angle, and no rotated row is built.
+    from two kernels over the pass's sums (the popcount diagonal and the
+    per-bit sign tables), and ``_angle_form`` reads every angle off the
+    coefficients. Every angle is refused, if its double is not finite,
+    before any branch is measured; no angle measures nothing. Apart from
+    the measured rows a call holds a few tile-sized buffers and a few
+    values per angle, and no rotated row is built.
     """
     thetas = [float(t) for t in thetas]
     check_angles(*thetas)
     if not thetas:
         return []
-    branches = measure_branches(params, part, oracle_cap)
-    angles = np.array([(math.cos(2.0 * t), math.sin(2.0 * t)) for t in thetas])
-    terms = _terms(branches, params, part, angles)
+    terms = _terms(params, part, oracle_cap)
     e_in = injected_energy(terms.probability, params, part)
-    reports = []
-    for drained, total in zip(terms.drained.tolist(), terms.total.tolist()):
-        e_out = terms.drained0 + drained
-        reports.append(ProtocolReport(
-            e_in=e_in, e_out=e_out, e_out_via_trace=e_in - (terms.total0 + total),
-            eta=e_out / e_in, total_probability=terms.probability))
-    return reports
+    return [ProtocolReport(e_in=e_in, e_out=e_out, e_out_via_trace=e_in - total,
+                           eta=e_out / e_in, total_probability=terms.probability)
+            for e_out, total in zip(_angle_form(terms.drained, thetas).tolist(),
+                                    _angle_form(terms.total, thetas).tolist())]
 
 
 def extracted_energy(params: ModelParams, part: Partition, theta: float,
@@ -363,17 +359,13 @@ def output_energy_curve(params: ModelParams, part: Partition, thetas,
                         oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """Drained energy at every angle in ``thetas``, branches enumerated once.
 
-    Matches ``extracted_energy`` to rounding (the same pass over the same
-    rows), and costs O(1) per angle: the curve is
-    d0 + d1 cos 2t + d2 sin 2t.
+    Equals ``extracted_energies``' ``e_out`` at every angle, bit for bit:
+    the same coefficients d0, d1, d2 from the same pass, read by the same
+    ``_angle_form``, at O(1) per angle.
     """
-    t = np.asarray(thetas, dtype=float)
-    check_angles(*t.ravel().tolist())
-    branches = measure_branches(params, part, oracle_cap)
-    terms = _terms(branches, params, part, _COEFFICIENTS)
-    d1, d2 = terms.drained
-    t = 2.0 * t
-    return terms.drained0 + d1 * np.cos(t) + d2 * np.sin(t)
+    thetas = np.asarray(thetas, dtype=float)
+    check_angles(*thetas.ravel().tolist())
+    return _angle_form(_terms(params, part, oracle_cap).drained, thetas)
 
 
 def optimize_theta_numeric(params: ModelParams, part: Partition,
@@ -386,8 +378,7 @@ def optimize_theta_numeric(params: ModelParams, part: Partition,
     rounding; d2 is clamped at 0 so that phi lies in [0, pi/2] and theta
     in [0, pi/4].
     """
-    branches = measure_branches(params, part, oracle_cap)
-    d1, d2 = _terms(branches, params, part, _COEFFICIENTS).drained.tolist()
+    _, d1, d2 = _terms(params, part, oracle_cap).drained
     return ThetaChoice.from_components(d1, max(0.0, d2))
 
 

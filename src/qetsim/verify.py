@@ -46,20 +46,23 @@ def check_oracle_agreement(n_max: int = 10,
     check_oracle_cap(top, oracle_cap)
     cells = analysis.grid(range(3, top + 1), range(1, top), GRID_RATIOS)
     closed = closedform.energies(cells.n, cells.m, cells.ratio)
-    worst_in = worst_out = 0.0
-    for n, m, ratio, e_in, e_out in zip(cells.n.tolist(), cells.m.tolist(),
-                                        cells.ratio.tolist(), closed.e_in.tolist(),
-                                        closed.e_out_max.tolist()):
+    worst_in = worst_out = worst_eta = 0.0
+    for n, m, ratio, e_in, e_out, eta in zip(cells.n.tolist(), cells.m.tolist(),
+                                             cells.ratio.tolist(), closed.e_in.tolist(),
+                                             closed.e_out_max.tolist(), closed.eta.tolist()):
         params, part = ModelParams(n, 1.0, ratio), Partition.last(n, m)
         rep = protocol_oracle.extracted_energy(
             params, part, closedform.optimal_theta(params, part).theta,
             oracle_cap=oracle_cap)
         worst_in = max(worst_in, abs(rep.e_in - e_in) / e_in)
         worst_out = max(worst_out, abs(rep.e_out - e_out) / max(1.0, e_out))
-    passed = worst_in <= 1e-10 and worst_out <= 1e-10
+        worst_eta = max(worst_eta, abs(rep.eta - eta))
+    passed = worst_in <= 1e-10 and worst_out <= 1e-10 and worst_eta <= 1e-10
     # E_out < 1 in every cell, so the e_out error is divided by 1: absolute.
+    # eta < 1 as well, and its error is absolute too.
     detail = (f"{len(cells)} cells, worst rel err e_in {worst_in:.2e}, "
-              f"worst e_out err (abs below 1) {worst_out:.2e}")
+              f"worst e_out err (abs below 1) {worst_out:.2e}, "
+              f"worst abs err eta {worst_eta:.2e}")
     return _finish("oracle-vs-closed-form", passed, detail, t0)
 
 
@@ -251,18 +254,17 @@ def check_properties(oracle_cap: int = DEFAULT_ORACLE_CAP) -> CheckResult:
     if worst_part > 1e-12:
         bad.append(f"partition invariance off by {worst_part:.2e}")
 
-    # The oracle's curve at its own exact argmax against the closed-form angle.
+    # The oracle's E_out at its own exact argmax against the closed-form
+    # angle's, both from one pass.
     worst_opt = 0.0
     for n, m, ratio in ((3, 1, 1.0), (4, 3, 0.1), (5, 2, 1.0), (6, 1, 10.0)):
         params = ModelParams(n, 1.0, ratio)
         part = Partition.last(n, m)
         best = protocol_oracle.optimize_theta_numeric(params, part, oracle_cap).theta
-        peak = protocol_oracle.output_energy_curve(params, part, [best],
-                                                   oracle_cap=oracle_cap)[0]
         theta = closedform.optimal_theta(params, part).theta
-        star = protocol_oracle.extracted_energy(params, part, theta,
-                                                oracle_cap=oracle_cap).e_out
-        worst_opt = max(worst_opt, float(peak) - star)
+        peak, star = (rep.e_out for rep in protocol_oracle.extracted_energies(
+            params, part, (best, theta), oracle_cap=oracle_cap))
+        worst_opt = max(worst_opt, peak - star)
     if worst_opt > 1e-10:
         bad.append(f"the oracle's own optimum beat the closed-form angle by "
                    f"{worst_opt:.2e}")

@@ -63,6 +63,7 @@ def test_oracle_check_labels_its_e_out_error_as_absolute():
     assert result.passed
     assert "worst rel err e_in " in result.detail
     assert "worst e_out err (abs below 1) " in result.detail
+    assert "worst abs err eta " in result.detail
     # The time is in result.seconds, and only there.
     assert not result.detail.endswith(" s")
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from qetsim import analysis, closedform, verify
+from qetsim import analysis, closedform, protocol_oracle, verify
 
 
 def doubled_bell_saturation(monkeypatch):
@@ -40,10 +41,30 @@ def eta_off_by_a_millionth(monkeypatch):
     monkeypatch.setattr(closedform, "_energies", scaled)
 
 
+def oracle_eta_as_product(monkeypatch):
+    report = protocol_oracle.ProtocolReport
+
+    def product(**fields):
+        fields["eta"] = fields["e_out"] * fields["e_in"]
+        return report(**fields)
+
+    monkeypatch.setattr(protocol_oracle, "ProtocolReport", product)
+
+
+def angle_form_cos_and_sin_swapped(monkeypatch):
+    def swapped(x, thetas):
+        t = 2.0 * np.asarray(thetas, dtype=float)
+        return x[0] + x[1] * np.sin(t) + x[2] * np.cos(t)
+
+    monkeypatch.setattr(protocol_oracle, "_angle_form", swapped)
+
+
 MUTATIONS = [
     (doubled_bell_saturation, "bell-value"),
     (scan_one_count_too_high, "optimal-qubit-count"),
     (eta_off_by_a_millionth, "specialization-fixtures"),
+    (oracle_eta_as_product, "oracle-vs-closed-form"),
+    (angle_form_cos_and_sin_swapped, "oracle-vs-closed-form"),
 ]
 
 
