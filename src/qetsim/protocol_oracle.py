@@ -29,18 +29,20 @@ state <alpha|psi>. All outcomes are held as the rows of one real
   columns reversed and those from the upper half negated, and parity_r the
   product of the row's outcome signs; the generator squares to one, so
   every energy after it is x0 + x1 cos 2t + x2 sin 2t;
-* one pass over the measured rows, in tiles of ``TILE`` elements, adds up
-  their column weights and parity-weighted mirror products, and the Z
-  accountings run once at the end on those sums: ``_terms`` measures the
-  rows and returns the coefficients of both accountings, and
-  ``_angle_form`` reads every angle off them, for ``extracted_energies``
-  (and its one-angle case ``extracted_energy``) and the angle curve alike;
-  the optimizer reads the coefficients themselves. E_out reads its per-bit
-  <Z> through ``kernels.z_per_bit``'s sign tables and the trace accounting
-  through ``kernels.z_diagonal``'s popcount tables, so the two stay
-  independent. No rotated row is built: a call holds the measured rows and
-  a few tile-sized buffers, and the one Python loop runs over tiles, of
-  which a matrix of up to ``TILE`` elements is one. Only the sampler
+* one pass over the measured rows adds up their column weights and
+  parity-weighted mirror products, and the Z accountings run once at the
+  end on those sums: ``_terms`` measures the rows and returns the
+  coefficients of both accountings, and ``_angle_form`` reads every angle
+  off them, for ``extracted_energies`` (and its one-angle case
+  ``extracted_energy``) and the angle curve alike; the optimizer reads
+  the coefficients themselves. E_out reads its per-bit <Z> through
+  ``kernels.z_per_bit``'s sign tables and the trace accounting through
+  ``kernels.z_diagonal``'s popcount tables, so the two stay independent.
+  No rotated row is built: a call holds the measured rows and a few
+  tile-sized buffers. Rows that fit in a tile of ``TILE`` elements
+  stream through tiles in blocks, the pass's one Python loop, which runs
+  once for a matrix of up to ``TILE`` elements; longer rows are reduced
+  whole, by a few numpy reductions over all of them. Only the sampler
   rotates the rows, with ``apply_conditional_unitary``, and reads them
   through ``kernels.z_fold``;
 * a ``ProtocolReport`` holds floats only, so no array outlives the call.
@@ -122,12 +124,29 @@ def measure_branches(params: ModelParams, part: Partition,
         StateVector.ground_state(params).amplitudes.reshape((2,) * params.n_qubits)
         .transpose(axes).reshape(1 << n_in, 1 << m))
     kernels.project_x(states.reshape(-1), ((1 << n_in) - 1) << m, 2.0 ** (-0.5 * n_in))
-    # (-1)^popcount(r) by doubling: setting bit b flips the sign.
-    parity = np.empty(1 << n_in)
-    parity[0] = 1.0
-    for b in range(n_in):
+    return Branches(states, _parity(n_in))
+
+
+#: (-1)**popcount(j) for every j < 2**12, read-only: the head of every
+#: parity vector, which ``_parity`` copies.
+_PARITY = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << 12)) & 1)
+_PARITY.flags.writeable = False
+
+
+def _parity(n_bits: int) -> np.ndarray:
+    """(-1)**popcount(r) for every r < 2**n_bits, as a new array.
+
+    The lowest bits' parities are one copy from ``_PARITY``, and each bit
+    above doubles the vector: setting bit b flips the sign. So up to 4096
+    rows cost one copy, and more rows one negation per bit above the
+    table's: the memory traffic of doubling from one entry, in fewer calls.
+    """
+    low = min(n_bits, len(_PARITY).bit_length() - 1)
+    parity = np.empty(1 << n_bits)
+    parity[:1 << low] = _PARITY[:1 << low]
+    for b in range(low, n_bits):
         np.negative(parity[:1 << b], out=parity[1 << b:2 << b])
-    return Branches(states, parity)
+    return parity
 
 
 def injected_energy(probability: float, params: ModelParams, part: Partition) -> float:
@@ -186,7 +205,7 @@ def output_term_energies(states: np.ndarray, parity: np.ndarray,
 #: keeps the buffers of an N = 16 call at a quarter of the rows each.
 TILE = kernels.TILE
 
-#: A product with these sums a tile's rows, a chunk or the column sums in
+#: A product with these sums a tile's rows or the column sums in
 #: one BLAS call: numpy's own sum over the rows of a narrow C-ordered array
 #: runs its inner loop once per row, several times slower.
 _ONES = np.ones(TILE)
@@ -269,48 +288,58 @@ def _angle_form(x, thetas) -> np.ndarray:
 
 
 def _mirror_sums(branches: Branches, chunk: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """W over a tile's columns and sigma M there, stacked; and, where a row
-    spans more than one pair of chunks, each chunk's totals of the two.
+    """W over a pair of ``chunk``-column chunks and sigma M there, stacked;
+    and, where a row spans more than one pair, each chunk's totals of the two.
 
-    A tile is a block of rows by a pair of ``chunk``-column chunks, c and
-    its mirror n_chunks - 1 - c: the two halves of whole rows where a row
-    fits in a tile, else one row's pair of half-tile chunks. S reverses the
-    tile's own columns, and every tile holds the same output bits at the
-    same columns, its lower chunk in the lower half of a row: sigma is -1
-    there and +1 on the mirror. The pass adds up W over those columns and
-    M over the lower chunk's, since M_rev(j) = M_j.
+    Every chunk holds the same output bits at the same columns. Chunk c of
+    a row's lower half pairs with its mirror n_chunks - 1 - c: S reverses
+    the pair's own columns, sigma is -1 on the lower chunk and +1 on the
+    mirror, and M_rev(j) = M_j, so the pass adds up W over both chunks and
+    M over the lower one.
+
+    Where a row fits in a tile, its two halves are the one pair: blocks of
+    whole rows are squared a tile at a time into a buffer and added up in
+    ``_LANES`` interleaved sums, and a row of one tile is its own sum.
+    Longer rows are reduced whole on the (rows, n_chunks, chunk) view, with
+    no Python loop and no tile squared: einsum adds up the column sums over
+    the rows and chunks, and vecdot the chunks' totals. Neither copies the
+    reversed mirror view.
     """
     states, parity = branches.states, branches.parity
     rows, width = states.shape
     n_chunks = width // chunk
-    block = max(1, TILE // width)
     split = states.reshape(rows, n_chunks, chunk)
-    squares = np.empty((min(rows, block), 2, chunk))
-    products = np.empty((min(rows, block), chunk))
     sums = np.zeros((2, 2 * chunk))
-    upper = sums[1, chunk:][::-1]  # sigma M there: the lower chunk's M, reversed
-    chunks = np.zeros((2, n_chunks)) if n_chunks > 2 else None
-    for r in range(0, rows, block):
-        p = parity[r:r + block]
-        for c in range(n_chunks // 2):
-            pair = slice(c, n_chunks - c, n_chunks - 1 - 2 * c)
-            tile = split[r:r + block, pair]
+    upper = sums[1, chunk:][::-1]  # sigma M there: the lower chunks' M, reversed
+    chunks = None
+    if n_chunks > 2:
+        half = n_chunks // 2
+        low, up = split[:, :half], split[:, half:]
+        mirror = up[:, ::-1, ::-1]  # [r, c]: chunk n_chunks - 1 - c, reversed
+        np.einsum("rcj,rcj->j", low, low, out=sums[0, :chunk])
+        np.einsum("rcj,rcj->j", up, up, out=sums[0, chunk:])
+        upper[...] = np.einsum("rcj,rcj,r->j", low, mirror, parity)
+        totals = parity @ np.vecdot(low, mirror)
+        chunks = np.stack((np.vecdot(split, split).sum(axis=0),
+                           np.concatenate((-totals, totals[::-1]))))
+    else:
+        block = max(1, TILE // width)
+        squares = np.empty((min(rows, block), 2, chunk))
+        products = np.empty((min(rows, block), chunk))
+        for r in range(0, rows, block):
+            p = parity[r:r + block]
+            tile = split[r:r + block]
             w = kernels.weights(tile, out=squares[:len(p)])
             mirrored = np.multiply(tile[:, 0], tile[:, 1, ::-1], out=products[:len(p)])
-            if len(p) > 1:  # whole rows, one pair of chunks
+            if len(p) > 1:  # whole rows
                 lanes = min(_LANES, len(p))
                 w = _ONES[:len(p) // lanes] @ w.reshape(len(p) // lanes, -1)
                 sums[0] += _ONES[:lanes] @ w.reshape(lanes, -1)
                 upper += p @ mirrored
                 continue
-            mirrored *= p[0]  # one row, whose sums are its own values
+            mirrored *= p[0]  # one row, a tile long, whose sums are its own values
             sums[0] += w.reshape(-1)
             upper += mirrored[0]
-            if chunks is not None:
-                chunks[0, pair] += w[0] @ _ONES[:chunk]
-                total = float(mirrored[0] @ _ONES[:chunk])
-                chunks[1, c] -= total
-                chunks[1, n_chunks - 1 - c] += total
     np.negative(upper, out=sums[1, :chunk])
     return sums, chunks
 
@@ -361,10 +390,12 @@ def output_energy_curve(params: ModelParams, part: Partition, thetas,
 
     Equals ``extracted_energies``' ``e_out`` at every angle, bit for bit:
     the same coefficients d0, d1, d2 from the same pass, read by the same
-    ``_angle_form``, at O(1) per angle.
+    ``_angle_form``, at O(1) per angle. No angle measures nothing.
     """
     thetas = np.asarray(thetas, dtype=float)
     check_angles(*thetas.ravel().tolist())
+    if not thetas.size:
+        return np.empty(thetas.shape)
     return _angle_form(_terms(params, part, oracle_cap).drained, thetas)
 
 

@@ -58,6 +58,15 @@ def test_branch_enumeration_order_and_weights():
         1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("n_in", range(17))
+def test_parity_is_the_sign_of_each_rows_popcount(n_in):
+    # A copy of the table's head, then a negation per bit above it: both
+    # are exact, so every entry equals (-1)^popcount(r).
+    parity = po._parity(n_in)
+    assert parity.tolist() == [(-1.0) ** r.bit_count() for r in range(1 << n_in)]
+    assert parity.flags.writeable and not po._PARITY.flags.writeable
+
+
 def test_branch_rows_are_output_states_of_the_projected_ground_state(monkeypatch):
     # Row alpha is <alpha|psi>: the full projected state (kernels-free, built
     # from explicit |+>, |-> vectors) factors as |alpha> (x) row, for every
@@ -121,19 +130,20 @@ def test_engine_is_real_and_holds_no_sign_matrix(m):
 
 
 #: Warm tracemalloc peak at N = 16, in units of one 2^N float64 array, plus
-#: 0.02. A call holds the measured rows, the parity vector of 2^(N-m)
-#: entries (half a unit at m = 1) and a few tile-sized buffers, a quarter of
-#: a unit each at N = 16: the transform's product buffer, or the pass's
-#: squared tile and its half-tile mirror products beside the stacked sums
-#: of a tile's columns (two tiles where a row fills a tile or more). The Z
-#: kernels read those sums as they are, whatever the angles, so a curve
-#: peaks as a report does: 1.882, 1.643 and 1.881 for m = 1, 8 and 15.
+#: 0.02 or more. A call holds the measured rows, the parity vector of
+#: 2^(N-m) entries (half a unit at m = 1) and a few tile-sized buffers, a
+#: quarter of a unit each at N = 16: the transform's product buffer, or the
+#: pass's squared tile and its half-tile mirror products beside the stacked
+#: sums of a tile's columns. Rows longer than a tile (m = 15) are reduced
+#: whole, with neither of the pass's two tile buffers. The Z kernels read
+#: those sums as they are, whatever the angles, so a curve peaks as a
+#: report does: 1.882, 1.643 and 1.632 for m = 1, 8 and 15.
 #: Reports hold no arrays, so two of them held while a curve runs (the
 #: pattern of the oracle benchmark) peak as one call does.
 PROTOCOL_PEAK_UNITS = {
-    "extracted_energy": {1: 1.91, 8: 1.67, 15: 1.91},
-    "output_energy_curve": {1: 1.91, 8: 1.67, 15: 1.91},
-    "two reports and a curve": {1: 1.91, 8: 1.67, 15: 1.91},
+    "extracted_energy": {1: 1.91, 8: 1.67, 15: 1.66},
+    "output_energy_curve": {1: 1.91, 8: 1.67, 15: 1.66},
+    "two reports and a curve": {1: 1.91, 8: 1.67, 15: 1.66},
 }
 
 
@@ -168,10 +178,10 @@ def test_protocol_calls_keep_a_fixed_set_of_arrays(m):
 
 #: Warm tracemalloc peak at N = 18, in units of one 2^N float64 array,
 #: plus 0.02 or more. A tile is 1/16 of a unit, and a call holds the rows
-#: and a few tile-sized buffers: measured 1.165 at m = 9 and 1.220 at
-#: m = 17, where the sums span two tiles, for a report and a curve alike.
-#: At m = 1 the parity vector adds half a unit: 1.595.
-N18_PEAK_UNITS = {1: 1.62, 9: 1.19, 17: 1.25}
+#: and a few tile-sized buffers: measured 1.165 at m = 9, and 1.158 at
+#: m = 17, whose long rows are reduced with no tile buffer, for a report
+#: and a curve alike. At m = 1 the parity vector adds half a unit: 1.595.
+N18_PEAK_UNITS = {1: 1.62, 9: 1.19, 17: 1.18}
 
 
 @pytest.mark.parametrize("m", sorted(N18_PEAK_UNITS))
@@ -231,14 +241,18 @@ def cells(draw):
 
 
 #: (N, m) cells whose branch matrix splits into several tiles: by blocks of
-#: whole rows (m <= 13), by pairs of chunks (m >= 15), and into one tile per
-#: row, its two halves (m = 14).
-MULTI_TILE_CELLS = [(15, 1), (16, 3), (18, 9), (15, 14), (16, 15), (18, 17)]
+#: whole rows (m <= 13), and into one tile per row, its two halves (m = 14).
+MULTI_TILE_CELLS = [(15, 1), (16, 3), (18, 9), (15, 14)]
+
+#: (N, m) cells whose rows span several pairs of chunks (m >= 15): they are
+#: reduced whole, and no tile of them is squared.
+LONG_ROW_CELLS = [(16, 15), (18, 17)]
 
 
 def test_multi_tile_cells_split_along_rows_and_columns(monkeypatch):
-    # The pass squares each tile once, a (rows, 2, chunk) block of rows by a
-    # chunk and its mirror: the squared shapes show how a cell is split.
+    # The pass squares each tile of rows that fit in one once, a
+    # (rows, 2, chunk) block of rows by a chunk and its mirror: the squared
+    # shapes show how a cell is split.
     squared = []
     weights = kernels.weights
 
@@ -257,10 +271,14 @@ def test_multi_tile_cells_split_along_rows_and_columns(monkeypatch):
         split[n, m] = ((1 << (n - m)) // block, (1 << m) // chunk)
     assert all(blocks * chunks // 2 > 1 for blocks, chunks in split.values()), split
     assert any(blocks > 1 and chunks == 2 for blocks, chunks in split.values()), split
-    assert any(chunks >= 4 for _, chunks in split.values()), split
+    for n, m in LONG_ROW_CELLS:
+        squared.clear()
+        po.extracted_energy(*_case(n, m, k=0.7), 0.3, oracle_cap=n)
+        assert squared == [], (n, m, squared)
 
 
 @settings(max_examples=40, deadline=None)
+@example((20, 19, 0.5, 3.0))   # 32 pairs of chunks a row
 @example((18, 17, 0.7, 0.7))   # 8 pairs of chunks a row
 @example((18, 17, 0.7, 30.0))
 @example((16, 15, 1.2, 0.01))
@@ -321,6 +339,37 @@ def test_dense_rows_equal_the_whole_matrix_reduction(case):
     worst = max(errors)
     target(worst, label="worst error against the whole matrix, dense rows")
     assert worst <= 1e-12, (case, errors)
+
+
+def _whole_row_sums(branches: po.Branches, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_mirror_sums``' two results by a plain reduction of whole rows: W
+    and M_j = sum_r parity_r psi_rj psi_r,rev(j), M signed by sigma, folded
+    onto one pair of ``chunk``-column chunks, and totalled per chunk. The
+    sums run in long double, which is wider than a double on x86 Linux, so
+    the reference adds little rounding of its own."""
+    states = branches.states.astype(np.longdouble)
+    width = states.shape[1]
+    w = (states * states).sum(axis=0)
+    m = branches.parity.astype(np.longdouble) @ (states * states[:, ::-1])
+    m[:width // 2] *= -1
+    stacked = np.stack((w, m)).reshape(2, 2, -1, chunk)
+    return stacked.sum(axis=2).reshape(2, -1), stacked.reshape(2, -1, chunk).sum(axis=2)
+
+
+@pytest.mark.parametrize("n, m", [(18, 15), (18, 17), (20, 19)])
+def test_long_rows_sum_as_a_whole_row_reduction_does(n, m):
+    # Rows longer than a tile are reduced over all rows and chunks at once.
+    # Random dense rows with random parities show every column; the worst
+    # error is taken against the largest reference value of each result.
+    rng = np.random.default_rng(n * 100 + m)
+    states = rng.standard_normal((1 << (n - m), 1 << m))
+    states /= np.linalg.norm(states)
+    branches = po.Branches(states, rng.choice([-1.0, 1.0], size=len(states)))
+    chunk = kernels.TILE // 2
+    for got, want in zip(po._mirror_sums(branches, chunk), _whole_row_sums(branches, chunk)):
+        assert got.shape == want.shape
+        error = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert error <= 1e-15, (n, m, error)
 
 
 def test_reports_hold_floats_and_branches_hold_rows_and_parity():
@@ -665,6 +714,17 @@ def test_total_probability_is_one_to_a_few_roundings(n):
                                                                rep.total_probability)
 
 
+@pytest.mark.parametrize("n", range(16, 21))
+def test_total_probability_of_long_rows_is_one_to_a_few_roundings(n):
+    # Rows longer than a tile are added up over the rows and chunks in one
+    # reduction each, with no interleaved sums: up to 32 rows at N = 20.
+    for m in sorted({15, n - 2, n - 1}):
+        for ratio in (0.1, 0.7, 10.0):
+            rep = po.extracted_energy(*_case(n, m, k=ratio), 0.3, oracle_cap=n)
+            assert abs(rep.total_probability - 1.0) <= 1e-14, (n, m, ratio,
+                                                               rep.total_probability)
+
+
 @pytest.mark.parametrize("n, m", [(3, 1), (4, 2), (6, 3), (7, 4)])
 def test_output_term_energies_are_each_rows_expectations(monkeypatch, n, m):
     # Row r as a normalised m-qubit state, its qubits in the branch matrix's
@@ -773,6 +833,24 @@ def test_an_angle_whose_double_is_not_finite_is_refused_before_any_branch(monkey
     # The largest angle whose double is finite still gives a finite energy.
     largest = math.nextafter(2.0 ** 1023, 0.0)
     assert math.isfinite(cf.output_energy_at_theta(p, part, largest))
+
+
+def test_no_angle_measures_nothing(monkeypatch):
+    measured = []
+    measure = po.measure_branches
+
+    def counted(*args, **kwargs):
+        measured.append(args)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(po, "measure_branches", counted)
+    p, part = _case(6, 2, k=0.7)
+    curve = po.output_energy_curve(p, part, [])
+    assert curve.shape == (0,) and curve.dtype == np.float64
+    assert po.extracted_energies(p, part, []) == []
+    assert measured == []
+    po.output_energy_curve(p, part, [0.3])
+    assert len(measured) == 1
 
 
 def test_engine_modules_import_nothing_from_the_closed_form_side():
